@@ -77,6 +77,7 @@ K111 = register_code("K111", "dense kernel table disagrees with the transition t
 K112 = register_code("K112", "dense column offsets do not re-derive")
 K114 = register_code("K114", "native table view disagrees with the dense tables")
 K115 = register_code("K115", "native single-step replay disagrees with the transition table")
+K116 = register_code("K116", "native report walk disagrees with Dfa.run_reports")
 K120 = register_code("K120", "shard key does not re-derive from member fingerprints")
 K121 = register_code("K121", "shard demux map is malformed or misses members")
 K122 = register_code("K122", "shard demux disagrees with member transitions")
@@ -456,14 +457,20 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
     to the dense tables and to the int64 transition matrix.  K115 proves
     the stepping: replaying every symbol as a one-position segment over
     the discrete partition must land each start state exactly where the
-    transition table says (``deep=False`` skips the replay; very large
-    tables cap it).  An unavailable native tier yields no diagnostics —
-    degradation to dense is the documented contract, not a defect.
+    transition table says.  K116 proves the concrete walk: a fixed probe
+    string walked by ``cse_native_walk`` with reports on, through a
+    three-entry report buffer so the walk pauses and resumes many times,
+    must give :meth:`Dfa.run_reports`'s reports and :meth:`Dfa.run`'s
+    final state, at uint8 and int64 symbol width (``deep=False`` skips
+    both replays; very large tables cap them).  An unavailable native
+    tier yields no diagnostics — degradation to dense is the documented
+    contract, not a defect.
     """
     from repro.kernels import DenseTables
     from repro.kernels.native import (
         native_available,
         native_table_view,
+        native_walk,
         run_segments_native,
     )
 
@@ -520,6 +527,33 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
                     "stepping disagrees with the Python tier)",
                     f"{location}.step[{c},{q}]"))
                 return out
+
+    # report walk replay: every symbol once, then a seeded random tail
+    alphabet = int(table.shape[0])
+    probe = np.concatenate([
+        np.arange(alphabet, dtype=np.int64),
+        np.random.default_rng(116).integers(0, alphabet, size=1024),
+    ])
+    start = int(dfa.start)  # type: ignore[attr-defined]
+    want_reports = dfa.run_reports(probe, start)  # type: ignore[attr-defined]
+    want_final = int(dfa.run(probe, start))  # type: ignore[attr-defined]
+    widths = [probe] + ([probe.astype(np.uint8)] if alphabet <= 256 else [])
+    for syms in widths:
+        got = native_walk(
+            dfa, syms, start, tables=tables,  # type: ignore[arg-type]
+            reports=True, cap=3,
+        )
+        if got != (want_final, want_reports):
+            seen = "no result" if got is None else (
+                f"final {got[0]} with {len(got[1])} reports")
+            out.append(_err(
+                K116,
+                f"native report walk over the {syms.dtype} probe gave "
+                f"{seen}; Dfa.run_reports gives final {want_final} with "
+                f"{len(want_reports)} reports (the compiled walk would "
+                "report different matches)",
+                f"{location}.walk[{syms.dtype}]"))
+            return out
     return out
 
 

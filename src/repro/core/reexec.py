@@ -14,13 +14,16 @@ speculation succeeded.  Otherwise one of three policies repairs the run:
   paper's hardware implements).
 
 Every policy yields exactly the sequential machine's final state; they
-differ only in how many serial cycles the repair costs.
+differ only in how many serial cycles the repair costs.  The serial
+re-execution itself is a parameter (``walk``, default :meth:`Dfa.run`),
+so a software scan can re-execute on a compiled walk while the cycle-model
+engines keep the interpreted one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +79,7 @@ def compose_and_fix(
     first_final: int,
     policy: str = "opportunistic",
     config: Optional[APConfig] = None,
+    walk: Optional[Callable[[np.ndarray, int], int]] = None,
 ) -> Tuple[int, ReexecutionStats]:
     """Compose segment functions; repair with the selected policy.
 
@@ -86,10 +90,16 @@ def compose_and_fix(
         with ``functions``).
     first_final:
         Concrete output state of segment 1.
+    walk:
+        ``walk(symbols, state) -> state``, the serial re-execution of one
+        segment; defaults to ``dfa.run``.  Any walk that agrees with
+        :meth:`Dfa.run` yields the same final state and the same
+        re-executed segments.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; pick one of {POLICIES}")
     config = config or APConfig()
+    run = walk if walk is not None else dfa.run
     stats = ReexecutionStats()
     stats.diverged_segments = sum(1 for fn in functions if not fn.all_converged)
     if not functions:
@@ -103,7 +113,7 @@ def compose_and_fix(
         # Serially re-execute every enumerative segment.
         state = int(first_final)
         for i, (a, b) in enumerate(enum_bounds):
-            state = dfa.run(syms[a:b], state)
+            state = run(syms[a:b], state)
             stats.reexecuted_segments.append(i)
             stats.extra_cycles += (b - a) * config.symbol_cycles
         return state, stats
@@ -118,7 +128,7 @@ def compose_and_fix(
         state = int(values[r][0]) if r >= 0 else int(first_final)
         for i in range(r + 1, len(functions)):
             a, b = enum_bounds[i]
-            state = dfa.run(syms[a:b], state)
+            state = run(syms[a:b], state)
             stats.reexecuted_segments.append(i)
             stats.extra_cycles += (b - a) * config.symbol_cycles
         return state, stats
@@ -133,7 +143,7 @@ def compose_and_fix(
         state = int(values[r][0]) if r >= 0 else int(first_final)
         target = r + 1
         a, b = enum_bounds[target]
-        state = dfa.run(syms[a:b], state)
+        state = run(syms[a:b], state)
         stats.reexecuted_segments.append(target)
         stats.extra_cycles += (b - a) * config.symbol_cycles
         values[target] = np.asarray([state], dtype=np.int64)

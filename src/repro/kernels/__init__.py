@@ -17,6 +17,9 @@ kernels pay it per *symbol position of the whole scan*:
   kernel's whole frontier advanced over the whole symbol buffer in one C
   call (ctypes-loaded, zero runtime deps); strictly optional — every
   caller degrades to dense when no toolchain or prebuilt library exists.
+  Its :func:`walk` runs a scan's concrete walks (segment 0,
+  re-execution, stream reports) as one compiled table walk, falling back
+  to the interpreted list walk with identical results.
 - :mod:`repro.kernels.prefilter` — the literal-prefilter fast path:
   compile-time anchor/skip-width certification plus a scan kernel that
   sweeps for anchor bytes vectorized and walks only the tail after the
@@ -43,6 +46,7 @@ from repro.kernels.native import (
     native_table_view,
     native_unavailable_reason,
     run_segments_native,
+    walk,
 )
 from repro.kernels.prefilter import (
     PrefilterTables,
@@ -71,4 +75,5 @@ __all__ = [
     "resolve_backend",
     "run_segments_batch",
     "run_segments_native",
+    "walk",
 ]

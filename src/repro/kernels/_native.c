@@ -1,4 +1,5 @@
-/* Native set-flow tier: the dense-frontier kernel as one compiled call.
+/* Native set-flow tier: the dense-frontier kernel as one compiled call,
+ * plus the concrete walk every serial step of a scan runs on.
  *
  * The dense kernel (dense.py) already reduced a symbol position to one
  * offset-add + one flat gather, but each position still pays a Python
@@ -11,6 +12,12 @@
  * frontier), and when the *whole* frontier collapses to one state the
  * segment degrades to a single scalar table walk for its remaining tail.
  *
+ * cse_native_walk is the other half: one concrete walk from a start
+ * state (segment 0, global re-execution, a matcher's report pass).  It
+ * reads symbols at their own width (uint8 or int64) and collects
+ * (offset, state) reports into a caller-sized buffer, pausing when the
+ * buffer fills and resuming on the next call.
+ *
  * Deliberately plain C with a flat pointer ABI: no Python.h, no numpy
  * headers.  The Python side (native.py) loads it through ctypes, passes
  * preallocated numpy buffers, and reuses dense.py's epilogue verbatim so
@@ -21,13 +28,14 @@
 
 /* bump when the entry-point signatures change; native.py refuses to use
  * a library whose cse_native_abi() disagrees */
-#define CSE_NATIVE_ABI 1
+#define CSE_NATIVE_ABI 2
 
 /* same adaptive collapse-check ladder as dense.py */
 #define NATIVE_STRIDE_MIN 8
 #define NATIVE_STRIDE_MAX 512
 
-/* table element kinds (must match _TABLE_KINDS in native.py) */
+/* table and symbol element kinds (must match _TABLE_KINDS and
+ * _SYMBOL_KINDS in native.py); symbols use KIND_U8 and KIND_I64 only */
 #define KIND_U8 0
 #define KIND_U16 1
 #define KIND_I64 2
@@ -38,6 +46,12 @@
 #define STAT_DEGRADED 2
 #define STAT_SCALAR_POSITIONS 3
 #define STAT_SLOTS 4
+
+/* cse_native_walk return codes (must match _WALK_* in native.py) */
+#define WALK_DONE 0
+#define WALK_PAUSED 1
+#define WALK_BAD_KIND -1
+#define WALK_BAD_SYMBOL -2
 
 int64_t cse_native_abi(void) { return CSE_NATIVE_ABI; }
 
@@ -203,4 +217,95 @@ cse_native_table_view(const void *table, int64_t kind, int64_t n_cells,
         return -1;
     }
     return 0;
+}
+
+/* One walk body per (table kind, symbol kind).  The symbol is range
+ * checked before it indexes the table: an out-of-range symbol stops the
+ * walk at its position with WALK_BAD_SYMBOL and the caller replays the
+ * input on the interpreted walk, whose behaviour on such input is the
+ * reference. */
+#define DEFINE_WALK(NAME, TAB_T, SYM_T)                                      \
+static int64_t                                                               \
+NAME(const TAB_T *tab, int64_t n_states, uint64_t alphabet,                  \
+     const SYM_T *syms, int64_t len, int64_t *pos_io, int64_t *state_io,     \
+     const uint8_t *accepting, int64_t *offsets_out, int64_t *states_out,    \
+     int64_t cap, int64_t *n_reports_out)                                    \
+{                                                                            \
+    int64_t t = *pos_io, q = *state_io, n = 0, rc = WALK_DONE;               \
+    if (accepting == 0) {                                                    \
+        for (; t < len; t++) {                                               \
+            const uint64_t c = (uint64_t)(int64_t)syms[t];                   \
+            if (c >= alphabet) { rc = WALK_BAD_SYMBOL; break; }              \
+            q = (int64_t)tab[(int64_t)c * n_states + q];                     \
+        }                                                                    \
+    } else {                                                                 \
+        for (; t < len; t++) {                                               \
+            const uint64_t c = (uint64_t)(int64_t)syms[t];                   \
+            if (c >= alphabet) { rc = WALK_BAD_SYMBOL; break; }              \
+            q = (int64_t)tab[(int64_t)c * n_states + q];                     \
+            if (accepting[q]) {                                              \
+                offsets_out[n] = t;                                          \
+                states_out[n] = q;                                           \
+                if (++n == cap) { t++; rc = WALK_PAUSED; break; }            \
+            }                                                                \
+        }                                                                    \
+    }                                                                        \
+    *pos_io = t;                                                             \
+    *state_io = q;                                                           \
+    *n_reports_out = n;                                                      \
+    return rc;                                                               \
+}
+
+DEFINE_WALK(walk_u8_u8, uint8_t, uint8_t)
+DEFINE_WALK(walk_u16_u8, uint16_t, uint8_t)
+DEFINE_WALK(walk_i64_u8, int64_t, uint8_t)
+DEFINE_WALK(walk_u8_i64, uint8_t, int64_t)
+DEFINE_WALK(walk_u16_i64, uint16_t, int64_t)
+DEFINE_WALK(walk_i64_i64, int64_t, int64_t)
+
+/* One concrete walk: state = table[sym * n_states + state] per symbol.
+ *
+ * table          raveled (alphabet x n_states) transition table, per kind
+ * kind           KIND_U8 / KIND_U16 / KIND_I64
+ * syms           the symbols, read at their own width
+ * sym_kind       KIND_U8 or KIND_I64
+ * len            number of symbols
+ * pos_io         in: first position to read; out: first position not read
+ * state_io       in: state before pos_io; out: state after the last read
+ * accepting      n_states bytes, nonzero = report; NULL for no reports
+ * offsets_out    cap report positions (relative to syms)
+ * states_out     cap report states
+ * n_reports_out  reports written by this call
+ *
+ * Returns WALK_DONE when every symbol was read, WALK_PAUSED when the
+ * report buffer filled (resume with the same arguments: pos_io/state_io
+ * already point past the last report), WALK_BAD_SYMBOL at a symbol
+ * outside [0, alphabet), WALK_BAD_KIND on an unknown kind or cap < 1.
+ */
+int64_t
+cse_native_walk(const void *table, int64_t kind, int64_t n_states,
+                int64_t alphabet, const void *syms, int64_t sym_kind,
+                int64_t len, int64_t *pos_io, int64_t *state_io,
+                const uint8_t *accepting, int64_t *offsets_out,
+                int64_t *states_out, int64_t cap, int64_t *n_reports_out)
+{
+    const uint64_t a = (uint64_t)alphabet;
+    *n_reports_out = 0;
+    if (cap < 1)
+        return WALK_BAD_KIND;
+#define WALK_CALL(FN, TAB_T, SYM_T)                                          \
+    return FN((const TAB_T *)table, n_states, a, (const SYM_T *)syms, len,   \
+              pos_io, state_io, accepting, offsets_out, states_out, cap,     \
+              n_reports_out)
+    if (sym_kind == KIND_U8) {
+        if (kind == KIND_U8) WALK_CALL(walk_u8_u8, uint8_t, uint8_t);
+        if (kind == KIND_U16) WALK_CALL(walk_u16_u8, uint16_t, uint8_t);
+        if (kind == KIND_I64) WALK_CALL(walk_i64_u8, int64_t, uint8_t);
+    } else if (sym_kind == KIND_I64) {
+        if (kind == KIND_U8) WALK_CALL(walk_u8_i64, uint8_t, int64_t);
+        if (kind == KIND_U16) WALK_CALL(walk_u16_i64, uint16_t, int64_t);
+        if (kind == KIND_I64) WALK_CALL(walk_i64_i64, int64_t, int64_t);
+    }
+#undef WALK_CALL
+    return WALK_BAD_KIND;
 }

@@ -22,11 +22,21 @@ Availability is best-effort and never load-bearing:
   :func:`native_unavailable_reason` and every caller degrades to the
   dense kernel.
 
+The same library also runs the scan's concrete walks — segment 0, global
+re-execution and a matcher's report pass — through :func:`walk`: one
+compiled table walk from a start state over symbols read at their own
+width, collecting ``(offset, state)`` reports into a bounded buffer that
+the walk pauses on and resumes from.  Without the library, or on
+symbols outside the alphabet, :func:`walk` runs the interpreted list
+walk instead, so every answer (and every exception) is the interpreted
+one.
+
 Outcomes are bit-identical to every other backend: the C core returns
 raw final frontiers and this module reuses ``dense.py``'s epilogue
 (per-CS ``np.unique``) verbatim.  ``repro check`` certifies the
 compiled library reads the exact table bytes the Python tier built
-(K114/K115); ``benchmarks/bench_native.py`` gates the speedup
+(K114/K115) and replays a report walk against :meth:`Dfa.run_reports`
+(K116); ``benchmarks/bench_native.py`` gates the speedup
 (native >= 3x dense on the 64-state/1 MB/16-segment acceptance config).
 """
 
@@ -48,10 +58,12 @@ import numpy as np
 from repro.automata.dfa import Dfa, as_symbols
 from repro.core.partition import StatePartition
 from repro.core.transition import CsOutcome
+from repro.ingest import byte_view
 from repro.kernels.dense import DenseTables
 
 __all__ = [
     "NATIVE_ABI",
+    "WALK_REPORT_CAP",
     "NativeBuildError",
     "build_native",
     "load_native",
@@ -60,12 +72,14 @@ __all__ = [
     "native_library_path",
     "native_table_view",
     "native_unavailable_reason",
+    "native_walk",
     "reset_native",
     "run_segments_native",
+    "walk",
 ]
 
 #: expected ``cse_native_abi()`` of a loadable library
-NATIVE_ABI = 1
+NATIVE_ABI = 2
 #: set to ``0``/``off``/``false`` to disable the native tier entirely
 ENV_DISABLE = "REPRO_NATIVE"
 #: overrides the per-user build cache directory
@@ -82,6 +96,18 @@ _STAT_NATIVE_POSITIONS = 0
 _STAT_STRIDE_CHECKS = 1
 _STAT_DEGRADED = 2
 _STAT_SCALAR_POSITIONS = 3
+#: symbol dtype -> C kind tag (the table kinds' tags, uint8 and int64 only)
+_SYMBOL_KINDS: Dict[str, int] = {"uint8": 0, "int64": 2}
+#: cse_native_walk return codes (must match WALK_* in _native.c)
+_WALK_DONE = 0
+_WALK_PAUSED = 1
+#: reports one cse_native_walk call buffers before it pauses for the
+#: caller to drain them: a walk's report memory stays this size however
+#: long the input is
+WALK_REPORT_CAP = 4096
+
+#: one report event: (offset, state reached after the symbol there)
+Report = Tuple[int, int]
 
 
 class NativeBuildError(RuntimeError):
@@ -183,6 +209,15 @@ def _configure(lib: ctypes.CDLL) -> None:
     ]
     lib.cse_native_table_view.restype = c_i64
     lib.cse_native_table_view.argtypes = [c_ptr, c_i64, c_i64, c_ptr]
+    c_i64_p = ctypes.POINTER(c_i64)
+    lib.cse_native_walk.restype = c_i64
+    lib.cse_native_walk.argtypes = [
+        c_ptr, c_i64, c_i64, c_i64,   # table, kind, n_states, alphabet
+        c_ptr, c_i64, c_i64,          # syms, sym_kind, len
+        c_i64_p, c_i64_p,             # pos_io, state_io
+        c_ptr, c_ptr, c_ptr,          # accepting, offsets_out, states_out
+        c_i64, c_i64_p,               # cap, n_reports_out
+    ]
 
 
 def _try_load(path: Path) -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
@@ -329,6 +364,124 @@ def native_table_view(tables: DenseTables) -> np.ndarray:
     if rc != 0:
         raise RuntimeError(f"native table view rejected kind {kind}")
     return out
+
+
+def walk(
+    dfa: Dfa,
+    symbols: object,
+    state: Optional[int] = None,
+    tables: Optional[DenseTables] = None,
+    rows: Optional[List[List[int]]] = None,
+    reports: bool = False,
+) -> Tuple[int, List[Report]]:
+    """One concrete walk from ``state``; returns ``(final_state, reports)``.
+
+    With the native library loaded this is ``cse_native_walk`` over
+    ``tables`` (the dense tables, built from ``dfa`` when not given),
+    reading byte input as uint8 and anything else as int64.  With
+    ``reports=True`` the list holds ``(offset, state)`` for every
+    position whose post-symbol state is accepting, exactly as
+    :meth:`Dfa.run_reports` emits them; otherwise it is empty.
+
+    Without the library, on a start state outside the machine, or on a
+    symbol outside ``[0, alphabet)``, the walk runs on the interpreted
+    list walk over ``rows`` (the nested-list table, built from ``dfa``
+    when not given), so the answer or exception is the interpreted one.
+    """
+    start = dfa.start if state is None else int(state)
+    syms = byte_view(symbols)
+    if syms is None:
+        syms = as_symbols(symbols)
+    done = native_walk(dfa, syms, start, tables, reports)
+    if done is not None:
+        return done
+    return _walk_list(dfa, syms, start, rows, reports)
+
+
+def native_walk(
+    dfa: Dfa,
+    syms: np.ndarray,
+    state: int,
+    tables: Optional[DenseTables] = None,
+    reports: bool = False,
+    cap: int = WALK_REPORT_CAP,
+) -> Optional[Tuple[int, List[Report]]]:
+    """The compiled half of :func:`walk`, or ``None`` where it cannot run.
+
+    ``None`` means the library is absent, ``state`` is outside the
+    machine, a symbol is outside ``[0, alphabet)``, or the table or
+    symbol dtype has no C kind: the interpreted walk is the answer
+    there.  ``cap`` sizes the report buffer each C call fills before it
+    pauses; ``repro check`` (K116) passes a tiny one so that a short
+    probe crosses many pause/resume points.
+    """
+    lib = load_native()
+    n_states = dfa.num_states
+    if lib is None or not 0 <= state < n_states or cap < 1:
+        return None
+    tables = tables if tables is not None else DenseTables(dfa)
+    kind = _TABLE_KINDS.get(str(tables.table.dtype))
+    sym_kind = _SYMBOL_KINDS.get(str(syms.dtype))
+    if (
+        kind is None or sym_kind is None or syms.ndim != 1
+        or tables.num_states != n_states
+        or int(tables.table.size) != dfa.alphabet_size * n_states
+    ):
+        return None
+    table = np.ascontiguousarray(tables.table, dtype=tables.table.dtype)
+    syms = np.ascontiguousarray(syms, dtype=syms.dtype)
+    pos = ctypes.c_int64(0)
+    cur = ctypes.c_int64(state)
+    n_out = ctypes.c_int64(0)
+    accepting: Optional[np.ndarray] = None
+    offsets: Optional[np.ndarray] = None
+    states: Optional[np.ndarray] = None
+    if reports:
+        accepting = dfa.accepting_mask.view(np.uint8)
+        offsets = np.empty(cap, dtype=np.int64)
+        states = np.empty(cap, dtype=np.int64)
+    out: List[Report] = []
+    while True:
+        rc = int(lib.cse_native_walk(
+            _ptr(table), kind, n_states, dfa.alphabet_size,
+            _ptr(syms), sym_kind, int(syms.size),
+            ctypes.byref(pos), ctypes.byref(cur),
+            None if accepting is None else _ptr(accepting),
+            None if offsets is None else _ptr(offsets),
+            None if states is None else _ptr(states),
+            cap, ctypes.byref(n_out),
+        ))
+        n = int(n_out.value)
+        if n and offsets is not None and states is not None:
+            out.extend(zip(offsets[:n].tolist(), states[:n].tolist()))
+        if rc == _WALK_DONE:
+            return int(cur.value), out
+        if rc != _WALK_PAUSED:
+            # an out-of-range symbol: its behaviour is the interpreted one
+            return None
+
+
+def _walk_list(
+    dfa: Dfa,
+    syms: np.ndarray,
+    state: int,
+    rows: Optional[List[List[int]]],
+    reports: bool,
+) -> Tuple[int, List[Report]]:
+    """The interpreted walk (``scan_sequential``'s list loop)."""
+    table = rows if rows is not None else dfa.transitions.tolist()
+    seq = syms.tolist()
+    if not reports:
+        for sym in seq:
+            state = table[sym][state]
+        return int(state), []
+    accepting = dfa.accepting_mask.tolist()
+    out: List[Report] = []
+    for i, sym in enumerate(seq):
+        state = table[sym][state]
+        if accepting[state]:
+            out.append((i, state))
+    return int(state), out
 
 
 def _delegate_stats(dense_stats: Dict[str, int]) -> Dict[str, int]:

@@ -7,8 +7,12 @@ the set(N)->set(M) step is no longer free?
 
 The design mirrors the hardware engine but measures real seconds:
 
-- the sequential baseline is a tight table-walk loop (Python lists beat
-  numpy scalar indexing ~5x for this access pattern);
+- the sequential baseline (the ``verify`` oracle) is a tight
+  interpreted table-walk loop (Python lists beat numpy scalar indexing
+  ~5x for this access pattern);
+- the scan's own concrete walks — segment 0 and global re-execution —
+  run on :func:`repro.kernels.walk`, one compiled table walk when the
+  native library loads and the same list loop when it does not;
 - each segment runs one set-flow per convergence set; while a set has
   more than one member the step is a vectorized gather+unique, and the
   moment it collapses the flow *degrades to the scalar table-walk* — the
@@ -75,11 +79,13 @@ from repro.engines.base import even_boundaries
 from repro.ingest import InputView, byte_view
 from repro.kernels import (
     BACKENDS,
+    DenseTables,
     certify_prefilter,
     native_available,
     prefilter_scan_scalar,
     resolve_backend,
     run_segments_batch,
+    walk,
 )
 
 __all__ = [
@@ -107,8 +113,10 @@ def scan_sequential(
     """Tight sequential scan; returns ``(final_state, seconds)``.
 
     ``rows`` / ``symbol_list`` optionally reuse conversions the caller
-    already paid for (:func:`software_cse_scan` converts once per scan and
-    passes them down to every pass, including the oracle).
+    already paid for (:func:`software_cse_scan` hands the oracle the list
+    its python-backend segments walked).  This interpreted loop is the
+    ``verify`` oracle: the scan's own concrete walks run on
+    :func:`repro.kernels.walk`, so the oracle stays independent of them.
     """
     syms = symbol_list if symbol_list is not None else as_symbols(symbols).tolist()
     if rows is None:
@@ -560,17 +568,35 @@ def _software_cse_scan(
             # prefilter when certification succeeded)
             obs.counter("kernels_prefilter_fallbacks_total").inc()
             backend = "native" if native_available() else "dense"
-    if backend == "prefilter":
-        # keep byte-width input at byte width: the anchor sweep reads the
-        # uint8 view directly, skipped bytes are never widened to int64
-        view8 = byte_view(symbols)
-        syms = view8 if view8 is not None else as_symbols(symbols)
+    # byte-width input stays at byte width where it can: the prefilter's
+    # anchor sweep and the concrete walks (segment 0, re-execution) read
+    # the uint8 view directly
+    view8 = byte_view(symbols)
+    if backend == "prefilter" and view8 is not None:
+        syms = view8
     else:
         syms = as_symbols(symbols)
+    walk_syms = view8 if view8 is not None else syms
     bounds = even_boundaries(int(syms.size), n_segments)
+    # python-backend segments run here walk a list (shared with the
+    # verify oracle, which otherwise converts when it runs)
     syms_list: Optional[List[int]] = (
-        syms.tolist() if executor is None and backend != "prefilter" else None
+        syms.tolist() if executor is None and backend == "python" else None
     )
+    # the dense tables serve the dense/native kernels and the compiled
+    # concrete walks (segment 0, re-execution)
+    dense: Optional[DenseTables] = None
+    if backend in ("dense", "native") or (
+        backend != "prefilter" and native_available()
+    ):
+        dense = (
+            compiled.dense_tables() if compiled is not None
+            else DenseTables(dfa)
+        )
+
+    def concrete_walk(segment: np.ndarray, state: Optional[int]) -> int:
+        return walk(dfa, segment, state, tables=dense, rows=rows)[0]
+
     collect = obs.is_enabled()
     trace_id = obs.current_trace_id() if collect else None
     scan_wall = time.time()
@@ -585,13 +611,9 @@ def _software_cse_scan(
         )
         first_seconds = time.perf_counter() - begin0
     else:
-        first_final, first_seconds = scan_sequential(
-            dfa,
-            syms[a0:b0],
-            start_state=start_state,
-            rows=rows,
-            symbol_list=None if syms_list is None else syms_list[a0:b0],
-        )
+        begin0 = time.perf_counter()
+        first_final = concrete_walk(walk_syms[a0:b0], start_state)
+        first_seconds = time.perf_counter() - begin0
     if collect:
         obs.record_span("software.segment", scan_wall, first_seconds,
                         segment=0, kind="concrete")
@@ -679,11 +701,7 @@ def _software_cse_scan(
                 else None
             ),
             flat=compiled.flat_table if compiled is not None else None,
-            dense=(
-                compiled.dense_tables()
-                if compiled is not None and backend in ("dense", "native")
-                else None
-            ),
+            dense=dense if backend in ("dense", "native") else None,
             prefilter=pf_tables,
         )
         kernel_elapsed = time.perf_counter() - kernel_begin
@@ -718,7 +736,8 @@ def _software_cse_scan(
     repair_wall = time.time()
     repair_begin = time.perf_counter()
     final, stats = compose_and_fix(
-        dfa, syms, enum_bounds, functions, first_final, policy=policy
+        dfa, walk_syms, enum_bounds, functions, first_final, policy=policy,
+        walk=concrete_walk,
     )
     repair_seconds = time.perf_counter() - repair_begin
     elapsed = time.perf_counter() - begin_all

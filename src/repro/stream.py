@@ -5,9 +5,11 @@ deployment (the NIDS or mail gateway of the paper's introduction) needs
 two more shapes:
 
 - :class:`StreamScanner` — feed byte chunks as they arrive, carry the FSM
-  state across chunks, get report events with global offsets.  Chunks are
-  internally accelerated with a parallel engine when they are long enough
-  to amortize enumeration.
+  state across chunks, get report events with global offsets.  On a
+  kernel backend each chunk is one compiled concrete walk
+  (:func:`repro.kernels.walk`) that yields the reports and the end state
+  together; an optional model ``engine`` charges long chunks at its
+  parallel cycle cost.
 - :class:`FleetScanner` — scan one input against *many* FSMs (the paper's
   benchmarks are collections of hundreds), allocating the AP's half-cores
   across machines and reporting aggregate throughput.
@@ -33,7 +35,8 @@ from repro.engines.sequential import SequentialEngine
 from repro.fleet import ShardMachine, ShardPlan, plan_shards
 from repro.hardware.ap import APConfig
 from repro.hardware.cost import throughput_symbols_per_sec
-from repro.kernels import resolve_backend
+from repro.ingest import byte_view
+from repro.kernels import DenseTables, resolve_backend, walk
 
 __all__ = ["StreamScanner", "FleetScanner", "FleetResult", "FleetWallclock",
            "CHUNK_LATENCY_BUCKETS"]
@@ -56,29 +59,35 @@ class StreamScanner:
         The compiled ruleset.
     engine:
         Optional parallel engine used to *model* chunk latency (its cycle
-        count feeds :attr:`cycles`); report extraction always runs the
-        exact sequential pass.
+        count feeds :attr:`cycles`, and its final state carries the
+        stream); reports still come from the exact sequential walk.
     min_parallel_chunk:
-        Chunks shorter than this are charged at sequential cost — with
-        segments only a few symbols long, enumeration cannot pay off.
+        Chunks shorter than this are charged to the model ``engine`` at
+        sequential cost — with segments only a few symbols long,
+        enumeration cannot pay off.  Without an ``engine`` it has no
+        effect.
     backend:
-        Software kernel backend used to carry the FSM state across long
-        chunks when no model ``engine`` is given.  ``None``/``"auto"``
-        resolves through :func:`repro.kernels.resolve_backend` (the same
-        partition-friendly-profile helper :class:`FleetScanner` uses);
-        ``"python"`` forces the plain table walk, and the vectorized
-        kernels (``"lockstep"``/``"bitset"``/``"dense"``/``"native"``/
-        ``"prefilter"``) are accepted by name — a ``"prefilter"``
-        request on a machine that fails literal certification degrades
-        to ``"dense"``, and ``"native"`` degrades the same way on a
-        host where the compiled library does not load.
+        ``"python"`` (the default) keeps the interpreted reference:
+        :meth:`Dfa.run_reports` for the reports, :meth:`Dfa.run` for the
+        end state.  Any other backend runs each chunk as one concrete
+        walk (:func:`repro.kernels.walk`) that yields the reports and the
+        end state together — compiled when the native library loads, the
+        interpreted list walk otherwise, with identical results.
+        ``None``/``"auto"`` resolves through
+        :func:`repro.kernels.resolve_backend` (the helper
+        :class:`FleetScanner` uses) and names like ``"dense"`` or
+        ``"native"`` are validated the same way; the resolved name is
+        kept in :attr:`backend`.
     partition:
-        Convergence partition for the kernel path; defaults to the
-        trivial single-set partition.
+        Convergence partition recorded for the resolved backend; defaults
+        to the trivial single-set partition.
+    n_segments:
+        Segment count the backend is resolved (and a cached artifact
+        compiled) for.
     cache:
         Optional :class:`repro.compilecache.CompileCache`.  When given
         (and no explicit ``partition``), the scanner serves its partition
-        and kernel tables from a compiled artifact — profiled on first
+        and walk tables from a compiled artifact — profiled on first
         use, reused by every scanner of the same ruleset afterwards.
     """
 
@@ -108,6 +117,15 @@ class StreamScanner:
             self.backend = resolve_backend(
                 dfa, backend, self.partition, n_segments
             )
+        # the walk's tables: the artifact's when cached, else built once
+        self._tables: Optional[DenseTables] = None
+        self._rows = None
+        if self.backend != "python":
+            if self.compiled is not None:
+                self._tables = self.compiled.dense_tables()
+                self._rows = self.compiled.rows
+            else:
+                self._tables = DenseTables(dfa)
         self.reset()
 
     def reset(self) -> None:
@@ -126,15 +144,14 @@ class StreamScanner:
         Report offsets are global stream offsets.
         """
         if not obs.is_enabled():
-            return self._feed(chunk)
+            return self._feed(chunk)[0]
         if self.trace_id is None:
             self.trace_id = obs.new_trace_id()
         with obs.trace(self.trace_id):
             wall = time.time()
             begin = time.perf_counter()
-            reports = self._feed(chunk)
+            reports, n = self._feed(chunk)
             duration = time.perf_counter() - begin
-            n = int(as_symbols(chunk).size)
             obs.record_span("stream.feed", wall, duration,
                             n_symbols=n, backend=self.backend)
             obs.counter("stream_chunks_total").inc()
@@ -145,40 +162,36 @@ class StreamScanner:
             ).observe(duration)
         return reports
 
-    def _feed(self, chunk) -> List[Tuple[int, int]]:
-        syms = as_symbols(chunk)
-        if syms.size == 0:
-            return []
-        new_reports = [
-            (self.offset + local, state)
-            for local, state in self.dfa.run_reports(syms, self.state)
-        ]
-        if self.engine is not None and syms.size >= self.min_parallel_chunk:
+    def _feed(self, chunk) -> Tuple[List[Tuple[int, int]], int]:
+        """Consume one chunk; return its reports and its symbol count."""
+        view8 = byte_view(chunk)
+        syms = view8 if view8 is not None else as_symbols(chunk)
+        n = int(syms.size)
+        if n == 0:
+            return [], 0
+        end_state: Optional[int] = None
+        if self.backend == "python":
+            local_reports = self.dfa.run_reports(syms, self.state)
+        else:
+            end_state, local_reports = walk(
+                self.dfa, syms, self.state, tables=self._tables,
+                rows=self._rows, reports=True,
+            )
+        if self.engine is not None and n >= self.min_parallel_chunk:
             run = self.engine.run(syms, start_state=self.state)
             self.cycles += run.cycles
             end_state = run.final_state
-        elif self.backend != "python" and syms.size >= self.min_parallel_chunk:
-            from repro.software import software_cse_scan
-
-            run = software_cse_scan(
-                self.dfa,
-                syms,
-                self.partition,
-                n_segments=self.n_segments,
-                backend=self.backend,
-                start_state=self.state,
-                verify=False,
-                compiled=self.compiled,
-            )
-            self.cycles += int(syms.size)
-            end_state = run.final_state
         else:
-            self.cycles += int(syms.size)
-            end_state = self.dfa.run(syms, self.state)
+            self.cycles += n
+            if end_state is None:
+                end_state = self.dfa.run(syms, self.state)
+        new_reports = [
+            (self.offset + local, state) for local, state in local_reports
+        ]
         self.state = int(end_state)
-        self.offset += int(syms.size)
+        self.offset += n
         self.reports.extend(new_reports)
-        return new_reports
+        return new_reports, n
 
     def finish(self) -> Tuple[int, List[Tuple[int, int]]]:
         """Final state and the full report log."""

@@ -15,20 +15,26 @@ import pytest
 
 from repro import obs
 from repro.automata.builders import random_dfa
+from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
+from repro.core.reexec import POLICIES, compose_and_fix
 from repro.engines.base import even_boundaries
+from repro.ingest import from_bytes
 from repro.kernels import (
     DenseTables,
     native_available,
     resolve_backend,
     run_segments_batch,
+    walk,
 )
 from repro.kernels.dense import run_segments_dense
 from repro.kernels.native import (
     ENV_DISABLE,
+    WALK_REPORT_CAP,
     native_build_info,
     native_table_view,
     native_unavailable_reason,
+    native_walk,
     reset_native,
     run_segments_native,
 )
@@ -45,6 +51,16 @@ def no_native(monkeypatch):
     monkeypatch.setenv(ENV_DISABLE, "0")
     reset_native()
     yield
+    reset_native()
+
+
+@pytest.fixture(params=["present", "absent"])
+def tier(request, monkeypatch):
+    """Run the test with the native tier as loaded, then forced absent."""
+    if request.param == "absent":
+        monkeypatch.setenv(ENV_DISABLE, "0")
+    reset_native()
+    yield request.param
     reset_native()
 
 
@@ -129,6 +145,120 @@ class TestEquivalence:
             backend="auto", compiled=compiled,
         )
         assert run.backend == "native"
+        assert run.final_state == dfa.run(word)
+
+
+def permutation_dfa(rng, n_states, alphabet, accepting=()):
+    """A machine that never converges: every symbol permutes the states."""
+    table = np.stack([rng.permutation(n_states) for _ in range(alphabet)])
+    return Dfa(table, 0, accepting)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("table_kind", ["uint8", "uint16", "int64"])
+    @pytest.mark.parametrize("symbol_kind", ["uint8", "int64", "view"])
+    @pytest.mark.parametrize("n_reports", [
+        0, WALK_REPORT_CAP - 1, WALK_REPORT_CAP, WALK_REPORT_CAP + 1,
+        2 * WALK_REPORT_CAP + 3,
+    ])
+    def test_report_buffer_pause_and_resume(
+        self, rng, tier, table_kind, symbol_kind, n_reports
+    ):
+        # every state accepting: one report per symbol, so the input
+        # length puts the report count at, below and past the cap
+        dfa = random_dfa(40, 7, rng)
+        dfa = Dfa(dfa.transitions, 3, range(40))
+        word = rng.integers(0, 7, size=n_reports)
+        tables = DenseTables(dfa)
+        tables.table = dfa.transitions.astype(table_kind).ravel()
+        if symbol_kind == "int64":
+            syms = word.astype(np.int64)
+        else:
+            syms = word.astype(np.uint8)
+            if symbol_kind == "view":
+                syms = from_bytes(syms.tobytes())
+        final, reports = walk(dfa, syms, 5, tables=tables, reports=True)
+        assert len(reports) == n_reports
+        assert reports == dfa.run_reports(word, 5)
+        assert final == dfa.run(word, 5)
+
+    def test_sparse_reports_on_a_ruleset(self, tier):
+        from repro.regex.compile import compile_ruleset
+
+        dfa = compile_ruleset(["cat", "dog", "fi(sh|ne)"])
+        data = b"the cat chased a fish; a fine dog " * 400
+        assert walk(dfa, data, reports=True) == (
+            dfa.run(data), dfa.run_reports(data)
+        )
+
+    def test_start_state_outside_machine_is_interpreted(self, rng, tier):
+        dfa = random_dfa(8, 3, rng)
+        word = np.asarray([1, 2, 0])
+        with pytest.raises(IndexError):
+            dfa.run(word, 8)
+        with pytest.raises(IndexError):
+            walk(dfa, word, 8)
+        # a negative start state wraps, as the interpreted walks do
+        assert walk(dfa, word, -1)[0] == dfa.run(word, -1)
+        assert walk(dfa, [], 8) == (dfa.run([], 8), [])
+
+    def test_native_walk_absent_returns_none(self, rng, no_native):
+        dfa = random_dfa(8, 3, rng)
+        assert native_walk(dfa, np.asarray([0, 1]), 0) is None
+
+    @needs_native
+    def test_native_walk_declines_out_of_range(self, rng):
+        dfa = random_dfa(8, 3, rng)
+        assert native_walk(dfa, np.asarray([0, 3]), 0) is None
+        assert native_walk(dfa, np.asarray([-1]), 0) is None
+        assert native_walk(dfa, np.asarray([2, 1]), 0) == (
+            dfa.run([2, 1], 0), []
+        )
+
+
+class TestReexecution:
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("machine", ["permutation", "coarse"])
+    def test_compiled_walk_reexecutes_like_dfa_run(
+        self, rng, tier, policy, machine
+    ):
+        if machine == "permutation":
+            # one set of all states never collapses: every segment
+            # diverges and composition must re-execute
+            dfa = permutation_dfa(rng, 24, 6)
+            partition = StatePartition.trivial(24)
+        else:
+            dfa = random_dfa(40, 6, rng)
+            partition = StatePartition.from_labels([i % 4 for i in range(40)])
+        word = rng.integers(0, 6, size=3000)
+        bounds = even_boundaries(word.size, 6)
+        functions = run_segments_batch(
+            dfa, partition, [word[a:b] for a, b in bounds[1:]],
+            backend="dense",
+        )
+        first = dfa.run(word[:bounds[0][1]])
+        want, want_stats = compose_and_fix(
+            dfa, word, bounds[1:], functions, first, policy=policy
+        )
+        got, got_stats = compose_and_fix(
+            dfa, word, bounds[1:], functions, first, policy=policy,
+            walk=lambda seg, state: walk(dfa, seg, state)[0],
+        )
+        if machine == "permutation":
+            assert want_stats.reexecuted_segments
+        assert got == want == dfa.run(word)
+        assert got_stats.reexecuted_segments == want_stats.reexecuted_segments
+        assert got_stats.reeval_passes == want_stats.reeval_passes
+
+    @pytest.mark.parametrize("backend", ["python", "dense", "native"])
+    def test_scan_reexecutes_on_the_walk(self, rng, tier, backend):
+        dfa = permutation_dfa(rng, 24, 6)
+        word = rng.integers(0, 6, size=3000).astype(np.uint8)
+        run = software_cse_scan(
+            dfa, word, StatePartition.trivial(24), n_segments=6,
+            backend=backend,
+        )
+        assert run.reexec_segments == 5
         assert run.final_state == dfa.run(word)
 
 
@@ -260,6 +390,27 @@ class TestCertification:
         assert not [
             d for d in verify_compiled(compiled) if d.code == "K106"
         ]
+
+    @needs_native
+    def test_verify_native_flags_tampered_walk_table(self, rng, monkeypatch):
+        import repro.kernels.native as native
+        from repro.check import verify_native
+
+        dfa = random_dfa(24, 6, rng)
+        dfa = Dfa(dfa.transitions, 0, range(0, 24, 2))
+        honest = native.native_walk
+
+        def tampered(dfa_, syms, state, tables=None, **kwargs):
+            # the walk reads shifted transitions; the view stays honest
+            bad = DenseTables(dfa_)
+            bad.table = bad.table.copy()
+            bad.table[:] = (bad.table.astype(np.int64) + 1) % 24
+            return honest(dfa_, syms, state, tables=bad, **kwargs)
+
+        monkeypatch.setattr(native, "native_walk", tampered)
+        diags = verify_native(dfa)
+        assert [d.code for d in diags] == ["K116"]
+        assert verify_native(dfa, deep=False) == []
 
     def test_verify_native_silent_when_absent(self, rng, no_native):
         from repro.check import verify_native

@@ -4,8 +4,13 @@ Every backend of the software CSE path must produce bit-identical
 segment transition functions on arbitrary machines, inputs and
 partitions, and the end-to-end scan must equal the sequential oracle.
 The bitset step is additionally diffed against the frozenset reference
-machine (:class:`repro.automata.onehot.PySetAutomaton`).
+machine (:class:`repro.automata.onehot.PySetAutomaton`), and the concrete
+walk (:func:`repro.kernels.walk`) against :meth:`Dfa.run` /
+:meth:`Dfa.run_reports`, with the native tier present and forced absent.
 """
+
+import os
+from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -14,7 +19,15 @@ from repro.automata.dfa import Dfa
 from repro.automata.onehot import PySetAutomaton
 from repro.core.partition import StatePartition
 from repro.engines.base import even_boundaries
-from repro.kernels import KERNEL_BACKENDS, BitsetTables, run_segments_batch
+from repro.ingest import from_bytes
+from repro.kernels import (
+    KERNEL_BACKENDS,
+    BitsetTables,
+    DenseTables,
+    run_segments_batch,
+    walk,
+)
+from repro.kernels.native import ENV_DISABLE, reset_native
 from repro.software import run_segment, software_cse_scan
 
 
@@ -212,3 +225,94 @@ class TestBitsetVsReference:
                 mask = tables.step_masks(mask[None, :], np.asarray([sym]))[0][0]
             got = tables.states_from_mask(mask)
             assert set(got.tolist()) == set(want)
+
+
+@contextmanager
+def native_tier(absent):
+    """Run the body with the native tier loaded, or forced absent."""
+    saved = os.environ.get(ENV_DISABLE)
+    if absent:
+        os.environ[ENV_DISABLE] = "0"
+    reset_native()
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(ENV_DISABLE, None)
+        else:
+            os.environ[ENV_DISABLE] = saved
+        reset_native()
+
+
+def tables_of(dfa, kind):
+    """Dense tables at an explicit table kind (uint8 / uint16 / int64)."""
+    tables = DenseTables(dfa)
+    tables.table = dfa.transitions.astype(kind).ravel()
+    return tables
+
+
+def symbols_of(word, kind):
+    """``word`` as int64 / uint8 symbols or a zero-copy InputView."""
+    if kind == "int64":
+        return word.astype(np.int64)
+    raw = word.astype(np.uint8)
+    return raw if kind == "uint8" else from_bytes(raw.tobytes())
+
+
+def outcome(call):
+    """A call's value, or the type of the exception it raised."""
+    try:
+        return "value", call()
+    except Exception as exc:
+        return "raised", type(exc)
+
+
+class TestWalkEquivalence:
+    """The concrete walk is the interpreted walk, compiled or not."""
+
+    @given(
+        dfa_word_partition(),
+        st.data(),
+        st.sampled_from(["uint8", "uint16", "int64"]),
+        st.sampled_from(["uint8", "int64", "view"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_walk_matches_run_and_run_reports(
+        self, dwp, data, table_kind, symbol_kind
+    ):
+        dfa, word, _partition = dwp
+        state = data.draw(st.integers(0, dfa.num_states - 1))
+        want_final = dfa.run(word, state)
+        want_reports = dfa.run_reports(word, state)
+        for absent in (False, True):
+            with native_tier(absent):
+                syms = symbols_of(word, symbol_kind)
+                tables = tables_of(dfa, table_kind)
+                final, reports = walk(
+                    dfa, syms, state, tables=tables, reports=True
+                )
+                bare = walk(dfa, syms, state, tables=tables)
+            assert (final, reports) == (want_final, want_reports)
+            assert bare == (want_final, [])
+
+    @given(
+        dfas(),
+        st.lists(st.integers(-6, 9), max_size=30),
+        st.data(),
+        st.sampled_from(["uint8", "int64"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_out_of_range_symbols_match_interpreted(
+        self, dfa, word, data, symbol_kind
+    ):
+        state = data.draw(st.integers(0, dfa.num_states - 1))
+        if symbol_kind == "uint8":
+            word = [abs(sym) for sym in word]  # over-range only
+        syms = np.asarray(word, dtype=symbol_kind)
+        want = outcome(lambda: (
+            dfa.run(syms, state), dfa.run_reports(syms, state)
+        ))
+        for absent in (False, True):
+            with native_tier(absent):
+                got = outcome(lambda: walk(dfa, syms, state, reports=True))
+            assert got == want

@@ -143,6 +143,63 @@ class TestStreamScannerBackends:
             "python", "lockstep", "bitset", "dense", "native", "prefilter"
         )
 
+    @pytest.mark.parametrize("backend", [
+        "python", "lockstep", "bitset", "dense", "native", "prefilter", "auto",
+    ])
+    @pytest.mark.parametrize("native", ["present", "absent"])
+    def test_reports_straddling_chunks_match_reference(
+        self, dfa, backend, native, monkeypatch
+    ):
+        from repro.compilecache import CompileCache
+        from repro.kernels.native import ENV_DISABLE, reset_native
+
+        if native == "absent":
+            monkeypatch.setenv(ENV_DISABLE, "0")
+        reset_native()
+        try:
+            data = TEXT * 30
+            # cut every keyword after its first letter ('c|at', 'd|og')
+            found = [
+                (at, word) for word in (b"cat", b"dog", b"fish")
+                for at in range(len(data)) if data.startswith(word, at)
+            ]
+            cuts = sorted({0, len(data)} | {at + 1 for at, _ in found})
+            chunks = [data[a:b] for a, b in zip(cuts, cuts[1:])]
+            reference = StreamScanner(dfa)
+            scanners = [
+                StreamScanner(dfa, backend=backend),
+                StreamScanner(dfa, backend=backend, cache=CompileCache()),
+            ]
+            for chunk in chunks:
+                want = reference.feed(chunk)
+                for scanner in scanners:
+                    assert scanner.feed(np.frombuffer(chunk, np.uint8)) == want
+                    assert scanner.state == reference.state
+            state, log = reference.finish()
+            assert log == dfa.run_reports(data)
+            # every report ends a cut keyword: each straddles two chunks
+            assert sorted(at for at, _ in log) == sorted(
+                at + len(word) - 1 for at, word in found
+            )
+            for scanner in scanners:
+                assert scanner.finish() == (state, log)
+        finally:
+            reset_native()
+
+    def test_feed_counts_symbols_once(self, dfa, monkeypatch):
+        import repro.stream as stream
+        from repro import obs
+
+        widened = []
+        as_symbols = stream.as_symbols
+        monkeypatch.setattr(stream, "as_symbols",
+                            lambda data: widened.append(1) or as_symbols(data))
+        scanner = StreamScanner(dfa, backend="dense")
+        with obs.using() as registry:
+            scanner.feed(TEXT)
+        assert widened == []  # byte chunks are never widened to int64
+        assert registry.get("stream_symbols_total").value == len(TEXT)
+
     def test_resolved_via_shared_helper(self, dfa):
         from repro.kernels import resolve_backend
 
