@@ -86,6 +86,7 @@ K130 = register_code("K130", "prefilter certificate is malformed or does not re-
 K131 = register_code("K131", "prefilter home invariance broken (non-anchor byte moves home)")
 K132 = register_code("K132", "prefilter skip width unsound (non-anchor run does not absorb, or accepting state anchor-free reachable)")
 K133 = register_code("K133", "artifact envelope prefilter summary disagrees with re-derivation")
+K134 = register_code("K134", "compiled prefilter replay disagrees with Dfa.run")
 
 
 def _err(code: str, message: str, location: str) -> Diagnostic:
@@ -369,7 +370,8 @@ def verify_compiled(compiled: "object", deep: bool = True,
     # anchor soundness, and full re-derivation
     pf = getattr(compiled, "_prefilter", None)
     if pf is not None:
-        out.extend(verify_prefilter(pf, dfa, location=f"{location}.prefilter"))
+        out.extend(verify_prefilter(pf, dfa, location=f"{location}.prefilter",
+                                    dense=dense))
 
     # partition + census
     partition = compiled.partition  # type: ignore[attr-defined]
@@ -561,7 +563,8 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
 # prefilter certificates
 # ----------------------------------------------------------------------
 def verify_prefilter(tables: "object", dfa: "object",
-                     location: str = "prefilter") -> List[Diagnostic]:
+                     location: str = "prefilter",
+                     dense: "object" = None) -> List[Diagnostic]:
     """Soundness of a literal-prefilter certificate against its DFA.
 
     The certificate licenses a scan to *skip input bytes*, so every fact
@@ -576,7 +579,11 @@ def verify_prefilter(tables: "object", dfa: "object",
       home), and no accepting state is reachable from start or home
       through non-anchor bytes alone (every accepting path contains an
       anchor — a skipped window can never hide a report) — K132;
-    - the whole certificate re-derives bit-for-bit from the table — K130.
+    - the whole certificate re-derives bit-for-bit from the table — K130;
+    - when the native library loads, a fixed probe replayed through
+      ``cse_native_prefilter`` with this certificate over ``dense`` (the
+      dense tables, built from ``dfa`` when not given) lands where
+      :meth:`Dfa.run` does — K134 (see :func:`_replay_prefilter`).
     """
     from repro.kernels.prefilter import (
         _absorption_depths,
@@ -645,7 +652,110 @@ def verify_prefilter(tables: "object", dfa: "object",
             "stored prefilter certificate does not re-derive from the "
             "transition table",
             location))
+    out.extend(_replay_prefilter(tables, dfa, fresh or tables, dense,
+                                 f"{location}.native"))
     return out
+
+
+def _replay_prefilter(tables: "object", dfa: "object", probe_cert: "object",
+                      dense: "object", location: str) -> List[Diagnostic]:
+    """K134: the compiled prefilter on a fixed probe agrees with Dfa.run.
+
+    The probe is drawn from ``probe_cert`` (the re-derived certificate when
+    there is one, so a tampered anchor set cannot shape its own probe):
+    a reset-bearing segment (mixed symbols, a ``skip_width`` run of
+    non-anchors, an anchor tail), an anchor-dense segment (anchors
+    between non-anchor runs one short of ``skip_width``), a segment
+    shorter than ``skip_width`` and an empty one, each scanned from fixed
+    start states and once enumeratively; and per anchor ``a``, an
+    enumerative ``skip_width`` run, ``a``, then a symbol that tells the
+    state ``a`` leads home to from home (a dropped anchor would erase
+    ``a`` and land elsewhere).  A concrete result must be
+    :meth:`Dfa.run`'s, an enumerative one what :meth:`Dfa.run` gives
+    from *every* state, and the position the scan resumed from must be
+    the anchor sweep's (:func:`repro.kernels.prefilter._last_reset`).
+    An unavailable native tier yields no diagnostics.
+    """
+    from repro.kernels import DenseTables
+    from repro.kernels.native import native_available, native_prefilter
+    from repro.kernels.prefilter import _last_reset
+
+    if not native_available():
+        return []
+    table = dfa.transitions  # type: ignore[attr-defined]
+    n = int(table.shape[1])
+    lut = tables.anchor_lut  # type: ignore[attr-defined]
+    sw = int(tables.skip_width)  # type: ignore[attr-defined]
+    probe_lut = probe_cert.anchor_lut  # type: ignore[attr-defined]
+    probe_sw = int(probe_cert.skip_width)  # type: ignore[attr-defined]
+    anchors = np.flatnonzero(probe_lut)
+    plain = np.flatnonzero(~probe_lut)
+    if anchors.size == 0 or plain.size == 0:
+        return []
+    rng = np.random.default_rng(134)
+
+    def pick(pool: np.ndarray, size: int) -> np.ndarray:
+        return pool[rng.integers(0, pool.size, size)].astype(np.int64)
+
+    dense_run: List[np.ndarray] = []
+    for _ in range(64):
+        dense_run.extend([pick(anchors, 1), pick(plain, probe_sw - 1)])
+    probe = [
+        np.concatenate([pick(np.arange(table.shape[0]), 64),
+                        pick(plain, probe_sw), pick(anchors, 32)]),
+        np.concatenate(dense_run),
+        pick(plain, probe_sw - 1),
+        np.empty(0, dtype=np.int64),
+    ]
+    home = int(probe_cert.home)  # type: ignore[attr-defined]
+    per_anchor = []
+    for a in anchors.tolist():
+        moved = int(table[a, home])
+        tells = np.flatnonzero(table[:, moved] != table[:, home])
+        per_anchor.append(np.concatenate([
+            pick(plain, probe_sw),
+            np.asarray([a, int(tells[0]) if tells.size else a], dtype=np.int64),
+        ]))
+    starts = sorted({int(dfa.start), n - 1, home})  # type: ignore[attr-defined]
+    segments = [seg for seg in probe for _ in starts] + probe + per_anchor
+    seg_starts = [q for _ in probe for q in starts] + [-1] * (
+        len(probe) + len(per_anchor))
+    got = native_prefilter(
+        dfa, tables, segments, seg_starts,  # type: ignore[arg-type]
+        dense if dense is not None else DenseTables(dfa),  # type: ignore[arg-type]
+    )
+    if got is None:
+        return [_err(
+            K134,
+            "the compiled prefilter declined an in-range probe (the "
+            "library cannot scan with this certificate)",
+            location)]
+    every = np.arange(n, dtype=np.int64)
+    for i, (seg, start) in enumerate(zip(segments, seg_starts)):
+        final, walk_from = int(got[0][i]), int(got[1][i])
+        proven, resume = _last_reset(np.flatnonzero(lut[seg]),
+                                     int(seg.size), sw)
+        want_from = resume if proven else -1
+        if start >= 0:
+            want = int(dfa.run(seg, start))  # type: ignore[attr-defined]
+        else:
+            reached = every
+            for sym in seg.tolist():
+                reached = table[sym, reached]
+            # an unproven enumerative segment is left to the frontier
+            collapsed = bool((reached == reached[0]).all())
+            want = int(reached[0]) if proven and collapsed else -1
+        if final != want or walk_from != want_from:
+            mode = "enumerative" if start < 0 else f"from state {start}"
+            return [_err(
+                K134,
+                f"compiled prefilter on probe segment {i} ({seg.size} "
+                f"symbols, {mode}) gave final {final} resuming at "
+                f"{walk_from}; Dfa.run gives {want} and the anchor sweep "
+                f"resumes at {want_from} (the compiled scan would skip "
+                "live input)",
+                f"{location}.probe[{i}]")]
+    return []
 
 
 # ----------------------------------------------------------------------

@@ -22,8 +22,10 @@ kernels pay it per *symbol position of the whole scan*:
   to the interpreted list walk with identical results.
 - :mod:`repro.kernels.prefilter` — the literal-prefilter fast path:
   compile-time anchor/skip-width certification plus a scan kernel that
-  sweeps for anchor bytes vectorized and walks only the tail after the
-  last proven reset run, skipping the frontier entirely elsewhere.
+  finds the last proven reset run and walks only the tail after it,
+  skipping the frontier entirely elsewhere — one compiled call per batch
+  when the native library loads, an anchor sweep and interpreted tail
+  otherwise.
 - :mod:`repro.kernels.batch` — the orchestrator that runs every
   enumerative segment through one batched pass and the shared
   ``resolve_backend`` default-resolution helper.
@@ -53,6 +55,7 @@ from repro.kernels.prefilter import (
     certify_prefilter,
     derive_prefilter,
     prefilter_scan_scalar,
+    prefilter_walk,
 )
 
 __all__ = [
@@ -72,6 +75,7 @@ __all__ = [
     "native_table_view",
     "native_unavailable_reason",
     "prefilter_scan_scalar",
+    "prefilter_walk",
     "resolve_backend",
     "run_segments_batch",
     "run_segments_native",

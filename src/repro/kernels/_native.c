@@ -18,6 +18,11 @@
  * (offset, state) reports into a caller-sized buffer, pausing when the
  * buffer fills and resuming on the next call.
  *
+ * cse_native_prefilter is the literal prefilter (prefilter.py) for a
+ * batch of segments: a backward scan per segment to its rightmost run of
+ * skip_width non-anchor symbols (a proven reset to home), then the walk
+ * of only the tail after that run.
+ *
  * Deliberately plain C with a flat pointer ABI: no Python.h, no numpy
  * headers.  The Python side (native.py) loads it through ctypes, passes
  * preallocated numpy buffers, and reuses dense.py's epilogue verbatim so
@@ -28,7 +33,7 @@
 
 /* bump when the entry-point signatures change; native.py refuses to use
  * a library whose cse_native_abi() disagrees */
-#define CSE_NATIVE_ABI 2
+#define CSE_NATIVE_ABI 3
 
 /* same adaptive collapse-check ladder as dense.py */
 #define NATIVE_STRIDE_MIN 8
@@ -308,4 +313,104 @@ cse_native_walk(const void *table, int64_t kind, int64_t n_states,
     }
 #undef WALK_CALL
     return WALK_BAD_KIND;
+}
+
+/* Locate the rightmost run of skip_width non-anchor symbols, scanning
+ * backward from the end.  *walk_from_out is the position just past that
+ * run (the tail to walk from home starts there), or -1 when no run
+ * qualifies.  With check set, every symbol of the segment, the erased
+ * prefix included, is range checked (a symbol indexes the LUT only after
+ * its check): WALK_BAD_SYMBOL on a symbol outside [0, alphabet), and the
+ * caller replays the batch interpreted. */
+#define DEFINE_RESET_SCAN(NAME, SYM_T)                                       \
+static int64_t                                                               \
+NAME(const SYM_T *syms, int64_t len, const uint8_t *lut, uint64_t alphabet,  \
+     int check, int64_t skip_width, int64_t *walk_from_out)                  \
+{                                                                            \
+    int64_t t, run = 0, found = -1;                                          \
+    for (t = len - 1; t >= 0; t--) {                                         \
+        const uint64_t c = (uint64_t)(int64_t)syms[t];                       \
+        if (check && c >= alphabet) return WALK_BAD_SYMBOL;                  \
+        /* branch-free count: anchors are dense exactly where it matters */  \
+        run = (run + 1) & -(int64_t)(lut[c] == 0);                           \
+        if (run == skip_width) {                                             \
+            found = t + skip_width;                                          \
+            break;                                                           \
+        }                                                                    \
+    }                                                                        \
+    if (check)                                                               \
+        for (t--; t >= 0; t--)                                               \
+            if ((uint64_t)(int64_t)syms[t] >= alphabet)                      \
+                return WALK_BAD_SYMBOL;                                      \
+    *walk_from_out = found;                                                  \
+    return WALK_DONE;                                                        \
+}
+
+DEFINE_RESET_SCAN(reset_scan_u8, uint8_t)
+DEFINE_RESET_SCAN(reset_scan_i64, int64_t)
+
+/* The literal prefilter over a batch of segments.
+ *
+ * table          raveled (alphabet x n_states) transition table, per kind
+ * kind           KIND_U8 / KIND_U16 / KIND_I64
+ * anchor_lut     alphabet bytes, nonzero = anchor symbol
+ * home           the state every skip_width-long non-anchor run ends in
+ * seg_ptrs       n_seg segment base addresses, each read at its own width
+ * seg_lens       n_seg segment lengths
+ * seg_kinds      n_seg symbol kinds (KIND_U8 or KIND_I64)
+ * starts         n_seg start states; -1 marks an enumerative segment
+ * final_out      per segment: the final state, or -1 for an enumerative
+ *                segment with no qualifying run (the caller runs its
+ *                frontier)
+ * walk_from_out  per segment: where the tail walk from home began (the
+ *                prefix before it is erased), or -1 with no qualifying run
+ *
+ * A segment without a qualifying run and with a start state is walked
+ * whole from that state.  Returns WALK_DONE, WALK_BAD_SYMBOL when any
+ * symbol of any segment is outside [0, alphabet), or WALK_BAD_KIND on an
+ * unknown kind, a start state outside the machine or skip_width < 1.
+ */
+int64_t
+cse_native_prefilter(const void *table, int64_t kind, int64_t n_states,
+                     int64_t alphabet, const uint8_t *anchor_lut,
+                     int64_t home, int64_t skip_width,
+                     const int64_t *seg_ptrs, const int64_t *seg_lens,
+                     const int64_t *seg_kinds, int64_t n_seg,
+                     const int64_t *starts, int64_t *final_out,
+                     int64_t *walk_from_out)
+{
+    const uint64_t a = (uint64_t)alphabet;
+    int64_t s;
+    if (skip_width < 1 || home < 0 || home >= n_states)
+        return WALK_BAD_KIND;
+    for (s = 0; s < n_seg; s++) {
+        const void *syms = (const void *)(intptr_t)seg_ptrs[s];
+        const int64_t len = seg_lens[s], sym_kind = seg_kinds[s];
+        int64_t walk_from = -1, pos, state, n_reports, rc;
+        if (starts[s] < -1 || starts[s] >= n_states)
+            return WALK_BAD_KIND;
+        if (sym_kind == KIND_U8)
+            rc = reset_scan_u8((const uint8_t *)syms, len, anchor_lut, a,
+                               alphabet < 256, skip_width, &walk_from);
+        else if (sym_kind == KIND_I64)
+            rc = reset_scan_i64((const int64_t *)syms, len, anchor_lut, a,
+                                1, skip_width, &walk_from);
+        else
+            return WALK_BAD_KIND;
+        if (rc != WALK_DONE)
+            return rc;
+        walk_from_out[s] = walk_from;
+        if (walk_from < 0 && starts[s] < 0) {
+            final_out[s] = -1;
+            continue;
+        }
+        pos = walk_from < 0 ? 0 : walk_from;
+        state = walk_from < 0 ? starts[s] : home;
+        rc = cse_native_walk(table, kind, n_states, alphabet, syms, sym_kind,
+                             len, &pos, &state, 0, 0, 0, 1, &n_reports);
+        if (rc != WALK_DONE)
+            return rc;
+        final_out[s] = state;
+    }
+    return WALK_DONE;
 }

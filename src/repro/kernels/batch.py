@@ -236,8 +236,6 @@ def run_segments_batch(
                 stats["windows"])
             obs.counter("kernels_prefilter_skipped_bytes_total").inc(
                 stats["skipped_bytes"])
-            obs.counter("kernels_prefilter_anchor_hits_total").inc(
-                stats["anchor_hits"])
             obs.counter("kernels_prefilter_walked_positions_total").inc(
                 stats["walked_positions"])
             obs.counter("kernels_prefilter_fallback_segments_total").inc(

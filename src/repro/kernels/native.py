@@ -29,7 +29,10 @@ width, collecting ``(offset, state)`` reports into a bounded buffer that
 the walk pauses on and resumes from.  Without the library, or on
 symbols outside the alphabet, :func:`walk` runs the interpreted list
 walk instead, so every answer (and every exception) is the interpreted
-one.
+one.  :func:`native_prefilter` runs the literal prefilter
+(:mod:`repro.kernels.prefilter`) for a batch of segments in one call: a
+backward scan to each segment's last proven reset, then the compiled
+walk of the tail after it.
 
 Outcomes are bit-identical to every other backend: the C core returns
 raw final frontiers and this module reuses ``dense.py``'s epilogue
@@ -51,7 +54,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +63,9 @@ from repro.core.partition import StatePartition
 from repro.core.transition import CsOutcome
 from repro.ingest import byte_view
 from repro.kernels.dense import DenseTables
+
+if TYPE_CHECKING:
+    from repro.kernels.prefilter import PrefilterTables
 
 __all__ = [
     "NATIVE_ABI",
@@ -70,6 +76,7 @@ __all__ = [
     "native_available",
     "native_build_info",
     "native_library_path",
+    "native_prefilter",
     "native_table_view",
     "native_unavailable_reason",
     "native_walk",
@@ -79,17 +86,25 @@ __all__ = [
 ]
 
 #: expected ``cse_native_abi()`` of a loadable library
-NATIVE_ABI = 2
+NATIVE_ABI = 3
 #: set to ``0``/``off``/``false`` to disable the native tier entirely
 ENV_DISABLE = "REPRO_NATIVE"
 #: overrides the per-user build cache directory
 ENV_CACHE_DIR = "REPRO_NATIVE_CACHE"
 #: compilers probed (after ``$CC``) for the lazy on-demand build
 COMPILERS = ("cc", "gcc", "clang")
+#: compile flags.  Loop heads start on 32-byte boundaries so a kernel's
+#: speed does not depend on where unrelated code places it: on a 2-CPU
+#: x86-64 Xeon guest, adding a function shifted cse_native_scan by 16
+#: bytes and slowed its uint16 gather loop 1.6x (branches straddling
+#: 32-byte lines)
+CFLAGS = ("-O3", "-std=c99", "-fPIC", "-shared", "-falign-loops=32")
 
 _SOURCE = Path(__file__).with_name("_native.c")
 #: table dtype -> C kind tag (must match KIND_* in _native.c)
-_TABLE_KINDS: Dict[str, int] = {"uint8": 0, "uint16": 1, "int64": 2}
+_TABLE_KINDS: Dict[np.dtype[Any], int] = {
+    np.dtype(np.uint8): 0, np.dtype(np.uint16): 1, np.dtype(np.int64): 2,
+}
 #: stats_out slot layout (must match STAT_* in _native.c)
 _STAT_SLOTS = 4
 _STAT_NATIVE_POSITIONS = 0
@@ -97,7 +112,9 @@ _STAT_STRIDE_CHECKS = 1
 _STAT_DEGRADED = 2
 _STAT_SCALAR_POSITIONS = 3
 #: symbol dtype -> C kind tag (the table kinds' tags, uint8 and int64 only)
-_SYMBOL_KINDS: Dict[str, int] = {"uint8": 0, "int64": 2}
+_SYMBOL_KINDS: Dict[np.dtype[Any], int] = {
+    np.dtype(np.uint8): 0, np.dtype(np.int64): 2,
+}
 #: cse_native_walk return codes (must match WALK_* in _native.c)
 _WALK_DONE = 0
 _WALK_PAUSED = 1
@@ -130,11 +147,12 @@ def _compiler() -> Optional[str]:
 
 
 def source_digest() -> str:
-    """Content digest of the C source + ABI + platform (cache key)."""
+    """Content digest of the C source + flags + ABI + platform (cache key)."""
     h = hashlib.sha256()
     h.update(_SOURCE.read_bytes())
     h.update(
-        f"|abi={NATIVE_ABI}|{platform.system()}|{platform.machine()}".encode()
+        f"|{' '.join(CFLAGS)}|abi={NATIVE_ABI}|{platform.system()}"
+        f"|{platform.machine()}".encode()
     )
     return h.hexdigest()[:16]
 
@@ -171,10 +189,7 @@ def build_native(
     )
     os.close(fd)
     tmp = Path(tmp_name)
-    cmd = [
-        *cc.split(), "-O3", "-std=c99", "-fPIC", "-shared",
-        "-o", str(tmp), str(_SOURCE),
-    ]
+    cmd = [*cc.split(), *CFLAGS, "-o", str(tmp), str(_SOURCE)]
     try:
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=120, check=False
@@ -217,6 +232,13 @@ def _configure(lib: ctypes.CDLL) -> None:
         c_i64_p, c_i64_p,             # pos_io, state_io
         c_ptr, c_ptr, c_ptr,          # accepting, offsets_out, states_out
         c_i64, c_i64_p,               # cap, n_reports_out
+    ]
+    lib.cse_native_prefilter.restype = c_i64
+    lib.cse_native_prefilter.argtypes = [
+        c_ptr, c_i64, c_i64, c_i64,   # table, kind, n_states, alphabet
+        c_ptr, c_i64, c_i64,          # anchor_lut, home, skip_width
+        c_ptr, c_ptr, c_ptr, c_i64,   # seg_ptrs, seg_lens, seg_kinds, n_seg
+        c_ptr, c_ptr, c_ptr,          # starts, final_out, walk_from_out
     ]
 
 
@@ -353,7 +375,7 @@ def native_table_view(tables: DenseTables) -> np.ndarray:
         raise RuntimeError(
             f"native tier unavailable: {native_unavailable_reason()}"
         )
-    kind = _TABLE_KINDS.get(str(tables.table.dtype))
+    kind = _TABLE_KINDS.get(tables.table.dtype)
     if kind is None:
         raise ValueError(f"unsupported table dtype {tables.table.dtype}")
     table = np.ascontiguousarray(tables.table, dtype=tables.table.dtype)
@@ -420,8 +442,8 @@ def native_walk(
     if lib is None or not 0 <= state < n_states or cap < 1:
         return None
     tables = tables if tables is not None else DenseTables(dfa)
-    kind = _TABLE_KINDS.get(str(tables.table.dtype))
-    sym_kind = _SYMBOL_KINDS.get(str(syms.dtype))
+    kind = _TABLE_KINDS.get(tables.table.dtype)
+    sym_kind = _SYMBOL_KINDS.get(syms.dtype)
     if (
         kind is None or sym_kind is None or syms.ndim != 1
         or tables.num_states != n_states
@@ -459,6 +481,73 @@ def native_walk(
         if rc != _WALK_PAUSED:
             # an out-of-range symbol: its behaviour is the interpreted one
             return None
+
+
+def native_prefilter(
+    dfa: Dfa,
+    prefilter: "PrefilterTables",
+    segments: Sequence[np.ndarray],
+    starts: Sequence[int],
+    tables: Optional[DenseTables] = None,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The literal prefilter over a batch of segments in one C call.
+
+    ``starts[i]`` is segment ``i``'s start state, or ``-1`` for an
+    enumerative segment.  Returns ``(final, walk_from)``, two int64
+    arrays: ``walk_from[i]`` is where the tail walk from ``prefilter.home``
+    began after the segment's last ``skip_width`` run of non-anchor
+    symbols (``-1`` when no run qualifies), and ``final[i]`` the segment's
+    final state (``-1`` for an enumerative segment with no qualifying
+    run, whose frontier the caller runs).  Segments are read at their own
+    width, uint8 or int64, with no copy.
+
+    ``None`` means the compiled call cannot answer: the library is
+    absent, a symbol or table dtype has no C kind, a start state is
+    outside the machine, or a symbol is outside ``[0, alphabet)``.  The
+    interpreted prefilter is the answer there.
+    """
+    lib = load_native()
+    if lib is None:
+        return None
+    n_states = dfa.num_states
+    tables = tables if tables is not None else DenseTables(dfa)
+    kind = _TABLE_KINDS.get(tables.table.dtype)
+    n_seg = len(segments)
+    seg_kinds = np.empty(n_seg, dtype=np.int64)
+    for i, seg in enumerate(segments):
+        sym_kind = _SYMBOL_KINDS.get(seg.dtype)
+        if sym_kind is None or seg.ndim != 1:
+            return None
+        seg_kinds[i] = sym_kind
+    # the C side range-checks the start states (and home, skip_width)
+    start_arr = np.asarray(starts, dtype=np.int64)
+    lut = np.ascontiguousarray(prefilter.anchor_lut, dtype=np.bool_)
+    if (
+        kind is None or tables.num_states != n_states
+        or int(tables.table.size) != dfa.alphabet_size * n_states
+        or lut.shape != (dfa.alphabet_size,)
+        or start_arr.shape != (n_seg,)
+    ):
+        return None
+    # keep every contiguous segment alive for the call: the C side reads
+    # them through raw addresses
+    segs = [np.ascontiguousarray(seg, dtype=seg.dtype) for seg in segments]
+    seg_ptrs = np.asarray([seg.ctypes.data for seg in segs], dtype=np.int64)
+    seg_lens = np.asarray([seg.size for seg in segs], dtype=np.int64)
+    table = np.ascontiguousarray(tables.table, dtype=tables.table.dtype)
+    final = np.empty(n_seg, dtype=np.int64)
+    walk_from = np.empty(n_seg, dtype=np.int64)
+    rc = int(lib.cse_native_prefilter(
+        _ptr(table), kind, n_states, dfa.alphabet_size,
+        _ptr(lut.view(np.uint8)), prefilter.home, prefilter.skip_width,
+        _ptr(seg_ptrs), _ptr(seg_lens), _ptr(seg_kinds), n_seg,
+        _ptr(start_arr), _ptr(final), _ptr(walk_from),
+    ))
+    if rc != _WALK_DONE:
+        # an out-of-range symbol or start state: its behaviour is the
+        # interpreted one
+        return None
+    return final, walk_from
 
 
 def _walk_list(
@@ -524,7 +613,7 @@ def run_segments_native(
     if stride is not None and int(stride) < 1:
         raise ValueError("stride must be >= 1")
     tables = tables or DenseTables(dfa)
-    kind = _TABLE_KINDS.get(str(tables.table.dtype))
+    kind = _TABLE_KINDS.get(tables.table.dtype)
     if kind is None:
         grid, dstats = run_segments_dense(
             dfa, partition, segments, tables=tables, stride=stride

@@ -31,13 +31,20 @@ skip_width)``:
 The scan consequence: within a segment, only the suffix after the *last*
 ``>= skip_width`` run of non-anchor bytes can influence the final state —
 everything before it is erased by that run (every enumeration path sits at
-home when the run ends).  So the kernel does one vectorized anchor-LUT
-sweep (``np.flatnonzero(lut[segment])``, memchr-speed in C), finds the
-last qualifying run, and walks only the tail after it with the interpreted
-table — typically a handful of bytes per segment.  Segments with no
-qualifying run (adversarially dense matches, or shorter than the skip
-width) fall back to the dense-frontier kernel, batched in one call, so
-correctness never depends on the prefilter being profitable.
+home when the run ends).  So a scan is a sweep plus a tail walk.  With the
+native library (:func:`repro.kernels.native.native_prefilter`) a whole
+batch of segments is one C call: each segment is scanned *backward* from
+its end to the first ``skip_width`` run of non-anchor symbols (the
+rightmost one, so the erased prefix is never read) and the tail after it
+is walked from home over the dense tables, each segment read at its own
+width.  Without the library the reference does one vectorized anchor-LUT
+sweep (``np.flatnonzero(lut[segment])``), finds the last qualifying run
+(:func:`_last_reset`) and walks the tail with the interpreted table; a
+symbol outside the alphabet sends the compiled call back to that
+reference, so every value and exception is the reference's.  Segments
+with no qualifying run (adversarially dense matches, or shorter than the
+skip width) fall back to the native or dense frontier kernel, batched in
+one call, so correctness never depends on the prefilter being profitable.
 
 Outcomes are bit-identical to :func:`repro.kernels.dense.run_segments_dense`
 and therefore to the interpreted reference: a proven reset collapses every
@@ -49,16 +56,19 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.core.transition import CsOutcome
-
-if TYPE_CHECKING:
-    from repro.kernels.dense import DenseTables
+from repro.kernels.dense import DenseTables, run_segments_dense
+from repro.kernels.native import (
+    native_available,
+    native_prefilter,
+    run_segments_native,
+)
 
 __all__ = [
     "MAX_ANCHOR_FRACTION",
@@ -67,6 +77,7 @@ __all__ = [
     "certify_prefilter",
     "derive_prefilter",
     "prefilter_scan_scalar",
+    "prefilter_walk",
     "run_segments_prefilter",
 ]
 
@@ -296,13 +307,17 @@ def prefilter_scan_scalar(
     segment: np.ndarray,
     start_state: Optional[int] = None,
     rows: Optional[List[List[int]]] = None,
+    dense: Optional[DenseTables] = None,
 ) -> Tuple[int, int]:
     """Concrete-flow prefilter scan (segment 0 / sequential fallback).
 
     Returns ``(final_state, walked)`` where ``walked`` is the number of
-    positions actually stepped through the interpreted table; the rest of
-    the segment was erased by a proven reset run.  Bit-identical to
-    ``dfa.run(segment, start_state)``.
+    positions actually stepped through the table; the rest of the segment
+    was erased by a proven reset run.  Bit-identical to
+    ``dfa.run(segment, start_state)``.  Runs as one
+    ``cse_native_prefilter`` call over ``dense`` (built from ``dfa`` when
+    not given) when the native library loads, else as the anchor sweep
+    plus the interpreted tail walk over ``rows``.
     """
     # dtype deliberately inherited: uint8 views stay uint8 (zero-copy)
     seg = np.asarray(segment)  # repro: noqa(R101)
@@ -310,6 +325,11 @@ def prefilter_scan_scalar(
     state = dfa.start if start_state is None else int(start_state)
     if length == 0:
         return state, 0
+    if 0 <= state < dfa.num_states:
+        done = native_prefilter(dfa, tables, [seg], [state], dense)
+        if done is not None:
+            final, resume = done
+            return int(final[0]), length - max(0, int(resume[0]))
     hits = np.flatnonzero(tables.anchor_lut[seg])
     proven, walk_from = _last_reset(hits, length, tables.skip_width)
     if proven:
@@ -325,6 +345,18 @@ def prefilter_scan_scalar(
     return state, length - walk_from
 
 
+def prefilter_walk(
+    dfa: Dfa,
+    tables: PrefilterTables,
+    segment: np.ndarray,
+    state: Optional[int] = None,
+    rows: Optional[List[List[int]]] = None,
+    dense: Optional[DenseTables] = None,
+) -> int:
+    """Final state of :func:`prefilter_scan_scalar`: the re-execution walk."""
+    return prefilter_scan_scalar(dfa, tables, segment, state, rows, dense)[0]
+
+
 def run_segments_prefilter(
     dfa: Dfa,
     partition: StatePartition,
@@ -335,20 +367,27 @@ def run_segments_prefilter(
 ) -> Tuple[List[List[CsOutcome]], Dict[str, int]]:
     """Enumerative prefilter scan over a batch of segments.
 
-    For each segment: one vectorized anchor sweep; if a ``>= skip_width``
-    non-anchor run exists, every enumeration path provably sits at ``home``
-    when it ends, so the whole frontier is one scalar flow from there — the
-    tail after the run is walked interpreted and every convergence set
-    collapses to its final state.  Segments with no qualifying run are
-    batched through :func:`repro.kernels.dense.run_segments_dense`
-    unchanged (``dense``/``stride`` are its optional precomputed tables and
-    collapse-check stride).
+    For each segment, find its last ``>= skip_width`` non-anchor run: every
+    enumeration path provably sits at ``home`` when it ends, so the whole
+    frontier is one scalar flow from there — only the tail after the run
+    is walked, and every convergence set collapses to its final state.
+    With the native library this is one ``cse_native_prefilter`` call for
+    the batch over ``dense`` (built from ``dfa`` when not given); without
+    it, an anchor sweep per segment and an interpreted tail walk.
+    Segments with no qualifying run are batched through the native or
+    dense frontier kernel unchanged (``dense``/``stride`` are its optional
+    precomputed tables and collapse-check stride).
 
     Returns ``(grid, stats)`` with the same grid contract as the dense
     kernel and stats keys ``positions, walked_positions, skipped_bytes,
-    anchor_hits, windows, fallback_segments, collapses``.
+    windows, fallback_segments, collapses``.
     """
-    n_seg = len(segments)
+    if dense is None and native_available():
+        # one build serves the compiled scan and the frontier fallback
+        dense = DenseTables(dfa)
+    # dtype deliberately inherited: uint8 views stay uint8 (zero-copy)
+    segs = [np.asarray(segment) for segment in segments]  # repro: noqa(R101)
+    n_seg = len(segs)
     blocks = partition.block_arrays()
     n_blocks = len(blocks)
     sizes = np.asarray([b.size for b in blocks], dtype=np.int64)
@@ -356,9 +395,7 @@ def run_segments_prefilter(
     # identity outcomes for empty segments: each set maps to itself
     identity: Optional[List[CsOutcome]] = None
 
-    lut = tables.anchor_lut
-    sw = tables.skip_width
-    home = tables.home
+    compiled = native_prefilter(dfa, tables, segs, [-1] * n_seg, dense)
     rows: Optional[List[List[int]]] = None
 
     grid: List[Optional[List[CsOutcome]]] = [None] * n_seg
@@ -366,13 +403,10 @@ def run_segments_prefilter(
     max_len = 0
     walked = 0
     skipped = 0
-    anchor_hits = 0
     windows = 0
     n_collapsed = 0
 
-    for i, segment in enumerate(segments):
-        # dtype deliberately inherited: uint8 views stay uint8 (zero-copy)
-        seg = np.asarray(segment)  # repro: noqa(R101)
+    for i, seg in enumerate(segs):
         length = int(seg.size)
         max_len = max(max_len, length)
         if length == 0:
@@ -387,18 +421,23 @@ def run_segments_prefilter(
                 ]
             grid[i] = list(identity)
             continue
-        hits = np.flatnonzero(lut[seg])
-        anchor_hits += int(hits.size)
-        proven, walk_from = _last_reset(hits, length, sw)
-        if not proven:
-            fallback_idx.append(i)
-            continue
-        state = home
-        if walk_from < length:
+        if compiled is not None:
+            state, walk_from = int(compiled[0][i]), int(compiled[1][i])
+            if walk_from < 0:
+                fallback_idx.append(i)
+                continue
+        else:
+            hits = np.flatnonzero(tables.anchor_lut[seg])
+            proven, walk_from = _last_reset(hits, length, tables.skip_width)
+            if not proven:
+                fallback_idx.append(i)
+                continue
+            state = tables.home
             if rows is None:
                 rows = [r.tolist() for r in dfa.transitions]
             for sym in seg[walk_from:].tolist():
                 state = rows[sym][state]
+        if walk_from < length:
             walked += length - walk_from
             windows += 1
         skipped += walk_from
@@ -410,16 +449,13 @@ def run_segments_prefilter(
         # unproven segments take the strongest full-frontier kernel
         # available: the compiled native tier when its library loads,
         # else the dense kernel (identical outcomes either way)
-        from repro.kernels.dense import run_segments_dense
-        from repro.kernels.native import native_available, run_segments_native
-
         run_fallback = (
             run_segments_native if native_available() else run_segments_dense
         )
         sub_grid, sub_stats = run_fallback(
             dfa,
             partition,
-            [segments[i] for i in fallback_idx],
+            [segs[i] for i in fallback_idx],
             tables=dense,
             stride=stride,
         )
@@ -432,7 +468,6 @@ def run_segments_prefilter(
         "positions": max_len,
         "walked_positions": walked,
         "skipped_bytes": skipped,
-        "anchor_hits": anchor_hits,
         "windows": windows,
         "fallback_segments": len(fallback_idx),
         "collapses": n_collapsed,

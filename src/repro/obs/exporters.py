@@ -114,8 +114,6 @@ METRIC_HELP: Dict[str, str] = {
         "Segments the prefilter proved reset and scanned as tail windows.",
     "kernels_prefilter_skipped_bytes_total":
         "Input bytes the prefilter skipped without a state walk.",
-    "kernels_prefilter_anchor_hits_total":
-        "Anchor bytes located by the prefilter byte sweep.",
     "kernels_prefilter_walked_positions_total":
         "Positions the prefilter walked scalar after the last reset run.",
     "kernels_prefilter_fallback_segments_total":

@@ -83,6 +83,7 @@ from repro.kernels import (
     certify_prefilter,
     native_available,
     prefilter_scan_scalar,
+    prefilter_walk,
     resolve_backend,
     run_segments_batch,
     walk,
@@ -583,18 +584,19 @@ def _software_cse_scan(
     syms_list: Optional[List[int]] = (
         syms.tolist() if executor is None and backend == "python" else None
     )
-    # the dense tables serve the dense/native kernels and the compiled
-    # concrete walks (segment 0, re-execution)
+    # the dense tables serve the dense/native kernels, the prefilter (and
+    # its frontier fallback) and the compiled concrete walks (segment 0,
+    # re-execution); an artifact builds them once
     dense: Optional[DenseTables] = None
-    if backend in ("dense", "native") or (
-        backend != "prefilter" and native_available()
-    ):
-        dense = (
-            compiled.dense_tables() if compiled is not None
-            else DenseTables(dfa)
-        )
+    if compiled is not None:
+        dense = compiled.dense_tables()
+    elif backend in ("dense", "native") or native_available():
+        dense = DenseTables(dfa)
 
     def concrete_walk(segment: np.ndarray, state: Optional[int]) -> int:
+        if pf_tables is not None:
+            # a proven reset erases the prefix before it: walk the tail
+            return prefilter_walk(dfa, pf_tables, segment, state, rows, dense)
         return walk(dfa, segment, state, tables=dense, rows=rows)[0]
 
     collect = obs.is_enabled()
@@ -607,7 +609,8 @@ def _software_cse_scan(
     if backend == "prefilter":
         begin0 = time.perf_counter()
         first_final, _walked = prefilter_scan_scalar(
-            dfa, pf_tables, syms[a0:b0], start_state=start_state, rows=rows
+            dfa, pf_tables, syms[a0:b0], start_state=start_state, rows=rows,
+            dense=dense,
         )
         first_seconds = time.perf_counter() - begin0
     else:
@@ -701,7 +704,7 @@ def _software_cse_scan(
                 else None
             ),
             flat=compiled.flat_table if compiled is not None else None,
-            dense=dense if backend in ("dense", "native") else None,
+            dense=dense,
             prefilter=pf_tables,
         )
         kernel_elapsed = time.perf_counter() - kernel_begin

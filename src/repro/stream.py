@@ -521,7 +521,9 @@ class FleetScanner:
     def _scan_wallclock(self, symbols, verify: bool = True) -> "FleetWallclock":
         from repro.software import software_cse_scan
 
-        syms = as_symbols(symbols)
+        # byte input stays at byte width: every unit's scan reads the view
+        view8 = byte_view(symbols)
+        syms = view8 if view8 is not None else as_symbols(symbols)
         runs = []
         collect = obs.is_enabled()
         wall = time.time()

@@ -11,22 +11,31 @@ prefilter must fall back rather than skip.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.automata.dfa import Dfa
 from repro.check import has_errors, verify_prefilter
+from repro.compilecache import compile_dfa
 from repro.core.partition import StatePartition
+from repro.core.reexec import POLICIES, compose_and_fix
 from repro.engines.base import even_boundaries
+from repro.ingest import from_bytes
 from repro.kernels import (
+    DenseTables,
     PrefilterTables,
     certify_prefilter,
     derive_prefilter,
+    native_available,
     prefilter_scan_scalar,
     run_segments_batch,
 )
 from repro.kernels.dense import run_segments_dense
+from repro.kernels.native import ENV_DISABLE, native_prefilter, reset_native
 from repro.kernels.prefilter import _last_reset, run_segments_prefilter
 from repro.regex.compile import compile_ruleset
 from repro.software import software_cse_scan
@@ -392,3 +401,363 @@ class TestArtifactEnvelope:
         path.write_bytes(pickle.dumps(payload))
         codes = {d.code for d in verify_artifact_file(path)}
         assert "K133" in codes
+
+
+# ----------------------------------------------------------------------
+# the compiled prefilter (cse_native_prefilter) against the reference
+# ----------------------------------------------------------------------
+@contextmanager
+def native_tier(absent):
+    """Run the body with the native tier loaded, or forced absent."""
+    saved = os.environ.get(ENV_DISABLE)
+    if absent:
+        os.environ[ENV_DISABLE] = "0"
+    reset_native()
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(ENV_DISABLE, None)
+        else:
+            os.environ[ENV_DISABLE] = saved
+        reset_native()
+
+
+def outcome(call):
+    """A call's value, or the type of the exception it raised."""
+    try:
+        return "value", call()
+    except Exception as exc:
+        return "raised", type(exc)
+
+
+def grid_key(grid):
+    """A prefilter/dense grid as plain comparable tuples."""
+    return [
+        [(o.converged, o.state, tuple(o.states.tolist())) for o in row]
+        for row in grid
+    ]
+
+
+def symbols_as(seg, kind):
+    """``seg`` as int64 / uint8 symbols or a zero-copy InputView."""
+    if kind == "int64":
+        return seg.astype(np.int64)
+    raw = seg.astype(np.uint8)
+    return raw if kind == "uint8" else from_bytes(raw.tobytes())
+
+
+@st.composite
+def literal_machines(draw):
+    """A certified literal ruleset over a small or a byte alphabet."""
+    k = draw(st.sampled_from([5, 8, 13, 256]))
+    letters = list(range(k)) if k < 256 else list(range(97, 123))
+    patterns = draw(st.lists(
+        st.lists(st.sampled_from(letters), min_size=1, max_size=4),
+        min_size=1, max_size=3,
+    ))
+    dfa = compile_ruleset(
+        ["".join(chr(c) for c in p) for p in patterns], alphabet_size=k
+    )
+    tables = derive_prefilter(dfa)
+    assume(tables is not None)
+    return dfa, tables
+
+
+@st.composite
+def prefilter_segments(draw, tables, max_segments=6):
+    """Segments at match density zero, sparse or adversarially dense.
+
+    Non-anchor runs are drawn around ``skip_width`` (one short, exact,
+    one over) so qualifying runs land at a segment's start, end and
+    interior; zero-density segments may be shorter than ``skip_width``
+    or empty.
+    """
+    sw = tables.skip_width
+    anchors = tables.anchors
+    plain = np.flatnonzero(~tables.anchor_lut)
+    segments = []
+    for _ in range(draw(st.integers(1, max_segments))):
+        density = draw(st.sampled_from(["zero", "sparse", "dense"]))
+        if density == "zero":
+            runs = [draw(st.integers(0, 3 * sw + 2))]
+        else:
+            short = st.integers(0, sw - 1)
+            run = short if density == "dense" else st.one_of(
+                st.sampled_from([sw - 1, sw, sw + 1]), st.integers(0, 3 * sw))
+            runs = draw(st.lists(run, min_size=1, max_size=8))
+        parts = []
+        for i, length in enumerate(runs):
+            if i:
+                picks = draw(st.lists(st.integers(0, anchors.size - 1),
+                                      min_size=1, max_size=3))
+                parts.append(anchors[picks])
+            picks = draw(st.lists(st.integers(0, plain.size - 1),
+                                  min_size=length, max_size=length))
+            parts.append(plain[picks])
+        segments.append(np.concatenate(parts).astype(np.int64))
+    return segments
+
+
+class TestCompiledPrefilter:
+    """cse_native_prefilter == the anchor sweep == Dfa.run."""
+
+    @given(literal_machines(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_reference(self, machine, data):
+        dfa, tables = machine
+        segments = data.draw(prefilter_segments(tables))
+        starts = [
+            data.draw(st.integers(-1, dfa.num_states - 1)) for _ in segments
+        ]
+        kind = data.draw(st.sampled_from(["uint8", "int64"]))
+        got = native_prefilter(
+            dfa, tables, [symbols_as(s, kind) for s in segments], starts
+        )
+        if not native_available():
+            assert got is None
+            return
+        assert got is not None
+        every = np.arange(dfa.num_states)
+        for seg, start, final, walk_from in zip(
+            segments, starts, got[0].tolist(), got[1].tolist()
+        ):
+            proven, resume = _last_reset(
+                np.flatnonzero(tables.anchor_lut[seg]), seg.size,
+                tables.skip_width,
+            )
+            assert walk_from == (resume if proven else -1)
+            if start >= 0:
+                assert final == dfa.run(seg, start)
+            elif proven:
+                # a proven reset: every state lands on the same final
+                assert {dfa.run(seg, int(q)) for q in every} == {final}
+            else:
+                assert final == -1
+
+    @given(literal_machines(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kernels_match_across_tiers(self, machine, data):
+        dfa, tables = machine
+        segments = data.draw(prefilter_segments(tables))
+        kind = data.draw(st.sampled_from(["uint8", "int64", "view"]))
+        labels = data.draw(st.lists(st.integers(0, 2),
+                                    min_size=dfa.num_states,
+                                    max_size=dfa.num_states))
+        partition = StatePartition.from_labels(labels)
+        state = data.draw(st.integers(0, dfa.num_states - 1))
+        want_grid, want_stats = run_segments_dense(dfa, partition, segments)
+        seen = []
+        for absent in (False, True):
+            with native_tier(absent):
+                syms = [symbols_as(s, kind) for s in segments]
+                grid, stats = run_segments_prefilter(
+                    dfa, partition, syms, tables
+                )
+                scalar = [
+                    prefilter_scan_scalar(dfa, tables, s, start_state=state)
+                    for s in syms
+                ]
+            assert grid_key(grid) == grid_key(want_grid)
+            assert stats["collapses"] == want_stats["collapses"]
+            assert [f for f, _ in scalar] == [dfa.run(s, state) for s in segments]
+            seen.append((stats, scalar))
+        assert seen[0] == seen[1]
+
+    @given(literal_machines(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_scan_matches_across_tiers(self, machine, data):
+        dfa, tables = machine
+        word = np.concatenate(data.draw(prefilter_segments(tables)))
+        kind = data.draw(st.sampled_from(["uint8", "int64", "view"]))
+        n_segments = data.draw(st.integers(1, 6))
+        policy = data.draw(st.sampled_from(POLICIES))
+        partition = StatePartition.from_labels(
+            [q % 3 for q in range(dfa.num_states)])
+        for absent in (False, True):
+            with native_tier(absent):
+                run = software_cse_scan(
+                    dfa, symbols_as(word, kind), partition,
+                    n_segments=n_segments, backend="prefilter", policy=policy,
+                )
+            assert run.backend == "prefilter"
+            assert run.final_state == dfa.run(word)
+
+    @given(
+        st.sampled_from([5, 8, 13]),
+        st.lists(st.integers(-16, 16), max_size=24),
+        st.sampled_from(["prefix", "tail", "anywhere"]),
+        st.sampled_from(["uint8", "int64"]),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_out_of_range_symbols_match_absent_tier(
+        self, k, word, where, kind, data
+    ):
+        """Negative and over-range symbols, even inside a prefix a reset
+        erases, give the value or exception type of the sweep."""
+        dfa = compile_ruleset(["\x01\x02", "\x03\x01"], alphabet_size=k)
+        tables = derive_prefilter(dfa)
+        plain = np.flatnonzero(~tables.anchor_lut)
+        reset = plain[: 1].repeat(tables.skip_width + 1).tolist()
+        if where == "prefix":
+            word = word + reset + [1, 2]
+        elif where == "tail":
+            word = [1] + reset + word
+        if kind == "uint8":
+            word = [abs(sym) for sym in word]  # over-range only
+        seg = np.asarray(word, dtype=kind)
+        state = data.draw(st.integers(0, dfa.num_states - 1))
+        partition = StatePartition.from_labels(
+            [q % 2 for q in range(dfa.num_states)])
+        results = []
+        for absent in (False, True):
+            with native_tier(absent):
+                results.append((
+                    outcome(lambda: prefilter_scan_scalar(
+                        dfa, tables, seg, start_state=state)),
+                    outcome(lambda: grid_key(run_segments_prefilter(
+                        dfa, partition, [seg, seg[1:]], tables)[0])),
+                ))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("absent", [False, True])
+    def test_edge_segments(self, literal_dfa, absent):
+        """Runs of exactly skip_width at the start, end and interior,
+        segments shorter than skip_width, and empty segments."""
+        tables = derive_prefilter(literal_dfa)
+        sw = tables.skip_width
+        a = int(tables.anchors[0])
+        p = int(np.flatnonzero(~tables.anchor_lut)[0])
+        cases = {
+            "start": [p] * sw + [a, a],
+            "end": [a, a] + [p] * sw,
+            "interior": [a] + [p] * sw + [a],
+            "one-short": [a] + [p] * (sw - 1) + [a],
+            "short": [p] * (sw - 1),
+            "empty": [],
+        }
+        segs = [np.asarray(c, dtype=np.uint8) for c in cases.values()]
+        partition = _partition(literal_dfa)
+        with native_tier(absent):
+            grid, stats = run_segments_prefilter(
+                literal_dfa, partition, segs, tables)
+        want, _ = run_segments_dense(literal_dfa, partition, segs)
+        assert grid_key(grid) == grid_key(want)
+        # start/end/interior prove a reset; one-short and short do not;
+        # the empty segment is the identity
+        assert stats["fallback_segments"] == 2
+        assert stats["skipped_bytes"] == sw + (sw + 2) + (sw + 1)
+        assert stats["walked_positions"] == 2 + 1 + 2 * (sw + 1)
+        for seg in segs:
+            for start in (None, tables.home):
+                with native_tier(absent):
+                    final, _ = prefilter_scan_scalar(
+                        literal_dfa, tables, seg, start_state=start)
+                assert final == literal_dfa.run(seg, start)
+
+
+class TestPrefilterReexecution:
+    """Re-execution walks the prefilter over the compiled tables."""
+
+    @staticmethod
+    def _machine():
+        # anchor 0 cycles states 1..5 (home 0 enters the cycle), so an
+        # all-anchor segment never collapses; symbols 1-3 reset to home
+        m = 5
+        table = np.zeros((4, m + 1), dtype=np.int32)
+        table[0] = [1] + [(q % m) + 1 for q in range(1, m + 1)]
+        return Dfa(table, 0, [m])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("absent", [False, True])
+    def test_reexecution_matches_dfa_run(self, policy, absent, monkeypatch):
+        import repro.software as software
+        from repro.kernels import walk
+
+        dfa = self._machine()
+        tables = derive_prefilter(dfa)
+        assert tables is not None and tables.anchors.tolist() == [0]
+        rng = np.random.default_rng(7)
+        word = rng.choice(4, size=600, p=[0.85, 0.05, 0.05, 0.05])
+        bounds = even_boundaries(word.size, 6)
+        # anchor-dense segments, the last among them: no reset to prove,
+        # so the composed final stays a set and must be re-executed
+        for i in (3, 5):
+            a, b = bounds[i]
+            word[a:b] = 0
+        word = word.astype(np.uint8)
+        partition = StatePartition.from_labels([0, 0, 0, 1, 1, 1])
+        functions = run_segments_batch(
+            dfa, partition, [word[a:b] for a, b in bounds[1:]],
+            backend="dense",
+        )
+        want, want_stats = compose_and_fix(
+            dfa, word, bounds[1:], functions, dfa.run(word[:bounds[0][1]]),
+            policy=policy,
+        )
+        assert want_stats.reexecuted_segments
+        with native_tier(absent):
+            compiled = compile_dfa(dfa, backend="prefilter", n_segments=6)
+            compiled.dense_tables()
+            built, walked = [], []
+            init = DenseTables.__init__
+            monkeypatch.setattr(
+                DenseTables, "__init__",
+                lambda self, d: built.append(1) or init(self, d))
+            monkeypatch.setattr(
+                software, "walk",
+                lambda *args, **kwargs: walked.append(1) or walk(
+                    *args, **kwargs))
+            run = software_cse_scan(
+                dfa, word, partition, n_segments=6, backend="prefilter",
+                policy=policy, compiled=compiled,
+            )
+        assert run.backend == "prefilter"
+        assert run.final_state == want == dfa.run(word)
+        assert run.reexec_segments == len(want_stats.reexecuted_segments)
+        assert built == []  # the artifact's tables serve every walk
+        assert walked == []  # re-execution runs the prefilter walk
+
+
+class TestCompiledReplayK134:
+    def test_tampered_lut_is_k134(self, literal_dfa):
+        if not native_available():
+            pytest.skip("K134 replays the compiled prefilter")
+        t = derive_prefilter(literal_dfa)
+        for anchor in t.anchors.tolist():
+            lut = t.anchor_lut.copy()
+            lut[anchor] = False
+            bad = PrefilterTables(
+                t.home, t.skip_width, lut, t.num_states, t.alphabet_size
+            )
+            codes = {d.code for d in verify_prefilter(bad, literal_dfa)}
+            assert "K134" in codes, anchor
+
+    def test_wrong_compiled_answer_is_k134(self, literal_dfa, monkeypatch):
+        if not native_available():
+            pytest.skip("K134 replays the compiled prefilter")
+        import repro.kernels.native as native
+
+        real = native.native_prefilter
+
+        def shifted(*args, **kwargs):
+            final, walk_from = real(*args, **kwargs)
+            return np.where(final > 0, final - 1, final), walk_from
+
+        monkeypatch.setattr(native, "native_prefilter", shifted)
+        tables = derive_prefilter(literal_dfa)
+        codes = [d.code for d in verify_prefilter(tables, literal_dfa)]
+        assert codes == ["K134"]
+
+    def test_silent_when_native_absent(self, literal_dfa):
+        t = derive_prefilter(literal_dfa)
+        lut = t.anchor_lut.copy()
+        lut[int(t.anchors[0])] = False
+        bad = PrefilterTables(
+            t.home, t.skip_width, lut, t.num_states, t.alphabet_size
+        )
+        with native_tier(absent=True):
+            codes = {d.code for d in verify_prefilter(bad, literal_dfa)}
+        assert "K134" not in codes
+        assert "K131" in codes

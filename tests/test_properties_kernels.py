@@ -13,7 +13,7 @@ import os
 from contextlib import contextmanager
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.automata.dfa import Dfa
 from repro.automata.onehot import PySetAutomaton
@@ -24,6 +24,7 @@ from repro.kernels import (
     KERNEL_BACKENDS,
     BitsetTables,
     DenseTables,
+    certify_prefilter,
     run_segments_batch,
     walk,
 )
@@ -265,6 +266,68 @@ def outcome(call):
         return "value", call()
     except Exception as exc:
         return "raised", type(exc)
+
+
+@st.composite
+def reset_machines(draw):
+    """A random machine the literal prefilter certifies.
+
+    Home is state 0.  Non-anchor symbols keep home at home and send any
+    other state to a lower one, so every non-anchor run ends at home;
+    anchors move states anywhere.  Accepting states sit away from home.
+    """
+    n = draw(st.integers(2, 10))
+    k = draw(st.sampled_from([4, 6, 9, 256]))
+    n_anchors = draw(st.integers(1, max(1, k // 4)))
+    table = np.zeros((k, n), dtype=np.int32)
+    for c in range(k):
+        for q in range(1, n):
+            table[c, q] = (
+                draw(st.integers(0, n - 1)) if c < n_anchors
+                else draw(st.integers(0, q - 1))
+            )
+        if c < n_anchors:
+            table[c, 0] = draw(st.integers(1, n - 1))
+    accepting = draw(st.sets(st.integers(1, n - 1), max_size=n - 1))
+    dfa = Dfa(table, 0, accepting)
+    assume(certify_prefilter(dfa) is not None)
+    return dfa
+
+
+class TestPrefilterEquivalence:
+    """The prefilter kernel, compiled or swept, on certified machines."""
+
+    @given(reset_machines(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_prefilter_matches_python_per_segment(self, dfa, data):
+        tables = certify_prefilter(dfa)
+        anchor_heavy = st.sampled_from(
+            [0, 0, 0] + np.flatnonzero(~tables.anchor_lut)[:3].tolist())
+        word = np.asarray(data.draw(st.lists(
+            st.one_of(anchor_heavy, st.integers(0, dfa.alphabet_size - 1)),
+            max_size=120,
+        )), dtype=np.int64)
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=dfa.num_states,
+                                    max_size=dfa.num_states))
+        partition = StatePartition.from_labels(labels)
+        n_segments = data.draw(st.integers(1, 6))
+        kind = data.draw(st.sampled_from(["uint8", "int64", "view"]))
+        segments = [word[a:b] for a, b in even_boundaries(word.size, n_segments)]
+        reference = [run_segment(dfa, partition, s)[0] for s in segments]
+        for absent in (False, True):
+            with native_tier(absent):
+                functions = run_segments_batch(
+                    dfa, partition,
+                    [np.asarray(symbols_of(s, kind)) for s in segments],
+                    "prefilter", prefilter=tables,
+                )
+                run = software_cse_scan(
+                    dfa, symbols_of(word, kind), partition,
+                    n_segments=n_segments, backend="prefilter",
+                )
+            for ref, fn in zip(reference, functions):
+                assert_functions_equal(ref, fn)
+            assert run.final_state == dfa.run(word)
 
 
 class TestWalkEquivalence:

@@ -229,6 +229,30 @@ class TestFleetWallclock:
         assert result.critical_path_seconds <= result.elapsed_seconds
         assert result.work_speedup > 0
 
+    @pytest.mark.parametrize("kind", ["uint8", "view"])
+    def test_scan_wallclock_keeps_byte_width(self, kind, monkeypatch):
+        import repro.software as software
+        import repro.stream as stream
+        from repro.ingest import from_bytes
+
+        dfas = [compile_ruleset(["cat", "dog"]), compile_ruleset(["fish"]),
+                compile_ruleset(["hot", "gray"])]
+        data = TEXT * 40
+        symbols = (np.frombuffer(data, dtype=np.uint8) if kind == "uint8"
+                   else from_bytes(data))
+        fleet = FleetScanner(dfas, shard=True, n_segments=4)
+        assert set(fleet.unit_backends) == {"prefilter"}
+        widened = []
+        for module in (stream, software):
+            original = module.as_symbols
+            monkeypatch.setattr(
+                module, "as_symbols",
+                lambda sym, original=original: widened.append(1)
+                or original(sym))
+        result = fleet.scan_wallclock(symbols, verify=False)
+        assert widened == []  # byte input is never widened to int64
+        assert result.final_states == [d.run(data) for d in dfas]
+
     def test_backends_resolved_per_fsm(self):
         from repro.kernels import BACKENDS
 
