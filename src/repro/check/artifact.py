@@ -78,6 +78,7 @@ K112 = register_code("K112", "dense column offsets do not re-derive")
 K114 = register_code("K114", "native table view disagrees with the dense tables")
 K115 = register_code("K115", "native single-step replay disagrees with the transition table")
 K116 = register_code("K116", "native report walk disagrees with Dfa.run_reports")
+K117 = register_code("K117", "native multi-position frontier replay disagrees with the dense kernel")
 K120 = register_code("K120", "shard key does not re-derive from member fingerprints")
 K121 = register_code("K121", "shard demux map is malformed or misses members")
 K122 = register_code("K122", "shard demux disagrees with member transitions")
@@ -364,7 +365,8 @@ def verify_compiled(compiled: "object", deep: bool = True,
     # the Python tier built (absence of the library is not a defect —
     # the system degrades to dense — so an unavailable tier adds nothing)
     out.extend(verify_native(dfa, dense=dense, deep=deep,
-                             location=f"{location}.native"))
+                             location=f"{location}.native",
+                             partition=getattr(compiled, "partition", None)))
 
     # prefilter certificate: home invariance, skip-width soundness,
     # anchor soundness, and full re-derivation
@@ -451,7 +453,8 @@ def verify_compiled(compiled: "object", deep: bool = True,
 # native tier certification
 # ----------------------------------------------------------------------
 def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
-                  location: str = "native") -> List[Diagnostic]:
+                  location: str = "native",
+                  partition: "object" = None) -> List[Diagnostic]:
     """Certify the compiled native tier against the Python-built tables.
 
     K114 proves the bytes: the library's widened table view
@@ -463,10 +466,17 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
     string walked by ``cse_native_walk`` with reports on, through a
     three-entry report buffer so the walk pauses and resumes many times,
     must give :meth:`Dfa.run_reports`'s reports and :meth:`Dfa.run`'s
-    final state, at uint8 and int64 symbol width (``deep=False`` skips
-    both replays; very large tables cap them).  An unavailable native
-    tier yields no diagnostics — degradation to dense is the documented
-    contract, not a defect.
+    final state, at uint8 and int64 symbol width.  K117 proves the
+    frontier across collapse checks and lane merges: a fixed
+    multi-position probe (each symbol repeated 64 times, then 4096
+    seeded-random symbols) run through ``run_segments_native`` over
+    ``partition`` (the artifact's own; the discrete partition when it
+    is not given or not over this machine's states), whole and split in
+    four, must give ``run_segments_dense``'s outcomes over tables
+    re-derived from the transition matrix, at uint8 and int64 width
+    (``deep=False`` skips the three replays; very large tables cap
+    them).  An unavailable native tier yields no diagnostics —
+    degradation to dense is the documented contract, not a defect.
     """
     from repro.kernels import DenseTables
     from repro.kernels.native import (
@@ -556,6 +566,53 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
                 "report different matches)",
                 f"{location}.walk[{syms.dtype}]"))
             return out
+
+    # frontier replay: each symbol's run drives every collapse it has,
+    # the random tail mixes them, so the probe crosses collapse checks,
+    # lane merges and the scalar degrade
+    from repro.engines.base import even_boundaries
+    from repro.kernels.dense import run_segments_dense
+
+    part = partition if isinstance(partition, StatePartition) \
+        and partition.num_states == n_states \
+        else StatePartition.discrete(n_states)
+    probe = np.concatenate([
+        np.repeat(np.arange(alphabet, dtype=np.int64), 64),
+        np.random.default_rng(117).integers(0, alphabet, size=4096),
+    ])
+    segments = [probe[a:b] for a, b in even_boundaries(probe.size, 4)]
+    segments.append(probe)
+    # the reference runs on tables re-derived from the transition matrix,
+    # so a defect in the artifact's own dense tables (K111/K112) stays
+    # theirs
+    want, _stats = run_segments_dense(
+        dfa, part, segments, tables=DenseTables(dfa),  # type: ignore[arg-type]
+    )
+    batches = [segments] + (
+        [[seg.astype(np.uint8) for seg in segments]] if alphabet <= 256
+        else []
+    )
+    for batch in batches:
+        dtype = batch[0].dtype
+        got, _stats = run_segments_native(
+            dfa, part, batch,  # type: ignore[arg-type]
+            tables=tables,  # type: ignore[arg-type]
+        )
+        for i, (row_got, row_want) in enumerate(zip(got, want)):
+            same = len(row_got) == len(row_want) and all(
+                a.converged == b.converged and a.state == b.state
+                and np.array_equal(a.states, b.states)
+                for a, b in zip(row_got, row_want)
+            )
+            if not same:
+                out.append(_err(
+                    K117,
+                    f"native frontier replay of probe segment {i} over "
+                    f"the {dtype} probe disagrees with the dense kernel "
+                    "(the compiled frontier would speculate different "
+                    "segment functions)",
+                    f"{location}.frontier[{dtype}][{i}]"))
+                return out
     return out
 
 

@@ -1,16 +1,24 @@
-/* Native set-flow tier: the dense-frontier kernel as one compiled call,
+/* Native set-flow tier: the enumeration frontier as one compiled call,
  * plus the concrete walk every serial step of a scan runs on.
  *
  * The dense kernel (dense.py) already reduced a symbol position to one
  * offset-add + one flat gather, but each position still pays a Python
- * dispatch and full-generality numpy machinery.  This library advances a
- * whole segment's enumeration frontier over its entire symbol buffer in
- * one C loop: per position a fused offset-add + gather at the narrowed
- * table dtype, a strided collapse check every K positions (adaptive K,
- * same STRIDE_MIN/STRIDE_MAX ladder as dense.py — correctness is
- * stride-independent because the outcomes are derived from the final
- * frontier), and when the *whole* frontier collapses to one state the
- * segment degrades to a single scalar table walk for its remaining tail.
+ * dispatch and full-generality numpy machinery.  cse_native_scan advances
+ * a whole batch of segments' enumeration frontiers in one C call, each
+ * segment read at its own width (uint8 or int64) through its own pointer.
+ * A segment's frontier is its *distinct live states*, not one lane per
+ * start state: active[0..m) holds the states, and each lane (a start
+ * state, grouped by convergence set) holds a slot into active.  Per
+ * position only the m live states are gathered.  A strided collapse
+ * check every K positions (adaptive K, same STRIDE_MIN/STRIDE_MAX ladder
+ * as dense.py -- correctness is stride-independent because the outcomes
+ * are derived from the final frontier) dedups active in O(m), remaps the
+ * slots only when states merged, and reads a convergence set as
+ * collapsed when all its lanes share one slot.  Once m == 1 the segment
+ * degrades to a single scalar table walk for its remaining tail.  So a
+ * frontier whose sets collapsed to a few distinct states costs those few
+ * gathers per position, the paper's M, however many start states it
+ * enumerates.
  *
  * cse_native_walk is the other half: one concrete walk from a start
  * state (segment 0, global re-execution, a matcher's report pass).  It
@@ -25,15 +33,16 @@
  *
  * Deliberately plain C with a flat pointer ABI: no Python.h, no numpy
  * headers.  The Python side (native.py) loads it through ctypes, passes
- * preallocated numpy buffers, and reuses dense.py's epilogue verbatim so
- * outcomes stay bit-identical to every other backend.
+ * preallocated numpy buffers (every scratch buffer too: nothing here
+ * allocates), and reuses dense.py's epilogue verbatim so outcomes stay
+ * bit-identical to every other backend.
  */
 
 #include <stdint.h>
 
 /* bump when the entry-point signatures change; native.py refuses to use
  * a library whose cse_native_abi() disagrees */
-#define CSE_NATIVE_ABI 3
+#define CSE_NATIVE_ABI 4
 
 /* same adaptive collapse-check ladder as dense.py */
 #define NATIVE_STRIDE_MIN 8
@@ -50,7 +59,8 @@
 #define STAT_STRIDE_CHECKS 1
 #define STAT_DEGRADED 2
 #define STAT_SCALAR_POSITIONS 3
-#define STAT_SLOTS 4
+#define STAT_FRONTIER_STEPS 4
+#define STAT_SLOTS 5
 
 /* cse_native_walk return codes (must match _WALK_* in native.py) */
 #define WALK_DONE 0
@@ -60,55 +70,155 @@
 
 int64_t cse_native_abi(void) { return CSE_NATIVE_ABI; }
 
-/* advance every frontier lane through symbol column `col` */
-static void
-advance(const void *table, int64_t kind, int64_t col_off,
-        int64_t *frontier, int64_t width)
+/* A segment's live frontier.  active[0..m) holds the distinct current
+ * states; lane j (the flow that started at init[j]) is at active[slot[j]].
+ * Lanes are grouped by convergence set: set b owns lanes [cs_starts[b],
+ * cs_starts[b] + cs_sizes[b]).  remap (width entries) and stamp (n_states
+ * entries, every one -1 between checks) are collapse-check scratch. */
+struct frontier {
+    int64_t *active, *slot, *remap, *stamp;
+    int64_t m, width, n_states;
+    const int64_t *cs_starts, *cs_sizes;
+    int64_t n_blocks;
+    uint8_t *seen;
+    int merged;   /* lanes merged since the last per-set read */
+};
+
+/* One strided collapse check.  Deduplicates active[0..m) in O(m) through
+ * the stamp array (left all -1 again), remaps the lanes' slots only when
+ * two entries merged, and reads a convergence set as collapsed when all
+ * its lanes share one slot.  A set that collapsed stays collapsed, so the
+ * per-set read runs only after a merge (or on the first check, where
+ * single-lane sets count as fresh collapses).  Returns 1 when some set
+ * collapsed for the first time in this segment, 0 when none did, -1 on a
+ * state outside [0, n_states) (a table that does not describe the
+ * machine). */
+static int
+frontier_check(struct frontier *f)
 {
-    int64_t j;
-    if (kind == KIND_U8) {
-        const uint8_t *col = (const uint8_t *)table + col_off;
-        for (j = 0; j < width; j++)
-            frontier[j] = (int64_t)col[frontier[j]];
-    } else if (kind == KIND_U16) {
-        const uint16_t *col = (const uint16_t *)table + col_off;
-        for (j = 0; j < width; j++)
-            frontier[j] = (int64_t)col[frontier[j]];
-    } else {
-        const int64_t *col = (const int64_t *)table + col_off;
-        for (j = 0; j < width; j++)
-            frontier[j] = col[frontier[j]];
+    int64_t i, j, b, m = 0;
+    int fresh = 0;
+    for (i = 0; i < f->m; i++) {
+        const int64_t v = f->active[i];
+        if ((uint64_t)v >= (uint64_t)f->n_states) {
+            for (j = 0; j < m; j++)
+                f->stamp[f->active[j]] = -1;
+            return -1;
+        }
+        if (f->stamp[v] < 0) {
+            f->stamp[v] = m;
+            f->active[m++] = v;
+        }
+        f->remap[i] = f->stamp[v];
     }
+    for (i = 0; i < m; i++)
+        f->stamp[f->active[i]] = -1;
+    if (m < f->m) {
+        for (j = 0; j < f->width; j++)
+            f->slot[j] = f->remap[f->slot[j]];
+        f->m = m;
+        f->merged = 1;
+    }
+    if (!f->merged)
+        return 0;
+    f->merged = 0;
+    for (b = 0; b < f->n_blocks; b++) {
+        const int64_t lo = f->cs_starts[b], hi = lo + f->cs_sizes[b];
+        if (f->seen[b])
+            continue;
+        for (j = lo + 1; j < hi && f->slot[j] == f->slot[lo]; j++)
+            ;
+        if (j >= hi) {
+            f->seen[b] = 1;
+            fresh = 1;
+        }
+    }
+    return fresh;
 }
 
-/* walk one scalar flow over syms[from:len] (a collapsed segment's tail) */
-static int64_t
-walk_scalar(const void *table, int64_t kind, int64_t n_states,
-            const int64_t *syms, int64_t from, int64_t len, int64_t state)
-{
-    int64_t t;
-    if (kind == KIND_U8) {
-        const uint8_t *tab = (const uint8_t *)table;
-        for (t = from; t < len; t++)
-            state = (int64_t)tab[syms[t] * n_states + state];
-    } else if (kind == KIND_U16) {
-        const uint16_t *tab = (const uint16_t *)table;
-        for (t = from; t < len; t++)
-            state = (int64_t)tab[syms[t] * n_states + state];
-    } else {
-        const int64_t *tab = (const int64_t *)table;
-        for (t = from; t < len; t++)
-            state = tab[syms[t] * n_states + state];
-    }
-    return state;
+/* One segment's frontier, per (table kind, symbol kind).  Per position
+ * only the m live states are gathered; every K positions (adaptive K, the
+ * same STRIDE_MIN/STRIDE_MAX ladder as dense.py) a collapse check dedups
+ * them, and once m == 1 the segment finishes as one scalar walk.  Writes
+ * that walk's final state to *scalar_out (-1 when the frontier never
+ * became one state) and returns WALK_DONE, or WALK_BAD_KIND from the
+ * check. */
+#define DEFINE_FRONTIER_SCAN(NAME, TAB_T, SYM_T)                             \
+static int64_t                                                               \
+NAME(const TAB_T *tab, const SYM_T *syms, int64_t len, int64_t stride,       \
+     struct frontier *f, int64_t *stats, int64_t *scalar_out)                \
+{                                                                            \
+    const int64_t n = f->n_states;                                           \
+    int64_t *active = f->active;                                             \
+    int64_t k = stride > 0 ? stride : NATIVE_STRIDE_MIN;                     \
+    int64_t next_check = k, m = f->m, steps = 0, t, i;                       \
+    *scalar_out = -1;                                                        \
+    for (t = 0; t < len; t++) {                                              \
+        const TAB_T *col = tab + (int64_t)syms[t] * n;                       \
+        for (i = 0; i < m; i++)                                              \
+            active[i] = (int64_t)col[active[i]];                             \
+        steps += m;                                                          \
+        if (m > 0 && t + 1 >= next_check) {                                  \
+            int fresh;                                                       \
+            f->m = m;                                                        \
+            fresh = frontier_check(f);                                       \
+            m = f->m;                                                        \
+            stats[STAT_STRIDE_CHECKS]++;                                     \
+            if (fresh < 0)                                                   \
+                return WALK_BAD_KIND;                                        \
+            if (m == 1) {                                                    \
+                /* every enumeration path is the same path now */            \
+                int64_t q = active[0], u;                                    \
+                stats[STAT_DEGRADED]++;                                      \
+                stats[STAT_SCALAR_POSITIONS] += len - (t + 1);               \
+                for (u = t + 1; u < len; u++)                                \
+                    q = (int64_t)tab[(int64_t)syms[u] * n + q];              \
+                *scalar_out = q;                                             \
+                t++;                                                         \
+                break;                                                       \
+            }                                                                \
+            if (stride <= 0)                                                 \
+                k = fresh ? NATIVE_STRIDE_MIN                                \
+                          : (k * 2 > NATIVE_STRIDE_MAX                       \
+                                 ? NATIVE_STRIDE_MAX : k * 2);               \
+            next_check = t + 1 + k;                                          \
+        }                                                                    \
+    }                                                                        \
+    stats[STAT_NATIVE_POSITIONS] += t;                                       \
+    stats[STAT_FRONTIER_STEPS] += steps;                                     \
+    return WALK_DONE;                                                        \
 }
 
-/* Run every segment's full dense frontier.
+DEFINE_FRONTIER_SCAN(frontier_u8_u8, uint8_t, uint8_t)
+DEFINE_FRONTIER_SCAN(frontier_u16_u8, uint16_t, uint8_t)
+DEFINE_FRONTIER_SCAN(frontier_i64_u8, int64_t, uint8_t)
+DEFINE_FRONTIER_SCAN(frontier_u8_i64, uint8_t, int64_t)
+DEFINE_FRONTIER_SCAN(frontier_u16_i64, uint16_t, int64_t)
+DEFINE_FRONTIER_SCAN(frontier_i64_i64, int64_t, int64_t)
+
+/* 1 when some symbol is outside [0, alphabet); branch-free so it
+ * vectorizes */
+#define DEFINE_RANGE_CHECK(NAME, SYM_T)                                      \
+static int                                                                   \
+NAME(const SYM_T *syms, int64_t len, uint64_t alphabet)                      \
+{                                                                            \
+    int64_t t;                                                               \
+    int bad = 0;                                                             \
+    for (t = 0; t < len; t++)                                                \
+        bad |= (uint64_t)(int64_t)syms[t] >= alphabet;                       \
+    return bad;                                                              \
+}
+
+DEFINE_RANGE_CHECK(out_of_range_u8, uint8_t)
+DEFINE_RANGE_CHECK(out_of_range_i64, int64_t)
+
+/* Run every segment's enumeration frontier.
  *
  * table        raveled (alphabet x n_states) transition table, dtype per kind
  * kind         KIND_U8 / KIND_U16 / KIND_I64
- * syms         all segments' symbols concatenated, int64, validated in-range
- * seg_starts   n_seg+1 prefix offsets into syms
+ * seg_ptrs     n_seg segment base addresses, each read at its own width
+ * seg_lens     n_seg segment lengths
+ * seg_kinds    n_seg symbol kinds (KIND_U8 or KIND_I64)
  * init         frontier start states (CS blocks concatenated), width lanes
  * cs_starts    per-CS lane offset into the frontier, n_blocks entries
  * cs_sizes     per-CS lane count, n_blocks entries
@@ -118,84 +228,96 @@ walk_scalar(const void *table, int64_t kind, int64_t n_states,
  * collapsed_out  per segment: final scalar state if the whole frontier
  *              collapsed, else -1
  * stats_out    STAT_SLOTS int64 counters
- * frontier_scratch  width int64 working lanes
+ * active_scratch, slot_scratch, remap_scratch  width int64 entries each
+ * stamp_scratch  n_states int64 entries, all -1 (left all -1)
  * seen_scratch n_blocks bytes (per-segment fresh-collapse memory)
  *
- * Returns 0, or -1 on an unknown table kind.
+ * Int64 segments, and uint8 segments when alphabet < 256, are range
+ * checked before they are read.  Returns WALK_DONE, WALK_BAD_SYMBOL on a
+ * symbol outside [0, alphabet) (the caller runs the batch on the dense
+ * kernel, whose behaviour on such input is the reference), or
+ * WALK_BAD_KIND on an unknown table or symbol kind or a state outside
+ * [0, n_states).
  */
 int64_t
 cse_native_scan(const void *table, int64_t kind, int64_t n_states,
-                const int64_t *syms, const int64_t *seg_starts, int64_t n_seg,
-                const int64_t *init, int64_t width,
+                int64_t alphabet, const int64_t *seg_ptrs,
+                const int64_t *seg_lens, const int64_t *seg_kinds,
+                int64_t n_seg, const int64_t *init, int64_t width,
                 const int64_t *cs_starts, const int64_t *cs_sizes,
                 int64_t n_blocks, int64_t stride,
                 int64_t *final_out, int64_t *collapsed_out, int64_t *stats_out,
-                int64_t *frontier_scratch, uint8_t *seen_scratch)
+                int64_t *active_scratch, int64_t *slot_scratch,
+                int64_t *remap_scratch, int64_t *stamp_scratch,
+                uint8_t *seen_scratch)
 {
+    const uint64_t a = (uint64_t)alphabet;
+    struct frontier f;
     int64_t s, i;
     if (kind != KIND_U8 && kind != KIND_U16 && kind != KIND_I64)
-        return -1;
+        return WALK_BAD_KIND;
+    for (i = 0; i < width; i++)
+        if ((uint64_t)init[i] >= (uint64_t)n_states)
+            return WALK_BAD_KIND;
     for (i = 0; i < STAT_SLOTS; i++)
         stats_out[i] = 0;
+    f.active = active_scratch;
+    f.slot = slot_scratch;
+    f.remap = remap_scratch;
+    f.stamp = stamp_scratch;
+    f.width = width;
+    f.n_states = n_states;
+    f.cs_starts = cs_starts;
+    f.cs_sizes = cs_sizes;
+    f.n_blocks = n_blocks;
+    f.seen = seen_scratch;
     for (s = 0; s < n_seg; s++) {
-        const int64_t *seg = syms + seg_starts[s];
-        const int64_t len = seg_starts[s + 1] - seg_starts[s];
-        int64_t *fr = frontier_scratch;
-        int64_t k = stride > 0 ? stride : NATIVE_STRIDE_MIN;
-        int64_t next_check = k;
-        int64_t scalar = -1;
-        int64_t t, b, j;
-        for (j = 0; j < width; j++)
-            fr[j] = init[j];
-        for (b = 0; b < n_blocks; b++)
-            seen_scratch[b] = 0;
-        for (t = 0; t < len; t++) {
-            advance(table, kind, seg[t] * n_states, fr, width);
-            stats_out[STAT_NATIVE_POSITIONS]++;
-            if (width > 0 && t + 1 >= next_check) {
-                int64_t gmin = fr[0], gmax = fr[0];
-                int fresh = 0;
-                stats_out[STAT_STRIDE_CHECKS]++;
-                for (b = 0; b < n_blocks; b++) {
-                    const int64_t lo = cs_starts[b];
-                    const int64_t hi = lo + cs_sizes[b];
-                    int64_t mn = fr[lo], mx = fr[lo];
-                    for (j = lo + 1; j < hi; j++) {
-                        const int64_t v = fr[j];
-                        if (v < mn) mn = v;
-                        if (v > mx) mx = v;
-                    }
-                    if (mn == mx && !seen_scratch[b]) {
-                        seen_scratch[b] = 1;
-                        fresh = 1;
-                    }
-                    if (mn < gmin) gmin = mn;
-                    if (mx > gmax) gmax = mx;
-                }
-                if (gmin == gmax) {
-                    /* whole frontier is one state: every enumeration
-                     * path is the same path — finish as one scalar flow */
-                    stats_out[STAT_DEGRADED]++;
-                    stats_out[STAT_SCALAR_POSITIONS] += len - (t + 1);
-                    scalar = walk_scalar(table, kind, n_states,
-                                         seg, t + 1, len, gmin);
-                    break;
-                }
-                if (stride <= 0)
-                    k = fresh ? NATIVE_STRIDE_MIN
-                              : (k * 2 > NATIVE_STRIDE_MAX
-                                     ? NATIVE_STRIDE_MAX : k * 2);
-                next_check = t + 1 + k;
-            }
+        const void *syms = (const void *)(intptr_t)seg_ptrs[s];
+        const int64_t len = seg_lens[s], sym_kind = seg_kinds[s];
+        int64_t scalar, rc, j;
+        if (sym_kind == KIND_U8) {
+            if (alphabet < 256
+                    && out_of_range_u8((const uint8_t *)syms, len, a))
+                return WALK_BAD_SYMBOL;
+        } else if (sym_kind == KIND_I64) {
+            if (out_of_range_i64((const int64_t *)syms, len, a))
+                return WALK_BAD_SYMBOL;
+        } else {
+            return WALK_BAD_KIND;
         }
+        for (j = 0; j < width; j++) {
+            f.active[j] = init[j];
+            f.slot[j] = j;
+        }
+        for (j = 0; j < n_blocks; j++)
+            f.seen[j] = 0;
+        f.m = width;
+        f.merged = 1;
+#define SCAN_CALL(FN, TAB_T, SYM_T)                                          \
+        rc = FN((const TAB_T *)table, (const SYM_T *)syms, len, stride, &f,  \
+                stats_out, &scalar)
+        if (sym_kind == KIND_U8) {
+            if (kind == KIND_U8) SCAN_CALL(frontier_u8_u8, uint8_t, uint8_t);
+            else if (kind == KIND_U16)
+                SCAN_CALL(frontier_u16_u8, uint16_t, uint8_t);
+            else SCAN_CALL(frontier_i64_u8, int64_t, uint8_t);
+        } else {
+            if (kind == KIND_U8) SCAN_CALL(frontier_u8_i64, uint8_t, int64_t);
+            else if (kind == KIND_U16)
+                SCAN_CALL(frontier_u16_i64, uint16_t, int64_t);
+            else SCAN_CALL(frontier_i64_i64, int64_t, int64_t);
+        }
+#undef SCAN_CALL
+        if (rc != WALK_DONE)
+            return rc;
         collapsed_out[s] = scalar;
         if (scalar < 0) {
             int64_t *dst = final_out + s * width;
             for (j = 0; j < width; j++)
-                dst[j] = fr[j];
+                dst[j] = f.active[f.slot[j]];
         }
     }
-    return 0;
+    return WALK_DONE;
 }
 
 /* Widen the first n_cells table entries to int64 — the certification

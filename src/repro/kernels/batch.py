@@ -206,7 +206,8 @@ def run_segments_batch(
         segments = [
             s if isinstance(s, np.ndarray) else as_symbols(s) for s in segments
         ]
-    else:
+    elif backend != "native":
+        # the native core reads every segment at its own width itself
         segments = [as_symbols(s) for s in segments]
     n_seg = len(segments)
     if n_seg == 0:
@@ -260,6 +261,8 @@ def run_segments_batch(
                         backend=backend).inc(stats["collapses"])
             obs.counter("kernels_native_positions_total").inc(
                 stats["native_positions"])
+            obs.counter("kernels_native_frontier_steps_total").inc(
+                stats["frontier_steps"])
             obs.counter("kernels_native_stride_checks_total").inc(
                 stats["stride_checks"])
             obs.counter("kernels_native_degraded_segments_total").inc(

@@ -1,15 +1,22 @@
-"""Compiled native set-flow tier: the dense kernel as one C call.
+"""Compiled native set-flow tier: the enumeration frontier as one C call.
 
 The dense kernel already pays just one offset-add + flat gather per
 symbol position, but each position is still a Python-level dispatch with
 numpy's full-generality machinery behind it.  This module loads
 ``_native.c`` — a dependency-free C library (no ``Python.h``, no numpy
-headers) — through :mod:`ctypes` and advances **every** segment's dense
+headers) — through :mod:`ctypes` and advances **every** segment's
 enumeration frontier over its **whole** symbol buffer in a single native
-call: fused offset-add + gather at the narrowed table dtype, in-loop
-strided collapse checks (the same adaptive-K ladder as ``dense.py`` —
-stride only moves *when* degradation is noticed, never the outcome), a C
-scalar walk for fully-collapsed segments, and early exit per segment.
+call (ABI 4).  Each segment is passed by pointer, length and symbol kind
+and read at its own width: byte input as uint8, anything else as int64,
+with no widening or concatenation here.  The frontier is a segment's
+*distinct live states*: each lane (a start state) points at one of them,
+per position only those are gathered, and the strided collapse checks
+(the same adaptive-K ladder as ``dense.py`` — stride only moves *when*
+degradation is noticed, never the outcome) dedup them and merge lanes.
+Once every lane shares one state the segment finishes as a C scalar
+walk.  The ``frontier_steps`` stat (``kernels_native_frontier_steps_total``)
+counts the states gathered; over ``native_positions`` it is the mean
+number of distinct live states per position, the paper's M, measured.
 
 Availability is best-effort and never load-bearing:
 
@@ -38,8 +45,9 @@ Outcomes are bit-identical to every other backend: the C core returns
 raw final frontiers and this module reuses ``dense.py``'s epilogue
 (per-CS ``np.unique``) verbatim.  ``repro check`` certifies the
 compiled library reads the exact table bytes the Python tier built
-(K114/K115) and replays a report walk against :meth:`Dfa.run_reports`
-(K116); ``benchmarks/bench_native.py`` gates the speedup
+(K114/K115), replays a report walk against :meth:`Dfa.run_reports`
+(K116) and a multi-position frontier against the dense kernel (K117);
+``benchmarks/bench_native.py`` gates the speedup
 (native >= 3x dense on the 64-state/1 MB/16-segment acceptance config).
 """
 
@@ -86,7 +94,7 @@ __all__ = [
 ]
 
 #: expected ``cse_native_abi()`` of a loadable library
-NATIVE_ABI = 3
+NATIVE_ABI = 4
 #: set to ``0``/``off``/``false`` to disable the native tier entirely
 ENV_DISABLE = "REPRO_NATIVE"
 #: overrides the per-user build cache directory
@@ -106,11 +114,12 @@ _TABLE_KINDS: Dict[np.dtype[Any], int] = {
     np.dtype(np.uint8): 0, np.dtype(np.uint16): 1, np.dtype(np.int64): 2,
 }
 #: stats_out slot layout (must match STAT_* in _native.c)
-_STAT_SLOTS = 4
+_STAT_SLOTS = 5
 _STAT_NATIVE_POSITIONS = 0
 _STAT_STRIDE_CHECKS = 1
 _STAT_DEGRADED = 2
 _STAT_SCALAR_POSITIONS = 3
+_STAT_FRONTIER_STEPS = 4
 #: symbol dtype -> C kind tag (the table kinds' tags, uint8 and int64 only)
 _SYMBOL_KINDS: Dict[np.dtype[Any], int] = {
     np.dtype(np.uint8): 0, np.dtype(np.int64): 2,
@@ -118,6 +127,7 @@ _SYMBOL_KINDS: Dict[np.dtype[Any], int] = {
 #: cse_native_walk return codes (must match WALK_* in _native.c)
 _WALK_DONE = 0
 _WALK_PAUSED = 1
+_WALK_BAD_SYMBOL = -2
 #: reports one cse_native_walk call buffers before it pauses for the
 #: caller to drain them: a walk's report memory stays this size however
 #: long the input is
@@ -215,12 +225,13 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.cse_native_abi.argtypes = []
     lib.cse_native_scan.restype = c_i64
     lib.cse_native_scan.argtypes = [
-        c_ptr, c_i64, c_i64,          # table, kind, n_states
-        c_ptr, c_ptr, c_i64,          # syms, seg_starts, n_seg
+        c_ptr, c_i64, c_i64, c_i64,   # table, kind, n_states, alphabet
+        c_ptr, c_ptr, c_ptr, c_i64,   # seg_ptrs, seg_lens, seg_kinds, n_seg
         c_ptr, c_i64,                 # init, width
         c_ptr, c_ptr, c_i64, c_i64,   # cs_starts, cs_sizes, n_blocks, stride
         c_ptr, c_ptr, c_ptr,          # final_out, collapsed_out, stats_out
-        c_ptr, c_ptr,                 # frontier_scratch, seen_scratch
+        c_ptr, c_ptr, c_ptr,          # active, slot, remap scratch
+        c_ptr, c_ptr,                 # stamp_scratch, seen_scratch
     ]
     lib.cse_native_table_view.restype = c_i64
     lib.cse_native_table_view.argtypes = [c_ptr, c_i64, c_i64, c_ptr]
@@ -581,8 +592,23 @@ def _delegate_stats(dense_stats: Dict[str, int]) -> Dict[str, int]:
         "stride_checks": dense_stats["stride_checks"],
         "degraded_segments": dense_stats["degraded_segments"],
         "scalar_positions": 0,
+        "frontier_steps": 0,
         "collapses": dense_stats["collapses"],
     }
+
+
+def _frontier_scratch(
+    width: int, n_states: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The C core's live-frontier scratch, ``(lanes, stamp)``.
+
+    ``lanes`` rows hold the distinct live states, each lane's slot among
+    them and the collapse check's slot remap; ``stamp`` has one entry per
+    state and must be all -1 (the core leaves it so after every check).
+    """
+    lanes = np.empty((3, max(width, 1)), dtype=np.int64)
+    stamp = np.full(max(n_states, 1), -1, dtype=np.int64)
+    return lanes, stamp
 
 
 def run_segments_native(
@@ -592,14 +618,17 @@ def run_segments_native(
     tables: Optional[DenseTables] = None,
     stride: Optional[int] = None,
 ) -> Tuple[List[List[CsOutcome]], Dict[str, int]]:
-    """Execute every segment's dense frontier in one compiled call.
+    """Execute every segment's enumeration frontier in one compiled call.
 
     Same contract and bit-identical outcomes as
     :func:`repro.kernels.dense.run_segments_dense`; ``stats`` carries the
-    native tier's own telemetry (``native_positions``, ``stride_checks``,
-    ``degraded_segments``, ``scalar_positions``, ``collapses``).  Inputs
-    the C core cannot take verbatim (an unsupported table dtype, or
-    out-of-range symbols that dense's clipped gather would absorb)
+    native tier's own telemetry (``native_positions``, ``frontier_steps``,
+    ``stride_checks``, ``degraded_segments``, ``scalar_positions``,
+    ``collapses``).  Segments are read at their own width: byte input
+    (uint8 arrays, :class:`repro.ingest.InputView`, bytes) as uint8,
+    anything else as int64.  Inputs the C core cannot take verbatim (an
+    unsupported table dtype, a table not shaped alphabet x states, or
+    out-of-range symbols that dense's gather answers its own way)
     delegate to the dense kernel — never a crash, never a different
     answer.
     """
@@ -613,44 +642,42 @@ def run_segments_native(
     if stride is not None and int(stride) < 1:
         raise ValueError("stride must be >= 1")
     tables = tables or DenseTables(dfa)
+    n_seg = len(segments)
+    if n_seg == 0:
+        return [], {
+            "positions": 0, "native_positions": 0, "stride_checks": 0,
+            "degraded_segments": 0, "scalar_positions": 0,
+            "frontier_steps": 0, "collapses": 0,
+        }
+    # keep every contiguous segment alive for the call: the C side reads
+    # them through raw addresses
+    segs: List[np.ndarray] = []
+    for seg in segments:
+        view = byte_view(seg)
+        syms = view if view is not None else as_symbols(seg)
+        segs.append(np.ascontiguousarray(syms, dtype=syms.dtype))
     kind = _TABLE_KINDS.get(tables.table.dtype)
-    if kind is None:
+    n_states = int(tables.num_states)
+    if (
+        kind is None or any(seg.ndim != 1 for seg in segs)
+        or int(tables.table.size) != dfa.alphabet_size * n_states
+    ):
         grid, dstats = run_segments_dense(
             dfa, partition, segments, tables=tables, stride=stride
         )
         return grid, _delegate_stats(dstats)
-    n_seg = len(segments)
+    seg_ptrs = np.asarray([seg.ctypes.data for seg in segs], dtype=np.int64)
+    seg_lens = np.asarray([seg.size for seg in segs], dtype=np.int64)
+    seg_kinds = np.asarray(
+        [_SYMBOL_KINDS[seg.dtype] for seg in segs], dtype=np.int64
+    )
+
     blocks = partition.block_arrays()
     n_blocks = len(blocks)
     sizes = np.ascontiguousarray(
         [b.size for b in blocks], dtype=np.int64
     )
     multi_count = int((sizes > 1).sum())
-    if n_seg == 0:
-        return [], {
-            "positions": 0, "native_positions": 0, "stride_checks": 0,
-            "degraded_segments": 0, "scalar_positions": 0, "collapses": 0,
-        }
-    segs = [
-        np.ascontiguousarray(as_symbols(s), dtype=np.int64) for s in segments
-    ]
-    lengths = np.asarray([int(s.size) for s in segs], dtype=np.int64)
-    seg_starts = np.zeros(n_seg + 1, dtype=np.int64)
-    np.cumsum(lengths, out=seg_starts[1:])
-    syms = (
-        np.concatenate(segs) if int(seg_starts[-1]) else
-        np.empty(0, dtype=np.int64)
-    )
-    if syms.size and (
-        int(syms.min()) < 0 or int(syms.max()) >= dfa.alphabet_size
-    ):
-        # dense's clipped gather tolerates out-of-range symbols; the C
-        # gather must not — delegate rather than OOB-read
-        grid, dstats = run_segments_dense(
-            dfa, partition, segments, tables=tables, stride=stride
-        )
-        return grid, _delegate_stats(dstats)
-
     # frontier lanes grouped by convergence set, same layout as dense.py
     perm = (
         np.concatenate(blocks).astype(np.int64) if n_blocks else
@@ -666,19 +693,29 @@ def run_segments_native(
     final_out = np.empty((n_seg, max(width, 1)), dtype=np.int64)
     collapsed_out = np.empty(n_seg, dtype=np.int64)
     stats_out = np.zeros(_STAT_SLOTS, dtype=np.int64)
-    frontier_scratch = np.empty(max(width, 1), dtype=np.int64)
+    lanes, stamp = _frontier_scratch(width, n_states)
     seen_scratch = np.empty(max(n_blocks, 1), dtype=np.uint8)
     rc = int(lib.cse_native_scan(
-        _ptr(table), kind, int(tables.num_states),
-        _ptr(syms), _ptr(seg_starts), n_seg,
+        _ptr(table), kind, n_states, dfa.alphabet_size,
+        _ptr(seg_ptrs), _ptr(seg_lens), _ptr(seg_kinds), n_seg,
         _ptr(perm), width,
         _ptr(cs_starts), _ptr(sizes),
         n_blocks, 0 if stride is None else int(stride),
         _ptr(final_out), _ptr(collapsed_out), _ptr(stats_out),
-        _ptr(frontier_scratch), _ptr(seen_scratch),
+        _ptr(lanes[0]), _ptr(lanes[1]), _ptr(lanes[2]),
+        _ptr(stamp), _ptr(seen_scratch),
     ))
-    if rc != 0:
-        raise RuntimeError(f"native scan rejected table kind {kind}")
+    if rc == _WALK_BAD_SYMBOL:
+        # dense's gather answers out-of-range symbols its own way (or
+        # raises); the C gather must not read past the table
+        grid, dstats = run_segments_dense(
+            dfa, partition, segments, tables=tables, stride=stride
+        )
+        return grid, _delegate_stats(dstats)
+    if rc != _WALK_DONE:
+        raise RuntimeError(
+            f"native scan rejected the table (kind {kind}, rc {rc})"
+        )
 
     # epilogue identical to dense.py: outcomes derive from the final
     # frontier (or the collapsed scalar), so stride placement and the C
@@ -705,11 +742,12 @@ def run_segments_native(
         grid.append(outcomes)
 
     stats = {
-        "positions": int(lengths.max()) if n_seg else 0,
+        "positions": int(seg_lens.max()),
         "native_positions": int(stats_out[_STAT_NATIVE_POSITIONS]),
         "stride_checks": int(stats_out[_STAT_STRIDE_CHECKS]),
         "degraded_segments": int(stats_out[_STAT_DEGRADED]),
         "scalar_positions": int(stats_out[_STAT_SCALAR_POSITIONS]),
+        "frontier_steps": int(stats_out[_STAT_FRONTIER_STEPS]),
         "collapses": n_collapsed,
     }
     return grid, stats

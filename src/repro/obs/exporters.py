@@ -108,6 +108,11 @@ METRIC_HELP: Dict[str, str] = {
     "kernels_batch_seconds": "Wall-clock seconds per batched kernel pass.",
     "kernels_backend_resolved_total":
         "Backend resolution decisions (requested -> chosen, with reason).",
+    "kernels_native_positions_total":
+        "Positions the native core advanced a segment's frontier through.",
+    "kernels_native_frontier_steps_total":
+        "Distinct live states the native core gathered, summed over its "
+        "frontier positions (divided by positions: the mean effective M).",
     "kernels_prefilter_fallbacks_total":
         "Prefilter requests degraded to dense (machine not certifiable).",
     "kernels_prefilter_windows_total":

@@ -146,9 +146,8 @@ def run_segment(
     results are bit-identical.
     """
     if backend != "python":
-        if backend != "prefilter" or not isinstance(segment, np.ndarray):
-            # prefilter keeps byte-width views as-is (zero-copy sweep)
-            segment = as_symbols(segment)
+        # run_segments_batch widens what its kernel cannot read at byte
+        # width (the prefilter sweep and the native core read uint8 views)
         begin = time.perf_counter()
         functions = run_segments_batch(dfa, partition, [segment], backend=backend)
         return functions[0], time.perf_counter() - begin
@@ -570,10 +569,10 @@ def _software_cse_scan(
             obs.counter("kernels_prefilter_fallbacks_total").inc()
             backend = "native" if native_available() else "dense"
     # byte-width input stays at byte width where it can: the prefilter's
-    # anchor sweep and the concrete walks (segment 0, re-execution) read
-    # the uint8 view directly
+    # anchor sweep, the native frontier core and the concrete walks
+    # (segment 0, re-execution) read the uint8 view directly
     view8 = byte_view(symbols)
-    if backend == "prefilter" and view8 is not None:
+    if backend in ("prefilter", "native") and view8 is not None:
         syms = view8
     else:
         syms = as_symbols(symbols)

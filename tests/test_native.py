@@ -39,6 +39,13 @@ from repro.kernels.native import (
     run_segments_native,
 )
 from repro.software import run_segment, software_cse_scan
+from tests.kernel_inputs import (
+    component_partition,
+    disjoint_union_dfa,
+    lane_schedule,
+    outcome,
+    symbols_of,
+)
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="native library not loadable here"
@@ -152,6 +159,129 @@ def permutation_dfa(rng, n_states, alphabet, accepting=()):
     """A machine that never converges: every symbol permutes the states."""
     table = np.stack([rng.permutation(n_states) for _ in range(alphabet)])
     return Dfa(table, 0, accepting)
+
+
+SCHEDULE_KEYS = (
+    "native_positions", "stride_checks", "degraded_segments",
+    "scalar_positions", "frontier_steps", "collapses",
+)
+
+
+class TestPartiallyConvergedFrontier:
+    """Convergence sets that collapse to different states and never merge."""
+
+    @needs_native
+    @pytest.mark.parametrize("sizes", [(3, 5), (4, 1, 6, 2), (7, 7, 7)])
+    @pytest.mark.parametrize("stride", [None, 1, 5])
+    @pytest.mark.parametrize("kind", ["uint8", "int64", "view"])
+    def test_union_matches_dense_and_run_all_states(
+        self, rng, sizes, stride, kind
+    ):
+        dfa = disjoint_union_dfa(sizes, 2, rng)
+        partition = component_partition(sizes)
+        resets = np.arange(len(sizes))
+        words = [
+            rng.integers(0, dfa.alphabet_size, size=n) for n in (0, 1, 6, 700)
+        ] + [np.concatenate([resets, rng.integers(
+            len(sizes), dfa.alphabet_size, size=1500)])]
+        segments = [symbols_of(w, kind) for w in words]
+        got, stats = run_segments_native(
+            dfa, partition, segments, stride=stride
+        )
+        want, dense_stats = run_segments_dense(
+            dfa, partition, words, stride=stride
+        )
+        grids_equal(got, want)
+        assert stats["collapses"] == dense_stats["collapses"]
+        for word, row in zip(words, got):
+            finals = dfa.run_all_states(word)
+            for block, out in zip(partition.block_arrays(), row):
+                states = np.unique(finals[block])
+                assert out.converged == (states.size == 1)
+                assert np.array_equal(out.states, states)
+        # the reset-led segment settles on one state per component for good
+        last = got[-1]
+        assert all(o.converged for o in last)
+        assert len({o.state for o in last}) == len(sizes)
+        model = lane_schedule(dfa, partition, words, stride)
+        assert {key: stats[key] for key in SCHEDULE_KEYS} == model
+
+    @needs_native
+    @pytest.mark.parametrize("stride", [None, 1, 3])
+    def test_frontier_steps_on_a_permutation_machine(self, rng, stride):
+        # nothing ever merges: every lane is gathered at every position
+        dfa = permutation_dfa(rng, 30, 5)
+        partition = StatePartition.from_labels([q % 4 for q in range(30)])
+        words = [rng.integers(0, 5, size=n) for n in (0, 9, 800)]
+        _grid, stats = run_segments_native(
+            dfa, partition, words, stride=stride
+        )
+        assert stats["native_positions"] == 809
+        assert stats["frontier_steps"] == 30 * 809
+        assert stats["degraded_segments"] == 0
+
+    @needs_native
+    @pytest.mark.parametrize("sizes", [(3, 5), (4, 1, 6, 2), (2,) * 8])
+    @pytest.mark.parametrize("length", [8, 9, 1000])
+    def test_frontier_steps_on_a_reset_led_union(self, rng, sizes, length):
+        # every lane until the first check at position 8, then one live
+        # state per component
+        dfa = disjoint_union_dfa(sizes, 3, rng)
+        k = len(sizes)
+        word = np.concatenate([
+            np.arange(k), rng.integers(k, dfa.alphabet_size, size=length - k)
+        ])
+        _grid, stats = run_segments_native(
+            dfa, component_partition(sizes), [word.astype(np.uint8)]
+        )
+        width = sum(sizes)
+        assert stats["frontier_steps"] == width * 8 + k * (length - 8)
+        assert stats["native_positions"] == length
+        assert stats["collapses"] == sum(1 for n in sizes if n > 1)
+
+    @needs_native
+    def test_schedule_matches_the_lane_model_on_random_machines(self, rng):
+        for n_states, labels in ((12, 1), (40, 5), (64, 64)):
+            dfa = random_dfa(n_states, 6, rng)
+            partition = StatePartition.from_labels(
+                [q % labels for q in range(n_states)]
+            )
+            words = [rng.integers(0, 6, size=n) for n in (3, 64, 2000)]
+            for stride in (None, 2, 64):
+                _grid, stats = run_segments_native(
+                    dfa, partition, words, stride=stride
+                )
+                model = lane_schedule(dfa, partition, words, stride)
+                assert {key: stats[key] for key in SCHEDULE_KEYS} == model
+
+    @pytest.mark.parametrize("kind,bad", [
+        ("int64", -1), ("int64", -4), ("int64", 7), ("int64", 300),
+        ("uint8", 7), ("uint8", 255),
+    ])
+    def test_out_of_range_symbols_match_the_fallback(
+        self, rng, monkeypatch, kind, bad
+    ):
+        dfa = disjoint_union_dfa((3, 4), 1, rng)
+        partition = component_partition((3, 4))
+        words = [
+            rng.integers(0, 3, size=20).astype(kind),
+            np.asarray([0, 1, bad, 2] * 5, dtype=kind),
+        ]
+
+        def batch():
+            functions = run_segments_batch(
+                dfa, partition, words, backend="native"
+            )
+            return [
+                [(o.converged, o.state, o.states.tolist())
+                 for o in fn.outcomes]
+                for fn in functions
+            ]
+
+        present = outcome(batch)
+        monkeypatch.setenv(ENV_DISABLE, "0")
+        reset_native()
+        assert present == outcome(batch)
 
 
 class TestWalk:
@@ -412,6 +542,29 @@ class TestCertification:
         assert [d.code for d in diags] == ["K116"]
         assert verify_native(dfa, deep=False) == []
 
+    @needs_native
+    def test_verify_native_flags_tampered_slot_remap(self, rng, monkeypatch):
+        import repro.kernels.native as native
+        from repro.check import verify_native
+
+        dfa = disjoint_union_dfa((5, 6, 4), 2, rng)
+        partition = component_partition((5, 6, 4))
+        assert verify_native(dfa, partition=partition) == []
+        honest = native._frontier_scratch
+
+        def tampered(width, n_states):
+            # a stamp array that is not all -1 sends every state of the
+            # first collapse check to slot 0: the lanes' slot remap lies
+            lanes, stamp = honest(width, n_states)
+            stamp[:] = 0
+            return lanes, stamp
+
+        monkeypatch.setattr(native, "_frontier_scratch", tampered)
+        # one-position replays (K115) never reach a collapse check
+        diags = verify_native(dfa, partition=partition)
+        assert [d.code for d in diags] == ["K117"]
+        assert verify_native(dfa, deep=False) == []
+
     def test_verify_native_silent_when_absent(self, rng, no_native):
         from repro.check import verify_native
 
@@ -430,8 +583,23 @@ class TestObservability:
         assert registry.get(
             "kernels_positions_total", backend="native"
         ).value == 500
-        assert registry.get("kernels_native_positions_total").value > 0
+        positions = registry.get("kernels_native_positions_total").value
+        steps = registry.get("kernels_native_frontier_steps_total").value
+        assert positions > 0
         assert registry.get("kernels_native_stride_checks_total").value > 0
+        # at least one live state per gathered position, at most a lane
+        assert positions <= steps <= 32 * positions
+        # a machine that never merges gathers every lane at every position
+        perm = permutation_dfa(rng, 20, 4)
+        with obs.using() as registry:
+            run_segments_batch(
+                perm, StatePartition.trivial(20),
+                [rng.integers(0, 4, size=300) for _ in range(3)],
+                backend="native",
+            )
+        assert registry.get("kernels_native_positions_total").value == 900
+        assert registry.get(
+            "kernels_native_frontier_steps_total").value == 20 * 900
 
     @needs_native
     def test_top_renders_native_row(self, rng):

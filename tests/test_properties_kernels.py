@@ -19,7 +19,6 @@ from repro.automata.dfa import Dfa
 from repro.automata.onehot import PySetAutomaton
 from repro.core.partition import StatePartition
 from repro.engines.base import even_boundaries
-from repro.ingest import from_bytes
 from repro.kernels import (
     KERNEL_BACKENDS,
     BitsetTables,
@@ -30,6 +29,13 @@ from repro.kernels import (
 )
 from repro.kernels.native import ENV_DISABLE, reset_native
 from repro.software import run_segment, software_cse_scan
+from tests.kernel_inputs import (
+    component_partition,
+    disjoint_union_dfa,
+    lane_schedule,
+    outcome,
+    symbols_of,
+)
 
 
 @st.composite
@@ -212,6 +218,78 @@ class TestDenseEquivalence:
         assert len(set(counts.values())) == 1, counts
 
 
+@st.composite
+def union_machines(draw):
+    """A disjoint union, a partition over it and its component count.
+
+    Symbol ``i`` below the count resets component ``i``.  Half the
+    draws take one convergence set per component, so sets collapse to
+    different states and never merge; the rest label states at random,
+    so sets straddle components and may never collapse.
+    """
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    extra = draw(st.integers(0, 3))
+    seed = draw(st.integers(0, 2**31 - 1))
+    dfa = disjoint_union_dfa(sizes, extra, np.random.default_rng(seed))
+    if draw(st.booleans()):
+        partition = component_partition(sizes)
+    else:
+        partition = StatePartition.from_labels(draw(st.lists(
+            st.integers(0, 3), min_size=dfa.num_states,
+            max_size=dfa.num_states,
+        )))
+    return dfa, partition, len(sizes)
+
+
+class TestNativeFrontierEquivalence:
+    """The native core's distinct-state frontier on partly converged sets.
+
+    Grids must equal the dense kernel's and :meth:`Dfa.run_all_states`,
+    and the core's counters the one-lane-per-start-state schedule, at
+    every segment length, stride and symbol width.
+    """
+
+    @given(union_machines(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_union_frontiers_match_dense_and_run_all_states(self, mp, data):
+        from repro.kernels import native_available
+        from repro.kernels.dense import run_segments_dense
+        from repro.kernels.native import run_segments_native
+
+        if not native_available():
+            return
+        dfa, partition, k = mp
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        rng = np.random.default_rng(seed)
+        lengths = data.draw(st.lists(
+            st.sampled_from([0, 1, 5, 7, 8, 600, 1500]),
+            min_size=1, max_size=4,
+        ))
+        words = []
+        for n in lengths:
+            word = rng.integers(0, dfa.alphabet_size, size=n)
+            if data.draw(st.booleans()):
+                # lead with the resets: every component collapses at once
+                word[:k] = np.arange(min(n, k))
+            words.append(word)
+        stride = data.draw(st.sampled_from([None, 1, 3, 64]))
+        kind = data.draw(st.sampled_from(["uint8", "int64", "view"]))
+        got, stats = run_segments_native(
+            dfa, partition, [symbols_of(w, kind) for w in words],
+            stride=stride,
+        )
+        want, _stats = run_segments_dense(dfa, partition, words, stride=stride)
+        for row_got, row_want, word in zip(got, want, words):
+            finals = dfa.run_all_states(word)
+            for a, b, block in zip(row_got, row_want,
+                                   partition.block_arrays()):
+                assert (a.converged, a.state) == (b.converged, b.state)
+                assert np.array_equal(a.states, b.states)
+                assert np.array_equal(a.states, np.unique(finals[block]))
+        model = lane_schedule(dfa, partition, words, stride)
+        assert {key: stats[key] for key in model} == model
+
+
 class TestBitsetVsReference:
     @given(dfa_word_partition(max_len=60))
     @settings(max_examples=40, deadline=None)
@@ -250,22 +328,6 @@ def tables_of(dfa, kind):
     tables = DenseTables(dfa)
     tables.table = dfa.transitions.astype(kind).ravel()
     return tables
-
-
-def symbols_of(word, kind):
-    """``word`` as int64 / uint8 symbols or a zero-copy InputView."""
-    if kind == "int64":
-        return word.astype(np.int64)
-    raw = word.astype(np.uint8)
-    return raw if kind == "uint8" else from_bytes(raw.tobytes())
-
-
-def outcome(call):
-    """A call's value, or the type of the exception it raised."""
-    try:
-        return "value", call()
-    except Exception as exc:
-        return "raised", type(exc)
 
 
 @st.composite
