@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install native test test-fast bench bench-kernels bench-dense \
+.PHONY: install native test test-fast bench bench-kernels \
         bench-cache bench-fleet bench-native bench-prefilter check \
         check-flow check-overhead report examples clean golden
 
@@ -38,14 +38,10 @@ test-fast:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
-# smoke mode: seconds, no 5x acceptance gate; drop --smoke for the real run
+# smoke mode: seconds, skips the dense >=5x python acceptance gate and
+# the trivial-partition regression gate; drop --smoke for the real run
 bench-kernels:
 	$(PYTHON) benchmarks/bench_kernels.py --smoke
-
-# dense-frontier kernel vs sparse lockstep; smoke mode skips the >=2x
-# acceptance gate and the trivial-partition regression gate
-bench-dense:
-	$(PYTHON) benchmarks/bench_dense.py --smoke
 
 # compilation cache cold/warm latency + profiler vectorization; smoke mode
 # skips the >=5x cold/warm and >=3x profiler acceptance gates

@@ -33,8 +33,8 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from env_info import env_info  # noqa: E402 — benchmarks/ sibling module
 
-from repro.fleet import plan_shards
-from repro.kernels import DENSE_MAX_STATES
+from repro.fleet import SHARD_MAX_STATES, plan_shards
+from repro.kernels import BACKENDS
 from repro.regex.compile import compile_ruleset
 from repro.stream import FleetScanner
 from repro.workloads import generate_ruleset
@@ -121,8 +121,7 @@ def main(argv=None) -> int:
     parser.add_argument("--patterns", type=int, default=3,
                         help="literal patterns per machine")
     parser.add_argument("--backend", default="dense",
-                        choices=["auto", "python", "lockstep", "bitset",
-                                 "dense"])
+                        choices=("auto",) + BACKENDS)
     parser.add_argument("--seed", type=int, default=20180623)
     args = parser.parse_args(argv)
 
@@ -157,7 +156,7 @@ def main(argv=None) -> int:
             "smoke": bool(args.smoke),
             "acceptance_gate": "sharded >= 3x per-machine on the 64-machine "
                                "ExactMatch fleet, demux bit-identical",
-            "dense_max_states": DENSE_MAX_STATES,
+            "shard_max_states": SHARD_MAX_STATES,
             "env": env_info(),
             "results": results,
         },

@@ -60,7 +60,7 @@ def main(argv=None) -> int:
     parser.add_argument("--size", type=int, default=200_000,
                         help="input symbols (bench smoke scale)")
     parser.add_argument("--segments", type=int, default=16)
-    parser.add_argument("--backend", default="lockstep")
+    parser.add_argument("--backend", default="dense")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--budget", type=float, default=0.10,
                         help="max allowed relative overhead (0.10 = 10%%)")

@@ -14,9 +14,9 @@ principles instead of trusting stored metadata:
 - :func:`verify_partition` — convergence sets are disjoint, exhaustive,
   non-empty, in-range, and the cached block index agrees;
 - :func:`verify_compiled` — every derived table of a
-  :class:`~repro.compilecache.artifact.CompiledDfa` (scalar rows, flat
-  int64 kernel matrix, bitset predecessor matrices, dtype-narrowed dense
-  table) is transition-equivalent to the source table, the cache
+  :class:`~repro.compilecache.artifact.CompiledDfa` (scalar rows,
+  dtype-narrowed dense table, native table view, prefilter certificate)
+  is transition-equivalent to the source table, the cache
   key/fingerprint re-derive to the stored values, the census is
   well-formed and the merge coverage is reproducible;
 - :func:`verify_artifact_file` — the on-disk envelope (format version,
@@ -64,8 +64,6 @@ P104 = register_code("P104", "convergence-set member out of state range")
 P105 = register_code("P105", "partition block index disagrees with blocks")
 
 K101 = register_code("K101", "scalar table rows disagree with the transition table")
-K102 = register_code("K102", "flat kernel matrix disagrees with the transition table")
-K103 = register_code("K103", "bitset tables disagree with the transition table")
 K104 = register_code("K104", "stored cache key does not re-derive")
 K105 = register_code("K105", "stored fingerprint does not re-derive")
 K106 = register_code("K106", "backend fields are invalid or do not re-resolve")
@@ -272,9 +270,8 @@ def verify_compiled(compiled: "object", deep: bool = True,
     Every kernel encoding must be transition-equivalent — a scan
     must return the same matches whichever backend executes it — and the
     content-addressing fields must re-derive from the actual content.
-    ``deep=True`` recomputes the bitset predecessor matrices when the
-    artifact has them built (the one check whose cost grows with
-    ``alphabet * states^2 / 64``).
+    ``deep=True`` adds the DFA reachability analyses and the native
+    tier's replays.
     """
     from repro.compilecache.artifact import cache_key
     from repro.kernels import BACKENDS
@@ -298,51 +295,18 @@ def verify_compiled(compiled: "object", deep: bool = True,
             "(the interpreted walk would follow different transitions)",
             f"{location}.rows"))
 
-    # flat int64 matrix =~ raveled table
-    flat = compiled.flat_table  # type: ignore[attr-defined]
-    expect_flat = table.astype(np.int64).ravel()
-    if not isinstance(flat, np.ndarray) or flat.dtype != np.int64 \
-            or flat.shape != expect_flat.shape \
-            or not bool(np.array_equal(flat, expect_flat)):
-        out.append(_err(
-            K102,
-            "flat int64 kernel matrix does not equal the raveled "
-            "transition table (lockstep gathers would diverge)",
-            f"{location}.flat_table"))
-
-    # bitset tables =~ recomputed predecessor matrices
-    bitset = getattr(compiled, "_bitset", None)
-    if bitset is not None and deep:
-        from repro.kernels import BitsetTables
-
-        fresh = BitsetTables(dfa)
-        if bitset.pred.shape != fresh.pred.shape \
-                or not bool(np.array_equal(bitset.pred, fresh.pred)):
-            where = "?"
-            if bitset.pred.shape == fresh.pred.shape:
-                bad = np.argwhere(bitset.pred != fresh.pred)
-                c, t, w = (int(v) for v in bad[0])
-                where = f"symbol {c}, target {t}, word {w}"
-            out.append(_err(
-                K103,
-                "bitset predecessor matrices disagree with the transition "
-                f"table (first mismatch: {where}); the bitset backend "
-                "would follow different transitions",
-                f"{location}.bitset"))
-
     # dense tables =~ dtype-narrowed raveled table + arange offsets
     dense = getattr(compiled, "_dense", None)
     if dense is not None:
         from repro.kernels import dense_state_dtype
 
         expect_dtype = dense_state_dtype(dfa.num_states)
-        expect_dense = table.astype(expect_dtype).ravel()
+        expect_dense = table.ravel()
         dense_table = getattr(dense, "table", None)
         if not isinstance(dense_table, np.ndarray) \
                 or dense_table.dtype != expect_dtype \
                 or dense_table.shape != expect_dense.shape \
-                or not bool(np.array_equal(
-                    dense_table.astype(np.int64), expect_flat)):
+                or not bool(np.array_equal(dense_table, expect_dense)):
             out.append(_err(
                 K111,
                 f"dense kernel table is not the transition table narrowed "
@@ -986,6 +950,8 @@ def verify_shard(shard: "object",
 #: envelope cross-check fields by the format version that introduced
 #: them (see ``repro.compilecache.store.FORMAT_VERSION`` history)
 _ENVELOPE_FIELDS: List[Tuple[int, str]] = [(2, "dense_dtype"), (3, "prefilter")]
+#: artifact fields by the format version that dropped them
+_DROPPED_FIELDS: List[Tuple[int, str]] = [(4, "flat_table"), (4, "_bitset")]
 
 
 def verify_artifact_file(path: Union[str, Path],
@@ -1004,7 +970,8 @@ def verify_artifact_file(path: Union[str, Path],
     try:
         with path.open("rb") as handle:
             payload = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as exc:
+    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
+            ImportError) as exc:
         return [_err(K110, f"unreadable artifact: {exc}", location)]
     if not isinstance(payload, dict):
         return [_err(K110, "payload is not the save_artifact envelope",
@@ -1015,15 +982,23 @@ def verify_artifact_file(path: Union[str, Path],
         # distinguish version *skew* (an older-but-known envelope, the
         # normal cross-build cache situation) from a version this build
         # has never heard of: skew names exactly which cross-check
-        # fields the old format lacks so the remedy — recompile to
-        # refresh the cache entry — is obvious from the finding alone
+        # fields the old format lacks and which dropped fields it still
+        # carries, so the remedy — recompile to refresh the cache
+        # entry — is obvious from the finding alone
         if isinstance(version, int) and 1 <= version < FORMAT_VERSION:
             lacks = [name for v, name in _ENVELOPE_FIELDS if version < v]
+            dropped = [name for v, name in _DROPPED_FIELDS if version < v]
+            skew: List[str] = []
+            if lacks:
+                skew.append(f"the envelope lacks {', '.join(lacks)} so "
+                            "those cross-checks cannot run")
+            if dropped:
+                skew.append(f"the artifact carries {', '.join(dropped)}, "
+                            "fields this build no longer reads")
             out.append(_err(
                 K109,
                 f"format version {version} predates this build's "
-                f"{FORMAT_VERSION}; the envelope lacks "
-                f"{', '.join(lacks)} so those cross-checks cannot run — "
+                f"{FORMAT_VERSION}; {'; '.join(skew)} — "
                 "recompile to refresh the cache entry",
                 location))
         else:

@@ -14,7 +14,7 @@ Mirrors the paper's deployment workflow:
 - ``repro plan``     — pick the best half-core allocation for a ruleset
   using the closed-form performance model;
 - ``repro software`` — measured wall-clock software CSE scan with a
-  selectable execution kernel (python/lockstep/bitset/dense);
+  selectable execution kernel (python/dense/native/prefilter);
 - ``repro stats``    — pretty-print a metrics snapshot emitted by
   ``--metrics-out``;
 - ``repro check``    — static soundness verification (:mod:`repro.check`):
@@ -57,6 +57,8 @@ from repro.engines.enumerative import EnumerativeEngine
 from repro.engines.lbe import LbeEngine
 from repro.engines.pap import PapEngine
 from repro.engines.sequential import SequentialEngine
+from repro.fleet.planner import SHARD_MAX_STATES
+from repro.kernels.batch import BACKENDS
 from repro.regex.compile import compile_ruleset
 
 __all__ = ["main", "build_parser"]
@@ -807,8 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("rules")
     p_sw.add_argument("input", help="binary input file")
     p_sw.add_argument("--backend", default="auto",
-                      choices=["auto", "python", "lockstep", "bitset", "dense",
-                               "native", "prefilter"])
+                      choices=("auto",) + BACKENDS)
     p_sw.add_argument("--segments", type=int, default=16)
     p_sw.add_argument("--processes", type=int, default=0,
                       help="run segments on a process pool of this size")
@@ -852,14 +853,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--seed", type=int, default=7)
     p_fleet.add_argument("--segments", type=int, default=8)
     p_fleet.add_argument("--backend", default="auto",
-                         choices=["auto", "python", "lockstep", "bitset",
-                                  "dense", "native", "prefilter"])
+                         choices=("auto",) + BACKENDS)
     p_fleet.add_argument("--no-shard", action="store_true",
                          help="run the per-machine loop instead of product "
                               "shards")
     p_fleet.add_argument("--max-shard-states", type=int, default=None,
                          help="shard product budget "
-                              "(default: DENSE_MAX_STATES)")
+                              f"(default: {SHARD_MAX_STATES})")
     p_fleet.add_argument("--compare", action="store_true",
                          help="also time the per-machine loop and verify "
                               "bit-identical final states")
@@ -900,8 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="generator seed for --family rulesets")
     p_ca.add_argument("--segments", type=int, default=16)
     p_ca.add_argument("--backend", default="auto",
-                      choices=["auto", "python", "lockstep", "bitset", "dense",
-                               "native", "prefilter"])
+                      choices=("auto",) + BACKENDS)
     p_ca.add_argument("--cutoff", type=float, default=0.99)
     p_ca.add_argument("--inputs", type=int, default=300)
     p_ca.add_argument("--length", type=int, default=200)

@@ -7,13 +7,9 @@ matrix:
 
 - the scalar table rows the interpreted walk indexes
   (``repro.software._table_rows``),
-- the int64-raveled transition matrix the lockstep kernel gathers from,
-- the bitset backend's per-symbol predecessor bit-matrices
-  (:class:`repro.kernels.BitsetTables`, built lazily — they are the one
-  table whose footprint grows with ``alphabet * states^2 / 64``),
 - the dense kernel's dtype-narrowed table + per-symbol column offsets
   (:class:`repro.kernels.DenseTables`, built eagerly when the resolved
-  backend is ``"dense"``, lazily otherwise),
+  backend is ``"dense"`` or ``"native"``, lazily otherwise),
 - the literal-prefilter certificate — anchor LUT, home state and proven
   skip width (:class:`repro.kernels.PrefilterTables`, built eagerly when
   the resolved backend is ``"prefilter"``; ``None`` when the machine is
@@ -35,8 +31,6 @@ import time
 from dataclasses import astuple, dataclass, field
 from typing import Counter as CounterT, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.partition import StatePartition
 from repro.core.profiling import (
     MergeResult,
@@ -46,7 +40,6 @@ from repro.core.profiling import (
 )
 from repro.automata.dfa import Dfa
 from repro.kernels import (
-    BitsetTables,
     DenseTables,
     PrefilterTables,
     certify_prefilter,
@@ -85,8 +78,6 @@ class CompiledDfa:
     key: str
     #: scalar table rows (nested lists), the interpreted walk's format
     rows: List[List[int]]
-    #: int64-raveled transition matrix, the lockstep kernel's format
-    flat_table: np.ndarray
     #: profiling census the partition was merged from
     census: CounterT[StatePartition]
     #: merge outcome; ``merge.partition`` is the scan partition
@@ -100,7 +91,6 @@ class CompiledDfa:
     backend: str
     n_segments: int
     build_seconds: float = 0.0
-    _bitset: Optional[BitsetTables] = field(default=None, repr=False)
     _dense: Optional[DenseTables] = field(default=None, repr=False)
     _prefilter: Optional[PrefilterTables] = field(default=None, repr=False)
     #: whether the prefilter certificate has been derived yet (it is
@@ -116,12 +106,6 @@ class CompiledDfa:
     @property
     def num_convergence_sets(self) -> int:
         return self.partition.num_blocks
-
-    def bitset_tables(self) -> BitsetTables:
-        """Per-symbol predecessor bit-matrices, built on first use."""
-        if self._bitset is None:
-            self._bitset = BitsetTables(self.dfa)
-        return self._bitset
 
     def dense_tables(self) -> DenseTables:
         """Dtype-narrowed dense table + column offsets, built on first use."""
@@ -143,9 +127,7 @@ class CompiledDfa:
     @property
     def nbytes(self) -> int:
         """Approximate artifact footprint (tables only)."""
-        total = int(self.flat_table.nbytes) + int(self.dfa.transitions.nbytes)
-        if self._bitset is not None:
-            total += self._bitset.nbytes
+        total = int(self.dfa.transitions.nbytes)
         if self._dense is not None:
             total += self._dense.nbytes
         if self._prefilter is not None:
@@ -163,17 +145,15 @@ def compile_dfa(
 ) -> CompiledDfa:
     """Run the offline phase once and bundle every scan-time table.
 
-    Profiling runs through the vectorized lockstep profiler
-    (:func:`repro.core.profiling.profile_partitions`), reusing the same
-    flat transition matrix the artifact ships to the kernels.  The census
+    Profiling runs through the vectorized profiler
+    (:func:`repro.core.profiling.profile_partitions`).  The census
     and merged partition are exactly what the un-cached pipeline computes
     for the same :class:`ProfilingConfig` — caching changes *when* the
     work happens, never its value.
     """
     profiling = profiling or ProfilingConfig()
     begin = time.perf_counter()
-    flat_table = dfa.transitions.astype(np.int64).ravel()
-    census = profile_partitions(dfa, profiling, flat_table=flat_table)
+    census = profile_partitions(dfa, profiling)
     merge = merge_to_cutoff(census, cutoff=cutoff, max_blocks=max_blocks)
     requested = "auto" if backend in (None, "auto") else str(backend)
     resolved = resolve_backend(dfa, backend, merge.partition, n_segments)
@@ -184,7 +164,6 @@ def compile_dfa(
             dfa.fingerprint, profiling, cutoff, max_blocks, requested, n_segments
         ),
         rows=[row.tolist() for row in dfa.transitions],
-        flat_table=flat_table,
         census=census,
         merge=merge,
         profiling=profiling,
@@ -194,9 +173,7 @@ def compile_dfa(
         backend=resolved,
         n_segments=int(n_segments),
     )
-    if resolved == "bitset":
-        compiled.bitset_tables()
-    elif resolved in ("dense", "native"):
+    if resolved in ("dense", "native"):
         # the native tier reads the dense tables as-is: one artifact
         # serves both, and a toolchain-less load still scans with dense
         compiled.dense_tables()

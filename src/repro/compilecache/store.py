@@ -42,7 +42,9 @@ __all__ = [
 # ``None`` for uncertifiable machines — cross-checked on load against a
 # fresh derivation from the stored transition table, so a stale or
 # tampered certificate can never steer a scan into skipping live bytes
-FORMAT_VERSION = 3
+# version 4: the artifact drops ``flat_table`` and ``_bitset``, the tables
+# of two retired kernels
+FORMAT_VERSION = 4
 _SUFFIX = ".cdfa"
 
 
@@ -100,7 +102,8 @@ def load_artifact(
     try:
         with path.open("rb") as handle:
             payload = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as exc:
+    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
+            ImportError) as exc:
         raise ArtifactValidationError(f"unreadable artifact {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ArtifactValidationError(f"malformed artifact {path}")

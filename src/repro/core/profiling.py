@@ -86,7 +86,6 @@ def profile_finals(
     dfa: Dfa,
     config: Optional[ProfilingConfig] = None,
     vectorized: bool = True,
-    flat_table: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """All-state endpoints of every profiling input: ``(n_inputs, n_states)``.
 
@@ -95,22 +94,16 @@ def profile_finals(
     gather per symbol position instead of ``n_inputs * input_len``
     interpreted ``take`` calls — and is bit-identical to the interpreted
     loop (``vectorized=False``, kept as the differential baseline).
-
-    ``flat_table`` optionally reuses a raveled transition matrix the
-    caller already built (the compilation cache shares one with the
-    lockstep kernel); any integer dtype is accepted — the gather runs in
-    int32, where every index fits (``alphabet_size * num_states`` is
-    bounded by the int32 table the :class:`Dfa` stores).
+    The gather runs in int32, where every index fits
+    (``alphabet_size * num_states`` is bounded by the int32 table the
+    :class:`Dfa` stores).
     """
     config = config or ProfilingConfig()
     words = profile_inputs(dfa, config)
     if not vectorized:
         return np.stack([dfa.run_all_states(word) for word in words])
     n_states = dfa.num_states
-    if flat_table is None:
-        flat = dfa.transitions.ravel()
-    else:
-        flat = flat_table.astype(np.int32, copy=False)
+    flat = dfa.transitions.ravel()
     # offsets[i, t] = symbol_of(input i, position t) * n_states, so one
     # fancy-indexed gather advances all n_inputs * n_states flows at once;
     # int32 throughout halves the memory traffic of the hot loop
@@ -127,7 +120,6 @@ def profile_partitions(
     dfa: Dfa,
     config: Optional[ProfilingConfig] = None,
     vectorized: bool = True,
-    flat_table: Optional[np.ndarray] = None,
 ) -> CounterT[StatePartition]:
     """Census of convergence partitions over random profiling inputs.
 
@@ -147,7 +139,7 @@ def profile_partitions(
             finals = dfa.run_all_states(word)
             census[StatePartition.from_final_states(finals)] += 1
         return census
-    finals = profile_finals(dfa, config, flat_table=flat_table)
+    finals = profile_finals(dfa, config)
     rows, counts = np.unique(finals, axis=0, return_counts=True)
     for row, count in zip(rows, counts.tolist()):
         census[StatePartition.from_final_states(row)] += int(count)

@@ -8,7 +8,7 @@ loop.  See :mod:`repro.fleet.shard` for the machine/demux layer and
 :mod:`repro.fleet.planner` for the budgeted packing strategy.
 """
 
-from repro.fleet.planner import ShardPlan, plan_shards
+from repro.fleet.planner import SHARD_MAX_STATES, ShardPlan, plan_shards
 from repro.fleet.shard import (
     SHARD_FORMAT_VERSION,
     ShardMachine,
@@ -18,6 +18,7 @@ from repro.fleet.shard import (
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
+    "SHARD_MAX_STATES",
     "ShardMachine",
     "ShardPlan",
     "build_shard",

@@ -10,9 +10,10 @@ model — the trial build *is* the build, and a
 current shard and starts the next one.  No cost is wasted on products
 that are later discarded.
 
-Budget defaults to ``DENSE_MAX_STATES``: a shard that fits runs the
-dense frontier kernel, the fastest backend in the repo.  Machines that
-individually exceed the budget become *singleton fallback* shards — they
+Budget defaults to :data:`SHARD_MAX_STATES`, a planner-only bound on
+product size: it keeps each shard's dense table and per-segment frontier
+small, and the fold's trial builds cheap.  Machines that individually
+exceed the budget become *singleton fallback* shards — they
 scan exactly as the per-machine loop did (same Dfa object, same compiled
 artifact), so sharding is never a regression.
 
@@ -36,9 +37,11 @@ from repro.automata.dfa import Dfa
 from repro.automata.ops import ProductSizeExceeded
 from repro.fleet.shard import ShardMachine, _ShardAccumulator
 from repro.hardware.allocation import APConfig
-from repro.kernels.batch import DENSE_MAX_STATES
 
-__all__ = ["ShardPlan", "plan_shards"]
+__all__ = ["SHARD_MAX_STATES", "ShardPlan", "plan_shards"]
+
+#: default reachable-product budget per shard (``plan_shards(max_states=)``)
+SHARD_MAX_STATES = 512
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def plan_shards(
     """
     if not dfas:
         raise ValueError("cannot plan shards for an empty fleet")
-    budget = DENSE_MAX_STATES if max_states is None else int(max_states)
+    budget = SHARD_MAX_STATES if max_states is None else int(max_states)
     if budget < 1:
         raise ValueError("max_states must be positive")
     cfg = config if config is not None else APConfig()

@@ -4,15 +4,10 @@ The interpreted reference path (:func:`repro.software.run_segment` with
 ``backend="python"``) pays Python bytecode per state transition; these
 kernels pay it per *symbol position of the whole scan*:
 
-- :mod:`repro.kernels.lockstep` — cross-segment lockstep stepping: all
-  scalar flows of all segments advance with one fancy-indexed gather per
-  position; diverged sets ride a flat member array.
-- :mod:`repro.kernels.bitset` — uint64-packed active masks with
-  precomputed per-symbol predecessor matrices (the software realization of
-  the AP's one-hot step), stepping a set in O(N/64) words.
 - :mod:`repro.kernels.dense` — the dense-frontier kernel: all N states of
   every segment advance with exactly one flat gather per symbol position
-  (dtype-narrowed table, strided collapse checks); the small-N fast path.
+  (dtype-narrowed table, strided collapse checks); the NumPy fallback
+  whenever the compiled tier is not loadable.
 - :mod:`repro.kernels.native` — the compiled set-flow tier: the dense
   kernel's whole frontier advanced over the whole symbol buffer in one C
   call (ctypes-loaded, zero runtime deps); strictly optional — every
@@ -29,16 +24,17 @@ kernels pay it per *symbol position of the whole scan*:
 - :mod:`repro.kernels.batch` — the orchestrator that runs every
   enumerative segment through one batched pass and the shared
   ``resolve_backend`` default-resolution helper.
+
+The four backends are ``"python"`` (the interpreted oracle in
+:mod:`repro.software`), ``"dense"``, ``"native"`` and ``"prefilter"``.
 """
 
 from repro.kernels.batch import (
     BACKENDS,
-    DENSE_MAX_STATES,
     KERNEL_BACKENDS,
     resolve_backend,
     run_segments_batch,
 )
-from repro.kernels.bitset import BitsetTables
 from repro.kernels.dense import DenseTables, dense_state_dtype
 from repro.kernels.native import (
     NativeBuildError,
@@ -60,9 +56,7 @@ from repro.kernels.prefilter import (
 
 __all__ = [
     "BACKENDS",
-    "DENSE_MAX_STATES",
     "KERNEL_BACKENDS",
-    "BitsetTables",
     "DenseTables",
     "NativeBuildError",
     "PrefilterTables",

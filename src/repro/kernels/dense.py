@@ -1,17 +1,16 @@
 """Dense-frontier enumeration kernel: one gather per symbol position.
 
-The lockstep/bitset kernels (PR 1) made the software CSE path pay Python
-per symbol position instead of per transition, but a position still costs
-~6 NumPy calls (column-offset index, scalar gather, member gather, two
-``reduceat`` collapse reductions, ``flatnonzero``).  For small machines the
-data-parallel-optimal form is the one Simultaneous Finite Automata
-materializes: keep the **full** ``state -> state`` mapping per segment and
-advance it whole.  This module realizes that form:
+The interpreted reference path pays Python per transition; a batched
+kernel should pay it per symbol position, and as few NumPy calls per
+position as possible.  The data-parallel-optimal form is the one
+Simultaneous Finite Automata materializes: keep the **full**
+``state -> state`` mapping per segment and advance it whole.  This module
+realizes that form:
 
 - one dense *frontier* vector of all N states per enumerative segment,
   flattened across segments, so every symbol position is exactly **one
   flat gather** of ``n_segments x N`` elements
-  (``frontier = flat_table[col_off[seg] + frontier]``) plus the offset
+  (``frontier = table[col_off[seg] + frontier]``) plus the offset
   add, both into preallocated buffers;
 - the state dtype is narrowed to uint8/uint16 when N permits
   (:func:`dense_state_dtype`), so the gather table and the frontier stay
@@ -28,8 +27,9 @@ advance it whole.  This module realizes that form:
   computes all paths at the cost of one").
 
 Outcomes are bit-identical to the interpreted reference and to the
-lockstep/bitset kernels; ``benchmarks/bench_dense.py`` gates the speedup
-(dense >= 2x lockstep on the 64-state/1 MB/16-segment acceptance config).
+native tier, which advances the same tables in C;
+``benchmarks/bench_kernels.py`` gates the speedup (dense >= 5x python on
+the 64-state/1 MB/16-segment acceptance config).
 """
 
 from __future__ import annotations
@@ -53,9 +53,8 @@ STRIDE_MAX = 512
 def dense_state_dtype(num_states: int) -> np.dtype[Any]:
     """Narrowest unsigned dtype that can hold every state id.
 
-    uint8 up to 256 states, uint16 up to 65536; beyond that the kernel
-    falls back to int64 (the lockstep dtype) — ``resolve_backend`` only
-    auto-picks dense far below that, but an explicit request still works.
+    uint8 up to 256 states, uint16 up to 65536; beyond that the table
+    falls back to int64, which the dense and native kernels both read.
     """
     if num_states <= (1 << 8):
         return np.dtype(np.uint8)

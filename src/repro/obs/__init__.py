@@ -5,7 +5,7 @@ instrument through the module facade::
 
     from repro import obs
 
-    obs.counter("software_scans_total", backend="lockstep").inc()
+    obs.counter("software_scans_total", backend="dense").inc()
     with obs.span("engine.run", engine="CSE"):
         ...
 

@@ -20,19 +20,14 @@ The design mirrors the hardware engine but measures real seconds:
 - composition and re-execution reuse the exact machinery of
   :mod:`repro.core.reexec`.
 
-Three execution backends are available (``backend=``):
+Four execution backends are available (``backend=``):
 
-- ``"python"`` — the per-segment interpreted reference path above;
-- ``"lockstep"`` — all enumerative segments stacked into one symbol
-  matrix and every scalar flow of every segment advanced with a single
-  fancy-indexed gather per symbol position (:mod:`repro.kernels`);
-- ``"bitset"`` — diverged sets stepped as uint64-packed active masks
-  (the software realization of the AP's one-hot step), degrading to the
-  lockstep scalar pool on collapse;
-- ``"dense"`` — every segment keeps one dense frontier of all N states
-  and advances it with exactly one flat gather per symbol position
-  (dtype-narrowed table, strided collapse checks); the small-N fast path
-  (:mod:`repro.kernels.dense`).
+- ``"python"`` — the per-segment interpreted reference path above, and
+  the oracle every other backend is bit-identical to;
+- ``"dense"`` — all enumerative segments advanced in one batched pass:
+  every segment keeps one dense frontier of all N states and advances it
+  with exactly one flat gather per symbol position (dtype-narrowed table,
+  strided collapse checks; :mod:`repro.kernels.dense`);
 - ``"native"`` — the compiled set-flow tier: the dense frontier advanced
   over the whole symbol buffer in one C call (:mod:`repro.kernels.native`);
   degrades to ``"dense"`` when no compiled library is loadable.
@@ -142,7 +137,7 @@ def run_segment(
 
     Returns the segment transition function and the measured seconds.
     ``backend`` selects the interpreted reference path (``"python"``) or a
-    vectorized kernel (``"lockstep"`` / ``"bitset"`` / ``"dense"``) —
+    batched kernel (``"dense"`` / ``"native"`` / ``"prefilter"``) —
     results are bit-identical.
     """
     if backend != "python":
@@ -492,8 +487,7 @@ def software_cse_scan(
 
     ``compiled`` optionally supplies a
     :class:`repro.compilecache.CompiledDfa` artifact whose prebuilt tables
-    (scalar rows, flat kernel matrix, bitset matrices, dense table) are
-    reused instead
+    (scalar rows, dense table, prefilter certificate) are reused instead
     of being derived per scan; results are bit-identical with or without
     it.  ``use_shared_memory`` controls how segments reach a
     fingerprint-matched process pool: ``None`` (auto) and ``True`` place
@@ -697,12 +691,6 @@ def _software_cse_scan(
         kernel_begin = time.perf_counter()
         functions = run_segments_batch(
             dfa, partition, [syms[a:b] for a, b in enum_bounds], backend=backend,
-            tables=(
-                compiled.bitset_tables()
-                if compiled is not None and backend == "bitset"
-                else None
-            ),
-            flat=compiled.flat_table if compiled is not None else None,
             dense=dense,
             prefilter=pf_tables,
         )

@@ -240,7 +240,8 @@ class FleetScanner:
       :func:`repro.fleet.plan_shards`, so each unit pays one input pass
       for *all* its members and per-ruleset outcomes are demultiplexed
       from the product state, bit-identical to the per-machine loop.
-      Pass ``True`` to plan with the default ``DENSE_MAX_STATES`` budget
+      Pass ``True`` to plan with the default
+      :data:`~repro.fleet.SHARD_MAX_STATES` budget
       or a :class:`~repro.fleet.ShardPlan` (over the deduped fleet) to
       reuse a plan.  Explicit ``partitions`` are per-machine objects and
       are rejected in shard mode.

@@ -2,8 +2,8 @@
 
 Property-based core (the ISSUE's satellite): any well-formed DFA passes
 ``verify_dfa`` with zero errors, and every mutation class — out-of-bounds
-transition, overlapping convergence set, mismatched bitset row, tampered
-derived tables / content addresses — is flagged with the *right*
+transition, overlapping convergence set, tampered derived tables /
+content addresses — is flagged with the *right*
 diagnostic code, never a generic failure.
 """
 
@@ -179,20 +179,6 @@ def test_clean_artifact_verifies_clean(compiled):
 def test_scalar_row_mutation_is_k101(compiled):
     compiled.rows[0][1] = (compiled.rows[0][1] + 1) % 3
     assert error_codes(verify_compiled(compiled)) == {"K101"}
-
-
-def test_flat_table_mutation_is_k102(compiled):
-    compiled.flat_table = compiled.flat_table.copy()
-    compiled.flat_table[0] = (compiled.flat_table[0] + 1) % 3
-    assert error_codes(verify_compiled(compiled)) == {"K102"}
-
-
-def test_mismatched_bitset_row_is_k103(compiled):
-    compiled.bitset_tables()  # build, then flip one predecessor word
-    compiled._bitset.pred[0, 0, 0] ^= np.uint64(1)
-    assert error_codes(verify_compiled(compiled, deep=True)) == {"K103"}
-    # shallow verification deliberately skips the O(C*N^2/64) recompute
-    assert not error_codes(verify_compiled(compiled, deep=False))
 
 
 def test_tampered_key_is_k104(compiled):
@@ -441,6 +427,40 @@ def test_version_skew_names_missing_fields_and_gates_their_checks(
     k109 = next(d for d in diags if d.code == "K109")
     assert "recompile" not in k109.message
     assert "K111" in codes
+
+
+def test_v3_envelope_names_dropped_fields_and_misses_the_cache(
+        compiled, tmp_path):
+    from repro.compilecache import CompileCache
+
+    # a format-3 file: same envelope fields as today, but the artifact
+    # still carries the two tables format 4 dropped
+    path = save_artifact(compiled, tmp_path)
+    payload = pickle.loads(path.read_bytes())
+    payload["format_version"] = 3
+    artifact = payload["artifact"]
+    artifact.flat_table = artifact.dfa.transitions.astype(np.int64).ravel()
+    artifact._bitset = None
+    path.write_bytes(pickle.dumps(payload))
+
+    diags = verify_artifact_file(path)
+    assert "K109" in error_codes(diags)
+    k109 = next(d for d in diags if d.code == "K109")
+    assert "flat_table" in k109.message and "_bitset" in k109.message
+    assert "lacks" not in k109.message
+    assert "recompile" in k109.message
+
+    with pytest.raises(ArtifactValidationError, match="format version 3"):
+        load_artifact(tmp_path, compiled.key)
+    cache = CompileCache(cache_dir=tmp_path)
+    served = cache.get_or_compile(
+        compiled.dfa, profiling=compiled.profiling, n_segments=4
+    )
+    assert served.key == compiled.key
+    assert not hasattr(served, "flat_table")
+    stats = cache.stats()
+    assert stats["invalid_disk_entries"] == 1
+    assert stats["disk_hits"] == 0 and stats["misses"] == 1
 
 
 # ----------------------------------------------------------------------

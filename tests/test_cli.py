@@ -145,8 +145,8 @@ class TestAnml:
 
 
 class TestSoftware:
-    @pytest.mark.parametrize("backend", ["python", "lockstep", "bitset", "dense",
-                                         "native", "prefilter", "auto"])
+    @pytest.mark.parametrize("backend", ["python", "dense", "native",
+                                         "prefilter", "auto"])
     def test_each_backend(self, rules_file, input_file, backend, capsys):
         code = main([
             "software", rules_file, input_file,
@@ -157,6 +157,14 @@ class TestSoftware:
         assert "backend:" in out
         assert "final state" in out
         assert "work speedup" in out
+
+    @pytest.mark.parametrize("backend", ["lockstep", "bitset"])
+    def test_retired_backend_rejected(self, rules_file, input_file, backend,
+                                      capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["software", rules_file, input_file, "--backend", backend])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_profiled_partition(self, rules_file, input_file, capsys):
         code = main([
@@ -176,10 +184,10 @@ class TestSoftware:
         code = main([
             "software", rules_file, input_file,
             "--segments", "4", "--partition", str(sets_path),
-            "--backend", "lockstep",
+            "--backend", "dense",
         ])
         assert code == 0
-        assert "backend: lockstep" in capsys.readouterr().out
+        assert "backend: dense" in capsys.readouterr().out
 
     @pytest.mark.slow
     def test_process_pool(self, rules_file, input_file, capsys):

@@ -67,7 +67,7 @@ class TestCacheKey:
                       0.99, None, "auto", 16),
             cache_key(dfa.fingerprint, FAST, 0.95, None, "auto", 16),
             cache_key(dfa.fingerprint, FAST, 0.99, 4, "auto", 16),
-            cache_key(dfa.fingerprint, FAST, 0.99, None, "bitset", 16),
+            cache_key(dfa.fingerprint, FAST, 0.99, None, "native", 16),
             cache_key(dfa.fingerprint, FAST, 0.99, None, "auto", 8),
         ]
         assert len({base, *variants}) == len(variants) + 1
@@ -90,9 +90,8 @@ class TestCompileDfa:
         assert compiled.partition == reference.partition
         assert compiled.merge.covered == reference.covered
         assert compiled.census == profile_partitions(dfa, FAST)
-        assert compiled.flat_table.dtype == np.int64
         np.testing.assert_array_equal(
-            compiled.flat_table, dfa.transitions.astype(np.int64).ravel()
+            compiled.dense_tables().table, dfa.transitions.ravel()
         )
         assert compiled.rows == [row.tolist() for row in dfa.transitions]
 
@@ -157,7 +156,8 @@ class TestDiskTier:
         assert loaded.partition == compiled.partition
         assert loaded.census == compiled.census
         assert loaded.backend == compiled.backend
-        np.testing.assert_array_equal(loaded.flat_table, compiled.flat_table)
+        np.testing.assert_array_equal(loaded.dense_tables().table,
+                                      compiled.dense_tables().table)
         assert loaded.rows == compiled.rows
 
     def test_missing_is_none(self, tmp_path):
@@ -264,7 +264,7 @@ def _functional(run):
 
 
 class TestScanEquivalence:
-    @pytest.mark.parametrize("backend", ["python", "lockstep", "bitset", "dense", "prefilter"])
+    @pytest.mark.parametrize("backend", ["python", "dense", "native", "prefilter", "auto"])
     def test_cold_warm_disk_bit_identical(self, backend, tmp_path):
         dfa = _random_dfa(seed=21, n_states=24, n_symbols=12)
         syms = _symbols(dfa, n=6000)
@@ -299,7 +299,7 @@ class TestScanEquivalence:
         assert _functional(run) == _functional(reference)
 
     @given(seed=st.integers(0, 2**16), backend=st.sampled_from(
-        ["python", "lockstep", "bitset", "dense", "prefilter"]))
+        ["python", "dense", "native", "prefilter"]))
     @settings(max_examples=12, deadline=None)
     def test_property_cold_warm_disk_identical(self, seed, backend, tmp_path_factory):
         dfa = _random_dfa(seed=seed, n_states=10, n_symbols=5)

@@ -366,7 +366,7 @@ def test_shard_scan_equals_per_machine(fleet_case):
     assert wallclock.final_states == [d.run(word) for d in dfas]
 
 
-@pytest.mark.parametrize("backend", ["python", "lockstep", "bitset", "dense", "prefilter"])
+@pytest.mark.parametrize("backend", ["python", "dense", "native", "prefilter", "auto"])
 @settings(max_examples=15, deadline=None)
 @given(fleets())
 def test_shard_wallclock_all_backends(backend, fleet_case):

@@ -122,7 +122,7 @@ class TestByteView:
 
 class TestScanEquivalence:
     @pytest.mark.parametrize(
-        "backend", ["python", "lockstep", "dense", "prefilter", "auto"]
+        "backend", ["python", "dense", "native", "prefilter", "auto"]
     )
     def test_mmap_equals_bytes(self, payload_file, literal_dfa, backend):
         path, data = payload_file

@@ -10,11 +10,9 @@ from repro.engines.base import even_boundaries, stack_segments
 from repro.kernels import (
     BACKENDS,
     KERNEL_BACKENDS,
-    BitsetTables,
     resolve_backend,
     run_segments_batch,
 )
-from repro.kernels.bitset import pack_bool, unpack_words
 from repro.software import (
     dfa_fingerprint,
     run_segment,
@@ -44,39 +42,6 @@ def check_backends_match_python(dfa, partition, segments):
             assert_functions_equal(ref, fn)
 
 
-class TestPacking:
-    def test_roundtrip(self, rng):
-        bits = rng.random((6, 70)) > 0.5
-        words = pack_bool(bits)
-        assert words.dtype == np.uint64
-        assert words.shape == (6, 2)
-        assert np.array_equal(unpack_words(words, 70), bits)
-
-    def test_single_word(self):
-        bits = np.zeros(3, dtype=bool)
-        bits[1] = True
-        words = pack_bool(bits)
-        assert words.shape == (1,)
-        assert int(words[0]) == 2
-
-
-class TestBitsetTables:
-    def test_step_matches_set_step(self, small_ruleset_dfa, rng):
-        dfa = small_ruleset_dfa
-        tables = BitsetTables(dfa)
-        states = np.unique(rng.integers(0, dfa.num_states, size=5))
-        mask = tables.mask_from_states(states)
-        for sym in (ord("c"), ord("a"), ord("x")):
-            nxt, sizes = tables.step_masks(
-                mask[None, :], np.asarray([sym])
-            )
-            want = dfa.set_step(states.astype(np.int64), sym)
-            got = tables.states_from_mask(nxt[0])
-            assert got.tolist() == want.tolist()
-            assert int(sizes[0]) == want.size
-            mask, states = nxt[0], want
-
-
 class TestBatchEquivalence:
     def test_trivial_partition(self, small_ruleset_dfa, rng):
         segments = [rng.integers(97, 123, size=n) for n in (80, 80, 79, 79)]
@@ -98,7 +63,7 @@ class TestBatchEquivalence:
         dfa = cycle_dfa(7)
         segments = [rng.integers(0, 2, size=40) for _ in range(3)]
         partition = StatePartition.trivial(7)
-        functions = run_segments_batch(dfa, partition, segments, "lockstep")
+        functions = run_segments_batch(dfa, partition, segments, "dense")
         assert all(not fn.outcomes[0].converged for fn in functions)
         check_backends_match_python(dfa, partition, segments)
 
@@ -119,13 +84,13 @@ class TestBatchEquivalence:
         segments = [np.array([1, 1, 1, 1])]
         partition = StatePartition.trivial(3)
         check_backends_match_python(dfa, partition, segments)
-        functions = run_segments_batch(dfa, partition, segments, "bitset")
+        functions = run_segments_batch(dfa, partition, segments, "native")
         assert functions[0].outcomes[0].converged
         assert functions[0].outcomes[0].state == 2
 
     def test_no_segments(self, random_dfa_8):
         partition = StatePartition.trivial(8)
-        assert run_segments_batch(random_dfa_8, partition, [], "lockstep") == []
+        assert run_segments_batch(random_dfa_8, partition, [], "dense") == []
 
     def test_rejects_python_backend(self, random_dfa_8):
         with pytest.raises(ValueError):
@@ -209,28 +174,6 @@ class TestDenseKernel:
         assert stats["stride_checks"] < stats["positions"] // 8
 
 
-class TestFlatSetFlowsShortCircuit:
-    def test_full_collapse_empties_pool(self):
-        from repro.kernels.lockstep import FlatSetFlows
-
-        # symbol 0 maps everything to state 1: both flows collapse at once
-        table = np.array([[1, 1, 1, 1]], dtype=np.int32)
-        flat = table.astype(np.int64).ravel()
-        blocks = [np.array([0, 1], dtype=np.int64),
-                  np.array([2, 3], dtype=np.int64)]
-        flows = FlatSetFlows(flat, blocks, np.array([0, 1], dtype=np.int64), 1)
-        assert flows.n_flows == 2
-        col_off = np.zeros(1, dtype=np.int64)
-        collapsed = flows.step(col_off)
-        assert sorted(c[0] for c in collapsed) == [1, 1]
-        assert flows.n_flows == 0
-        assert flows.members.size == 0
-        assert flows.starts.size == 0
-        # the empty pool keeps stepping as a no-op
-        assert flows.step(col_off) == []
-        assert flows.final_outcomes() == []
-
-
 class TestStackSegments:
     def test_ragged_padding(self):
         matrix, lengths = stack_segments(
@@ -263,9 +206,17 @@ class TestResolveBackend:
         with pytest.raises(ValueError):
             resolve_backend(random_dfa_8, "simd")
 
+    @pytest.mark.parametrize("backend", ["lockstep", "bitset"])
+    def test_retired_backends_rejected(self, random_dfa_8, backend):
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend(random_dfa_8, backend)
+        with pytest.raises(ValueError):
+            run_segments_batch(random_dfa_8, StatePartition.trivial(8),
+                               [np.array([0])], backend)
+
     def test_trivial_partition_resolves_interpreted(self, rng):
         # regression pinned by BENCH_software_kernels.json: random64 with
-        # the trivial partition ran the lockstep kernel at 0.33x vs the
+        # the trivial partition ran a batched kernel at 0.33x vs the
         # interpreter.  One block gives the kernels nothing to batch, so
         # trivial (and absent) partitions must resolve to "python".
         dfa = random_dfa(64, 8, rng)
@@ -282,13 +233,34 @@ class TestResolveBackend:
         expected = "native" if native_available() else "dense"
         assert resolve_backend(dfa, None, partition, 16) == expected
 
-    def test_wide_sets_pick_lockstep_above_crossover(self, rng):
-        from repro.kernels import DENSE_MAX_STATES
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_large_machines_resolve_to_native(self, rng, n):
+        """No state-count cap: wide machines take native/dense at uint16."""
+        from repro.kernels import DenseTables, native_available
 
-        n = DENSE_MAX_STATES * 2
         dfa = random_dfa(n, 4, rng)
         partition = StatePartition.from_labels([i % 2 for i in range(n)])
-        assert resolve_backend(dfa, None, partition, 16) == "lockstep"
+        expected = "native" if native_available() else "dense"
+        assert resolve_backend(dfa, None, partition, 16) == expected
+        # a permutation keeps all n flows alive, so every position
+        # gathers the full uint16 frontier
+        wide = cycle_dfa(n, 4)
+        for machine in (dfa, wide):
+            assert DenseTables(machine).dtype == np.uint16
+            segments = [rng.integers(0, 4, size=m) for m in (60, 59, 0)]
+            reference = [run_segment(machine, partition, s)[0]
+                         for s in segments]
+            for backend in ("dense", "native"):
+                functions = run_segments_batch(
+                    machine, partition, segments, backend=backend
+                )
+                for segment, ref, fn in zip(segments, reference, functions):
+                    assert_functions_equal(ref, fn)
+                    finals = machine.run_all_states(segment)
+                    for block, outcome in zip(partition.block_arrays(),
+                                              fn.outcomes):
+                        assert np.array_equal(outcome.states,
+                                              np.unique(finals[block]))
 
     def test_many_flows_pick_dense(self, rng):
         from repro.kernels import native_available
@@ -349,7 +321,7 @@ class TestScanBackends:
         partition = StatePartition.trivial(small_ruleset_dfa.num_states)
         run = software_cse_scan(
             small_ruleset_dfa, word, partition,
-            n_segments=4, backend="lockstep", start_state=2,
+            n_segments=4, backend="dense", start_state=2,
         )
         assert run.final_state == small_ruleset_dfa.run(word, state=2)
 
@@ -358,7 +330,7 @@ class TestScanBackends:
         partition = StatePartition.trivial(small_ruleset_dfa.num_states)
         run = software_cse_scan(
             small_ruleset_dfa, word, partition,
-            n_segments=4, backend="lockstep", verify=False,
+            n_segments=4, backend="dense", verify=False,
         )
         assert run.sequential_seconds == 0.0
         assert run.final_state == small_ruleset_dfa.run(word)
@@ -408,7 +380,7 @@ class TestSegmentPool:
         with ThreadPoolExecutor(2) as executor:
             run = software_cse_scan(
                 dfa, word, StatePartition.trivial(6),
-                n_segments=4, executor=executor, backend="lockstep",
+                n_segments=4, executor=executor, backend="dense",
             )
         assert run.final_state == dfa.run(word)
 
@@ -419,14 +391,14 @@ class TestSegmentPool:
         with segment_pool(dfa, 2) as executor:
             run = software_cse_scan(
                 dfa, word, StatePartition.trivial(6),
-                n_segments=4, executor=executor, backend="bitset",
+                n_segments=4, executor=executor, backend="native",
             )
         assert run.final_state == dfa.run(word)
 
 
 class TestKernelSpeed:
     @pytest.mark.slow
-    def test_lockstep_beats_python_on_enumerative_load(self, rng):
+    def test_dense_beats_python_on_enumerative_load(self, rng):
         """A miniature version of the BENCH acceptance configuration."""
         import time
 
@@ -440,6 +412,6 @@ class TestKernelSpeed:
             run_segment(dfa, partition, segment)
         python_seconds = time.perf_counter() - begin
         begin = time.perf_counter()
-        run_segments_batch(dfa, partition, segments, "lockstep")
+        run_segments_batch(dfa, partition, segments, "dense")
         kernel_seconds = time.perf_counter() - begin
         assert kernel_seconds * 2 < python_seconds

@@ -86,7 +86,7 @@ class TestPoolMerge:
         with segment_pool(dfa, max_workers=2) as pool:
             software_cse_scan(
                 dfa, word, StatePartition.trivial(dfa.num_states),
-                n_segments=6, executor=pool, backend="lockstep",
+                n_segments=6, executor=pool, backend="dense",
             )
         seg_spans = [s for s in registry.spans if s.name == "software.segment"]
         assert len(seg_spans) == 6  # concrete + 5 enumerative
@@ -103,7 +103,7 @@ class TestPoolMerge:
         with segment_pool(dfa, max_workers=2) as pool:
             software_cse_scan(
                 dfa, word, StatePartition.trivial(dfa.num_states),
-                n_segments=4, executor=pool, backend="lockstep",
+                n_segments=4, executor=pool, backend="dense",
             )
         for segment in (1, 2, 3):
             counter = registry.get(
@@ -124,16 +124,16 @@ class TestNoopBitIdentical:
         partition = StatePartition.discrete(dfa.num_states)
         obs.disable()
         plain = software_cse_scan(dfa, word, partition, n_segments=8,
-                                  backend="lockstep")
+                                  backend="dense")
         with obs.using():
             instrumented = software_cse_scan(dfa, word, partition,
-                                             n_segments=8, backend="lockstep")
+                                             n_segments=8, backend="dense")
         assert plain.final_state == instrumented.final_state
         assert plain.n_segments == instrumented.n_segments
         assert plain.reexec_segments == instrumented.reexec_segments
-        assert plain.backend == instrumented.backend == "lockstep"
+        assert plain.backend == instrumented.backend == "dense"
 
-    @pytest.mark.parametrize("backend", ["lockstep", "bitset", "dense"])
+    @pytest.mark.parametrize("backend", ["native", "prefilter", "dense"])
     def test_kernel_outcomes_identical(self, dfa, word, backend):
         partition = StatePartition.discrete(dfa.num_states)
         segments = [word[:2000], word[2000:4000], word[4000:]]
@@ -234,16 +234,14 @@ class TestBackendRecording:
         run = software_cse_scan(dfa, word, partition, n_segments=8,
                                 backend="auto")
         assert run.requested_backend == "auto"
-        assert run.backend in (
-            "python", "lockstep", "dense", "native", "prefilter"
-        )
+        assert run.backend in ("python", "dense", "native", "prefilter")
 
     def test_explicit_backend_passthrough(self, dfa, word):
         partition = StatePartition.trivial(dfa.num_states)
         run = software_cse_scan(dfa, word, partition, n_segments=8,
-                                backend="bitset")
-        assert run.requested_backend == "bitset"
-        assert run.backend == "bitset"
+                                backend="dense")
+        assert run.requested_backend == "dense"
+        assert run.backend == "dense"
 
     def test_resolution_counter(self, dfa):
         with obs.using() as registry:
@@ -280,12 +278,12 @@ class TestCliTelemetry:
         trace = tmp_path / "t.json"
         code = main([
             "software", rules_file, input_file,
-            "--backend", "lockstep", "--segments", "4", "--trivial",
+            "--backend", "dense", "--segments", "4", "--trivial",
             "--metrics-out", str(metrics), "--trace-out", str(trace),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "backend: lockstep (requested: lockstep)" in out
+        assert "backend: dense (requested: dense)" in out
 
         snap = json.loads(metrics.read_text())
         names = {m["name"] for m in snap["metrics"]}
@@ -316,7 +314,7 @@ class TestCliTelemetry:
         metrics = tmp_path / "m.json"
         main([
             "software", rules_file, input_file,
-            "--backend", "lockstep", "--segments", "4", "--trivial",
+            "--backend", "dense", "--segments", "4", "--trivial",
             "--metrics-out", str(metrics),
         ])
         capsys.readouterr()

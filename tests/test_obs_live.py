@@ -597,7 +597,7 @@ class TestCliLive:
         folded = tmp_path / "scan.folded"
         code = main([
             "software", rules_file, input_file,
-            "--backend", "lockstep", "--segments", "4", "--trivial",
+            "--backend", "dense", "--segments", "4", "--trivial",
             "--metrics-port", "0", "--profile-out", str(folded),
         ])
         assert code == 0

@@ -219,7 +219,7 @@ class TestScanEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_hypothesis_density_sweep(self, seed, density, adversarial,
                                       n_segments):
-        """prefilter == dense == lockstep == python across densities."""
+        """prefilter == dense == native == python across densities."""
         patterns = generate_ruleset("LiteralHeavy", 4, 17)
         dfa = compile_ruleset(patterns)
         payload = literal_payload(
@@ -232,7 +232,7 @@ class TestScanEquivalence:
                 dfa, payload, partition, n_segments=n_segments,
                 backend=backend,
             ).final_state
-            for backend in ("python", "lockstep", "dense", "prefilter")
+            for backend in ("python", "dense", "native", "prefilter")
         }
         want = dfa.run(np.frombuffer(payload, dtype=np.uint8))
         assert set(finals.values()) == {want}

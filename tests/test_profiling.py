@@ -214,13 +214,3 @@ class TestVectorizedProfiler:
         expected = [config.random_input(rng, small_ruleset_dfa.alphabet_size)
                     for _ in range(7)]
         np.testing.assert_array_equal(words, np.stack(expected))
-
-    def test_flat_table_reuse(self, small_ruleset_dfa):
-        from repro.core.profiling import profile_finals
-
-        config = ProfilingConfig(n_inputs=10, input_len=30)
-        flat = small_ruleset_dfa.transitions.astype(np.int64).ravel()
-        np.testing.assert_array_equal(
-            profile_finals(small_ruleset_dfa, config, flat_table=flat),
-            profile_finals(small_ruleset_dfa, config),
-        )

@@ -3,9 +3,8 @@
 Every backend of the software CSE path must produce bit-identical
 segment transition functions on arbitrary machines, inputs and
 partitions, and the end-to-end scan must equal the sequential oracle.
-The bitset step is additionally diffed against the frozenset reference
-machine (:class:`repro.automata.onehot.PySetAutomaton`), and the concrete
-walk (:func:`repro.kernels.walk`) against :meth:`Dfa.run` /
+The concrete walk (:func:`repro.kernels.walk`) is additionally diffed
+against :meth:`Dfa.run` /
 :meth:`Dfa.run_reports`, with the native tier present and forced absent.
 """
 
@@ -16,12 +15,10 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.automata.dfa import Dfa
-from repro.automata.onehot import PySetAutomaton
 from repro.core.partition import StatePartition
 from repro.engines.base import even_boundaries
 from repro.kernels import (
     KERNEL_BACKENDS,
-    BitsetTables,
     DenseTables,
     certify_prefilter,
     run_segments_batch,
@@ -93,8 +90,7 @@ class TestBackendEquivalence:
     def test_scan_matches_oracle_all_backends(self, dwp, n_segments):
         dfa, word, partition = dwp
         want = dfa.run(word)
-        for backend in ("python", "lockstep", "bitset", "dense", "native",
-                        "prefilter", "auto"):
+        for backend in ("python", "dense", "native", "prefilter", "auto"):
             run = software_cse_scan(
                 dfa, word, partition, n_segments=n_segments, backend=backend
             )
@@ -201,7 +197,7 @@ class TestDenseEquivalence:
         segments = [word[a:b] for a, b in bounds]
         from repro.kernels import native_available
 
-        backends = ["python", "lockstep", "dense"]
+        backends = ["python", "dense"]
         if native_available():
             backends.append("native")
         counts = {}
@@ -288,22 +284,6 @@ class TestNativeFrontierEquivalence:
                 assert np.array_equal(a.states, np.unique(finals[block]))
         model = lane_schedule(dfa, partition, words, stride)
         assert {key: stats[key] for key in model} == model
-
-
-class TestBitsetVsReference:
-    @given(dfa_word_partition(max_len=60))
-    @settings(max_examples=40, deadline=None)
-    def test_bitset_step_matches_frozenset_machine(self, dwp):
-        dfa, word, partition = dwp
-        tables = BitsetTables(dfa)
-        reference = PySetAutomaton(dfa)
-        for block in partition.block_arrays():
-            want, _ = reference.run_set(block.tolist(), word)
-            mask = tables.mask_from_states(block)
-            for sym in word.tolist():
-                mask = tables.step_masks(mask[None, :], np.asarray([sym]))[0][0]
-            got = tables.states_from_mask(mask)
-            assert set(got.tolist()) == set(want)
 
 
 @contextmanager

@@ -130,7 +130,7 @@ class TestFleetScanner:
 
 
 class TestStreamScannerBackends:
-    @pytest.mark.parametrize("backend", ["python", "lockstep", "bitset", "dense", "prefilter", "auto"])
+    @pytest.mark.parametrize("backend", ["python", "dense", "native", "prefilter", "auto"])
     def test_backend_equals_reference(self, dfa, backend):
         reference = StreamScanner(dfa)
         scanner = StreamScanner(dfa, backend=backend, min_parallel_chunk=256)
@@ -139,12 +139,10 @@ class TestStreamScannerBackends:
             reference.feed(data[i:i + 700])
             scanner.feed(data[i:i + 700])
         assert scanner.finish() == reference.finish()
-        assert scanner.backend in (
-            "python", "lockstep", "bitset", "dense", "native", "prefilter"
-        )
+        assert scanner.backend in ("python", "dense", "native", "prefilter")
 
     @pytest.mark.parametrize("backend", [
-        "python", "lockstep", "bitset", "dense", "native", "prefilter", "auto",
+        "python", "dense", "native", "prefilter", "auto",
     ])
     @pytest.mark.parametrize("native", ["present", "absent"])
     def test_reports_straddling_chunks_match_reference(
@@ -208,13 +206,33 @@ class TestStreamScannerBackends:
         assert scanner.backend == resolve_backend(dfa, "auto", partition, 8)
 
     def test_short_chunks_stay_sequential(self, dfa):
-        scanner = StreamScanner(dfa, backend="lockstep", min_parallel_chunk=10_000)
+        scanner = StreamScanner(dfa, backend="dense", min_parallel_chunk=10_000)
         scanner.feed(TEXT)
         assert scanner.state == dfa.run(TEXT)
 
     def test_unknown_backend_rejected(self, dfa):
         with pytest.raises(ValueError):
             StreamScanner(dfa, backend="simd")
+
+    @pytest.mark.parametrize("backend", ["lockstep", "bitset"])
+    @pytest.mark.parametrize("native", ["present", "absent"])
+    def test_retired_backend_rejected(self, dfa, backend, native, monkeypatch):
+        # the retired kernels have no fallback, with or without the library
+        from repro.compilecache import CompileCache
+        from repro.kernels.native import ENV_DISABLE, reset_native
+
+        if native == "absent":
+            monkeypatch.setenv(ENV_DISABLE, "0")
+        reset_native()
+        try:
+            with pytest.raises(ValueError):
+                StreamScanner(dfa, backend=backend)
+            with pytest.raises(ValueError):
+                StreamScanner(dfa, backend=backend, cache=CompileCache())
+            with pytest.raises(ValueError):
+                FleetScanner([dfa], backend=backend)
+        finally:
+            reset_native()
 
 
 class TestFleetWallclock:
@@ -257,7 +275,7 @@ class TestFleetWallclock:
         from repro.kernels import BACKENDS
 
         dfas = [compile_ruleset(["cat"]), compile_ruleset(["dog"])]
-        fleet = FleetScanner(dfas, backend="lockstep", n_segments=4)
-        assert fleet.backends == ["lockstep", "lockstep"]
+        fleet = FleetScanner(dfas, backend="dense", n_segments=4)
+        assert fleet.backends == ["dense", "dense"]
         auto = FleetScanner(dfas, n_segments=4)
         assert all(b in BACKENDS for b in auto.backends)
