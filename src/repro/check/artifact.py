@@ -433,13 +433,15 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
     final state, at uint8 and int64 symbol width.  K117 proves the
     frontier across collapse checks and lane merges: a fixed
     multi-position probe (each symbol repeated 64 times, then 4096
-    seeded-random symbols) run through ``run_segments_native`` over
-    ``partition`` (the artifact's own; the discrete partition when it
-    is not given or not over this machine's states), whole and split in
-    four, must give ``run_segments_dense``'s outcomes over tables
-    re-derived from the transition matrix, at uint8 and int64 width
-    (``deep=False`` skips the three replays; very large tables cap
-    them).  An unavailable native tier yields no diagnostics —
+    seeded-random symbols, one representative per distinct table row)
+    run through ``run_segments_native`` over ``partition`` (the
+    artifact's own; the discrete partition when it is not given or not
+    over this machine's states), whole, split in four and split in 17
+    (twice the C core's eight tail lanes plus one, so the tail pass runs
+    full rounds, refills and a partial round), must give
+    ``run_segments_dense``'s outcomes over tables re-derived from the
+    transition matrix, at uint8 and int64 width (``deep=False`` skips
+    the three replays; very large tables cap them).  An unavailable native tier yields no diagnostics —
     degradation to dense is the documented contract, not a defect.
     """
     from repro.kernels import DenseTables
@@ -533,18 +535,24 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
 
     # frontier replay: each symbol's run drives every collapse it has,
     # the random tail mixes them, so the probe crosses collapse checks,
-    # lane merges and the scalar degrade
+    # lane merges and the scalar degrade; 17 pieces fill the core's
+    # eight tail lanes twice over and leave one.  The random tail draws
+    # one symbol per distinct table row: uniform bytes would mostly reset
+    # a regex machine to its home state, where every tail ends alike
     from repro.engines.base import even_boundaries
     from repro.kernels.dense import run_segments_dense
 
     part = partition if isinstance(partition, StatePartition) \
         and partition.num_states == n_states \
         else StatePartition.discrete(n_states)
+    reps = np.unique(table, axis=0, return_index=True)[1].astype(np.int64)
     probe = np.concatenate([
         np.repeat(np.arange(alphabet, dtype=np.int64), 64),
-        np.random.default_rng(117).integers(0, alphabet, size=4096),
+        reps[np.random.default_rng(117).integers(0, reps.size, size=4096)],
     ])
-    segments = [probe[a:b] for a, b in even_boundaries(probe.size, 4)]
+    segments = [
+        probe[a:b] for n in (4, 17) for a, b in even_boundaries(probe.size, n)
+    ]
     segments.append(probe)
     # the reference runs on tables re-derived from the transition matrix,
     # so a defect in the artifact's own dense tables (K111/K112) stays

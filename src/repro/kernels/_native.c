@@ -15,10 +15,18 @@
  * are derived from the final frontier) dedups active in O(m), remaps the
  * slots only when states merged, and reads a convergence set as
  * collapsed when all its lanes share one slot.  Once m == 1 the segment
- * degrades to a single scalar table walk for its remaining tail.  So a
- * frontier whose sets collapsed to a few distinct states costs those few
- * gathers per position, the paper's M, however many start states it
- * enumerates.
+ * stops: every enumeration path is one path now, and what is left is a
+ * scalar tail from one known state.  So a frontier whose sets collapsed
+ * to a few distinct states costs those few gathers per position, the
+ * paper's M, however many start states it enumerates.
+ *
+ * A tail is one chain of dependent loads, and on a machine that
+ * collapses fast (random64) the tails are nearly all of a batch's
+ * positions.  So they are not walked one after another: after every
+ * frontier has run, one pass walks all pending tails TAIL_LANES at a
+ * time, round robin, and a lane whose tail ends takes the next pending
+ * one.  The tails are independent, so each lane's loads fill the others'
+ * latency -- on one core, the paper's independent flows side by side.
  *
  * cse_native_walk is the other half: one concrete walk from a start
  * state (segment 0, global re-execution, a matcher's report pass).  It
@@ -42,11 +50,14 @@
 
 /* bump when the entry-point signatures change; native.py refuses to use
  * a library whose cse_native_abi() disagrees */
-#define CSE_NATIVE_ABI 4
+#define CSE_NATIVE_ABI 5
 
 /* same adaptive collapse-check ladder as dense.py */
 #define NATIVE_STRIDE_MIN 8
 #define NATIVE_STRIDE_MAX 512
+
+/* scalar tails walked side by side by the tail pass */
+#define TAIL_LANES 8
 
 /* table and symbol element kinds (must match _TABLE_KINDS and
  * _SYMBOL_KINDS in native.py); symbols use KIND_U8 and KIND_I64 only */
@@ -139,20 +150,21 @@ frontier_check(struct frontier *f)
 /* One segment's frontier, per (table kind, symbol kind).  Per position
  * only the m live states are gathered; every K positions (adaptive K, the
  * same STRIDE_MIN/STRIDE_MAX ladder as dense.py) a collapse check dedups
- * them, and once m == 1 the segment finishes as one scalar walk.  Writes
- * that walk's final state to *scalar_out (-1 when the frontier never
- * became one state) and returns WALK_DONE, or WALK_BAD_KIND from the
- * check. */
+ * them, and once m == 1 the segment stops with a scalar tail left to
+ * walk.  Writes the tail's start position to *tail_pos and its start
+ * state to *tail_state (-1 when the frontier never became one state) and
+ * returns WALK_DONE, or WALK_BAD_KIND from the check. */
 #define DEFINE_FRONTIER_SCAN(NAME, TAB_T, SYM_T)                             \
 static int64_t                                                               \
 NAME(const TAB_T *tab, const SYM_T *syms, int64_t len, int64_t stride,       \
-     struct frontier *f, int64_t *stats, int64_t *scalar_out)                \
+     struct frontier *f, int64_t *stats, int64_t *tail_pos,                  \
+     int64_t *tail_state)                                                    \
 {                                                                            \
     const int64_t n = f->n_states;                                           \
     int64_t *active = f->active;                                             \
     int64_t k = stride > 0 ? stride : NATIVE_STRIDE_MIN;                     \
     int64_t next_check = k, m = f->m, steps = 0, t, i;                       \
-    *scalar_out = -1;                                                        \
+    *tail_state = -1;                                                        \
     for (t = 0; t < len; t++) {                                              \
         const TAB_T *col = tab + (int64_t)syms[t] * n;                       \
         for (i = 0; i < m; i++)                                              \
@@ -168,12 +180,10 @@ NAME(const TAB_T *tab, const SYM_T *syms, int64_t len, int64_t stride,       \
                 return WALK_BAD_KIND;                                        \
             if (m == 1) {                                                    \
                 /* every enumeration path is the same path now */            \
-                int64_t q = active[0], u;                                    \
                 stats[STAT_DEGRADED]++;                                      \
                 stats[STAT_SCALAR_POSITIONS] += len - (t + 1);               \
-                for (u = t + 1; u < len; u++)                                \
-                    q = (int64_t)tab[(int64_t)syms[u] * n + q];              \
-                *scalar_out = q;                                             \
+                *tail_pos = t + 1;                                           \
+                *tail_state = active[0];                                     \
                 t++;                                                         \
                 break;                                                       \
             }                                                                \
@@ -195,6 +205,64 @@ DEFINE_FRONTIER_SCAN(frontier_i64_u8, int64_t, uint8_t)
 DEFINE_FRONTIER_SCAN(frontier_u8_i64, uint8_t, int64_t)
 DEFINE_FRONTIER_SCAN(frontier_u16_i64, uint16_t, int64_t)
 DEFINE_FRONTIER_SCAN(frontier_i64_i64, int64_t, int64_t)
+
+/* Walk every pending scalar tail, per (table kind, symbol kind).
+ * pending holds n_pending segment ids; segment s's tail starts at
+ * position tail_pos[s] from state collapsed_out[s], and its final state
+ * replaces that entry when the tail ends.  Busy lanes are [0, live).
+ * Each round steps every busy lane by the shortest remaining length, so
+ * no lane tests its end inside a round; then lanes whose tail ended
+ * write it out and take the next pending tails. */
+#define DEFINE_TAILS(NAME, TAB_T, SYM_T)                                     \
+static void                                                                  \
+NAME(const TAB_T *tab, int64_t n, const int64_t *seg_ptrs,                   \
+     const int64_t *seg_lens, const int64_t *pending, int64_t n_pending,     \
+     const int64_t *tail_pos, int64_t *collapsed_out)                        \
+{                                                                            \
+    const SYM_T *sym[TAIL_LANES];                                            \
+    int64_t q[TAIL_LANES], left[TAIL_LANES], seg[TAIL_LANES];                \
+    int64_t next = 0, live = 0, run, t, i;                                   \
+    for (;;) {                                                               \
+        while (live < TAIL_LANES && next < n_pending) {                      \
+            const int64_t s = pending[next++];                               \
+            sym[live] = (const SYM_T *)(intptr_t)seg_ptrs[s] + tail_pos[s];  \
+            left[live] = seg_lens[s] - tail_pos[s];                          \
+            q[live] = collapsed_out[s];                                      \
+            seg[live++] = s;                                                 \
+        }                                                                    \
+        if (live == 0)                                                       \
+            return;                                                          \
+        run = left[0];                                                       \
+        for (i = 1; i < live; i++)                                           \
+            if (left[i] < run)                                               \
+                run = left[i];                                               \
+        for (t = 0; t < run; t++)                                            \
+            for (i = 0; i < live; i++)                                       \
+                q[i] = (int64_t)tab[(int64_t)sym[i][t] * n + q[i]];          \
+        for (i = 0; i < live;) {                                             \
+            sym[i] += run;                                                   \
+            left[i] -= run;                                                  \
+            if (left[i] > 0) {                                               \
+                i++;                                                         \
+                continue;                                                    \
+            }                                                                \
+            /* the tail ended: the last busy lane moves into its place */    \
+            collapsed_out[seg[i]] = q[i];                                    \
+            live--;                                                          \
+            sym[i] = sym[live];                                              \
+            left[i] = left[live];                                            \
+            q[i] = q[live];                                                  \
+            seg[i] = seg[live];                                              \
+        }                                                                    \
+    }                                                                        \
+}
+
+DEFINE_TAILS(tails_u8_u8, uint8_t, uint8_t)
+DEFINE_TAILS(tails_u16_u8, uint16_t, uint8_t)
+DEFINE_TAILS(tails_i64_u8, int64_t, uint8_t)
+DEFINE_TAILS(tails_u8_i64, uint8_t, int64_t)
+DEFINE_TAILS(tails_u16_i64, uint16_t, int64_t)
+DEFINE_TAILS(tails_i64_i64, int64_t, int64_t)
 
 /* 1 when some symbol is outside [0, alphabet); branch-free so it
  * vectorizes */
@@ -226,11 +294,15 @@ DEFINE_RANGE_CHECK(out_of_range_i64, int64_t)
  * final_out    (n_seg x width) int64 final frontiers (rows of segments
  *              that did not fully collapse)
  * collapsed_out  per segment: final scalar state if the whole frontier
- *              collapsed, else -1
+ *              collapsed, else -1 (holds the tail's start state while the
+ *              tail is pending)
  * stats_out    STAT_SLOTS int64 counters
  * active_scratch, slot_scratch, remap_scratch  width int64 entries each
  * stamp_scratch  n_states int64 entries, all -1 (left all -1)
  * seen_scratch n_blocks bytes (per-segment fresh-collapse memory)
+ * tail_scratch n_seg int64 entries: each collapsed segment's tail start
+ * pending_scratch  n_seg int64 entries: the ids of collapsed segments,
+ *              uint8 ones from the front, int64 ones from the back
  *
  * Int64 segments, and uint8 segments when alphabet < 256, are range
  * checked before they are read.  Returns WALK_DONE, WALK_BAD_SYMBOL on a
@@ -249,11 +321,12 @@ cse_native_scan(const void *table, int64_t kind, int64_t n_states,
                 int64_t *final_out, int64_t *collapsed_out, int64_t *stats_out,
                 int64_t *active_scratch, int64_t *slot_scratch,
                 int64_t *remap_scratch, int64_t *stamp_scratch,
-                uint8_t *seen_scratch)
+                uint8_t *seen_scratch, int64_t *tail_scratch,
+                int64_t *pending_scratch)
 {
     const uint64_t a = (uint64_t)alphabet;
     struct frontier f;
-    int64_t s, i;
+    int64_t s, i, n_u8 = 0, n_i64 = 0;
     if (kind != KIND_U8 && kind != KIND_U16 && kind != KIND_I64)
         return WALK_BAD_KIND;
     for (i = 0; i < width; i++)
@@ -274,7 +347,7 @@ cse_native_scan(const void *table, int64_t kind, int64_t n_states,
     for (s = 0; s < n_seg; s++) {
         const void *syms = (const void *)(intptr_t)seg_ptrs[s];
         const int64_t len = seg_lens[s], sym_kind = seg_kinds[s];
-        int64_t scalar, rc, j;
+        int64_t rc, j;
         if (sym_kind == KIND_U8) {
             if (alphabet < 256
                     && out_of_range_u8((const uint8_t *)syms, len, a))
@@ -295,7 +368,7 @@ cse_native_scan(const void *table, int64_t kind, int64_t n_states,
         f.merged = 1;
 #define SCAN_CALL(FN, TAB_T, SYM_T)                                          \
         rc = FN((const TAB_T *)table, (const SYM_T *)syms, len, stride, &f,  \
-                stats_out, &scalar)
+                stats_out, &tail_scratch[s], &collapsed_out[s])
         if (sym_kind == KIND_U8) {
             if (kind == KIND_U8) SCAN_CALL(frontier_u8_u8, uint8_t, uint8_t);
             else if (kind == KIND_U16)
@@ -310,13 +383,31 @@ cse_native_scan(const void *table, int64_t kind, int64_t n_states,
 #undef SCAN_CALL
         if (rc != WALK_DONE)
             return rc;
-        collapsed_out[s] = scalar;
-        if (scalar < 0) {
+        if (collapsed_out[s] >= 0) {
+            if (sym_kind == KIND_U8)
+                pending_scratch[n_u8++] = s;
+            else
+                pending_scratch[n_seg - ++n_i64] = s;
+        } else {
             int64_t *dst = final_out + s * width;
             for (j = 0; j < width; j++)
                 dst[j] = f.active[f.slot[j]];
         }
     }
+#define TAILS_CALL(FN, TAB_T, PENDING, N_PENDING)                            \
+    FN((const TAB_T *)table, n_states, seg_ptrs, seg_lens, PENDING,          \
+       N_PENDING, tail_scratch, collapsed_out)
+#define TAILS_BY_TABLE(U8_FN, U16_FN, I64_FN, PENDING, N_PENDING)            \
+    if (kind == KIND_U8) TAILS_CALL(U8_FN, uint8_t, PENDING, N_PENDING);     \
+    else if (kind == KIND_U16)                                               \
+        TAILS_CALL(U16_FN, uint16_t, PENDING, N_PENDING);                    \
+    else TAILS_CALL(I64_FN, int64_t, PENDING, N_PENDING)
+    TAILS_BY_TABLE(tails_u8_u8, tails_u16_u8, tails_i64_u8,
+                   pending_scratch, n_u8);
+    TAILS_BY_TABLE(tails_u8_i64, tails_u16_i64, tails_i64_i64,
+                   pending_scratch + n_seg - n_i64, n_i64);
+#undef TAILS_BY_TABLE
+#undef TAILS_CALL
     return WALK_DONE;
 }
 

@@ -6,17 +6,20 @@ numpy's full-generality machinery behind it.  This module loads
 ``_native.c`` — a dependency-free C library (no ``Python.h``, no numpy
 headers) — through :mod:`ctypes` and advances **every** segment's
 enumeration frontier over its **whole** symbol buffer in a single native
-call (ABI 4).  Each segment is passed by pointer, length and symbol kind
+call (ABI 5).  Each segment is passed by pointer, length and symbol kind
 and read at its own width: byte input as uint8, anything else as int64,
 with no widening or concatenation here.  The frontier is a segment's
 *distinct live states*: each lane (a start state) points at one of them,
 per position only those are gathered, and the strided collapse checks
 (the same adaptive-K ladder as ``dense.py`` — stride only moves *when*
 degradation is noticed, never the outcome) dedup them and merge lanes.
-Once every lane shares one state the segment finishes as a C scalar
-walk.  The ``frontier_steps`` stat (``kernels_native_frontier_steps_total``)
-counts the states gathered; over ``native_positions`` it is the mean
-number of distinct live states per position, the paper's M, measured.
+Once every lane shares one state the segment leaves a scalar tail from
+that state, and after every frontier has run one pass walks all the
+batch's tails eight at a time, round robin, so their independent loads
+overlap instead of forming one chain.  The ``frontier_steps`` stat
+(``kernels_native_frontier_steps_total``) counts the states gathered;
+over ``native_positions`` it is the mean number of distinct live states
+per position, the paper's M, measured.
 
 Availability is best-effort and never load-bearing:
 
@@ -94,7 +97,7 @@ __all__ = [
 ]
 
 #: expected ``cse_native_abi()`` of a loadable library
-NATIVE_ABI = 4
+NATIVE_ABI = 5
 #: set to ``0``/``off``/``false`` to disable the native tier entirely
 ENV_DISABLE = "REPRO_NATIVE"
 #: overrides the per-user build cache directory
@@ -232,6 +235,7 @@ def _configure(lib: ctypes.CDLL) -> None:
         c_ptr, c_ptr, c_ptr,          # final_out, collapsed_out, stats_out
         c_ptr, c_ptr, c_ptr,          # active, slot, remap scratch
         c_ptr, c_ptr,                 # stamp_scratch, seen_scratch
+        c_ptr, c_ptr,                 # tail_scratch, pending_scratch
     ]
     lib.cse_native_table_view.restype = c_i64
     lib.cse_native_table_view.argtypes = [c_ptr, c_i64, c_i64, c_ptr]
@@ -695,6 +699,10 @@ def run_segments_native(
     stats_out = np.zeros(_STAT_SLOTS, dtype=np.int64)
     lanes, stamp = _frontier_scratch(width, n_states)
     seen_scratch = np.empty(max(n_blocks, 1), dtype=np.uint8)
+    # the tail pass's scratch: each collapsed segment's tail start, and
+    # the pending segment ids (uint8 ones from the front, int64 from the
+    # back)
+    tails = np.empty((2, n_seg), dtype=np.int64)
     rc = int(lib.cse_native_scan(
         _ptr(table), kind, n_states, dfa.alphabet_size,
         _ptr(seg_ptrs), _ptr(seg_lens), _ptr(seg_kinds), n_seg,
@@ -703,7 +711,7 @@ def run_segments_native(
         n_blocks, 0 if stride is None else int(stride),
         _ptr(final_out), _ptr(collapsed_out), _ptr(stats_out),
         _ptr(lanes[0]), _ptr(lanes[1]), _ptr(lanes[2]),
-        _ptr(stamp), _ptr(seen_scratch),
+        _ptr(stamp), _ptr(seen_scratch), _ptr(tails[0]), _ptr(tails[1]),
     ))
     if rc == _WALK_BAD_SYMBOL:
         # dense's gather answers out-of-range symbols its own way (or

@@ -284,6 +284,74 @@ class TestPartiallyConvergedFrontier:
         assert present == outcome(batch)
 
 
+def reset_led_dfa(rng, n_states, alphabet):
+    """A random machine whose symbol 0 sends every state to state 0."""
+    table = rng.integers(0, n_states, size=(alphabet, n_states))
+    table[0] = 0
+    return Dfa(table, 0, [])
+
+
+class TestTailLanes:
+    """Collapsed segments' tails, walked eight lanes at a time.
+
+    Every reset-led segment of eight or more symbols collapses at the
+    first collapse check (position 8) and leaves its tail to the pass;
+    batches around the lane count run partial and full rounds and the
+    refills between them.
+    """
+
+    def run_both(self, dfa, partition, words, kinds, table_kind=None):
+        tables = DenseTables(dfa)
+        if table_kind is not None:
+            tables.table = dfa.transitions.astype(table_kind).ravel()
+        segments = [symbols_of(w, kind) for w, kind in zip(words, kinds)]
+        got, stats = run_segments_native(
+            dfa, partition, segments, tables=tables
+        )
+        want, _stats = run_segments_dense(dfa, partition, words)
+        grids_equal(got, want)
+        assert {key: stats[key] for key in SCHEDULE_KEYS} == lane_schedule(
+            dfa, partition, words
+        )
+        return stats
+
+    @needs_native
+    @pytest.mark.parametrize("n_seg", [0, 1, 7, 8, 9, 17, 33])
+    @pytest.mark.parametrize("table_kind", ["uint8", "uint16", "int64"])
+    def test_batch_sizes_around_the_lane_count(self, rng, n_seg, table_kind):
+        dfa = reset_led_dfa(rng, 24, 6)
+        partition = StatePartition.from_labels([q % 3 for q in range(24)])
+        words = []
+        for n in rng.integers(8, 700, size=n_seg):
+            word = rng.integers(0, 6, size=int(n))
+            word[0] = 0
+            words.append(word)
+        # uint8 and int64 segments mixed in one batch
+        kinds = ["uint8", "int64", "view"] * n_seg
+        stats = self.run_both(dfa, partition, words, kinds, table_kind)
+        assert stats["degraded_segments"] == n_seg
+        assert stats["scalar_positions"] == sum(w.size - 8 for w in words)
+
+    @needs_native
+    def test_empty_segments_and_empty_tails(self, rng):
+        dfa = reset_led_dfa(rng, 16, 4)
+        partition = StatePartition.discrete(16)
+        lengths = [0, 8, 300, 0, 8, 8, 9, 1000, 8, 0, 40, 8, 8, 8, 2, 8, 500]
+        words = []
+        for n in lengths:
+            word = rng.integers(0, 4, size=n)
+            word[:1] = 0
+            words.append(word)
+        kinds = ["uint8", "int64"] * len(words)
+        stats = self.run_both(dfa, partition, words, kinds)
+        # every segment of eight symbols collapsed on its last position
+        # and left an empty tail; shorter ones never reached a check
+        assert stats["degraded_segments"] == sum(n >= 8 for n in lengths)
+        assert stats["scalar_positions"] == sum(
+            n - 8 for n in lengths if n >= 8
+        )
+
+
 class TestWalk:
     @pytest.mark.parametrize("table_kind", ["uint8", "uint16", "int64"])
     @pytest.mark.parametrize("symbol_kind", ["uint8", "int64", "view"])
@@ -467,6 +535,35 @@ class TestDegradation:
         info = native_build_info()
         assert info["available"] is False
         assert ENV_DISABLE in str(info["reason"])
+
+    @needs_native
+    def test_stale_abi_library_is_refused(self, tmp_path, monkeypatch):
+        import subprocess
+
+        import repro.kernels.native as native
+
+        cc = native._compiler()
+        if cc is None:
+            pytest.skip("no C compiler to build a stale library with")
+        # a library built before the tail pass still exports ABI 4
+        stale_src = tmp_path / "stale.c"
+        stale_src.write_text(
+            "#include <stdint.h>\n"
+            "int64_t cse_native_abi(void) { return 4; }\n"
+        )
+        stale = tmp_path / "_native_cse-stale.so"
+        subprocess.run(
+            [*cc.split(), *native.CFLAGS, "-o", str(stale),
+             str(stale_src)],
+            check=True, capture_output=True,
+        )
+        lib, reason = native._try_load(stale)
+        assert lib is None
+        assert reason == f"{stale.name} has ABI 4, expected {native.NATIVE_ABI}"
+        # and the build cache never offers it: its key moves with the ABI
+        digest = native.source_digest()
+        monkeypatch.setattr(native, "NATIVE_ABI", 4)
+        assert native.source_digest() != digest
 
 
 class TestCertification:
