@@ -538,20 +538,29 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
     # lane merges and the scalar degrade; 17 pieces fill the core's
     # eight tail lanes twice over and leave one.  The random tail draws
     # one symbol per distinct table row: uniform bytes would mostly reset
-    # a regex machine to its home state, where every tail ends alike
+    # a regex machine to its home state, where every tail ends alike.
+    # Long tails forget where they started, so the random tail is also
+    # cut into pieces of STRIDE_MIN and STRIDE_MIN + 3 symbols: a
+    # frontier that collapses at the first collapse check leaves a tail
+    # of 0 or 3 symbols, whose end state still shows a wrong tail start
+    # state or a skipped symbol
     from repro.engines.base import even_boundaries
-    from repro.kernels.dense import run_segments_dense
+    from repro.kernels.dense import STRIDE_MIN, run_segments_dense
 
     part = partition if isinstance(partition, StatePartition) \
         and partition.num_states == n_states \
         else StatePartition.discrete(n_states)
     reps = np.unique(table, axis=0, return_index=True)[1].astype(np.int64)
+    mixed = reps[np.random.default_rng(117).integers(0, reps.size, size=4096)]
     probe = np.concatenate([
-        np.repeat(np.arange(alphabet, dtype=np.int64), 64),
-        reps[np.random.default_rng(117).integers(0, reps.size, size=4096)],
+        np.repeat(np.arange(alphabet, dtype=np.int64), 64), mixed,
     ])
     segments = [
         probe[a:b] for n in (4, 17) for a, b in even_boundaries(probe.size, n)
+    ]
+    segments += [
+        mixed[a:a + size] for size in (STRIDE_MIN, STRIDE_MIN + 3)
+        for a in range(0, mixed.size - size + 1, size)
     ]
     segments.append(probe)
     # the reference runs on tables re-derived from the transition matrix,

@@ -59,6 +59,7 @@ from repro.engines.pap import PapEngine
 from repro.engines.sequential import SequentialEngine
 from repro.fleet.planner import SHARD_MAX_STATES
 from repro.kernels.batch import BACKENDS
+from repro.kernels.native import native_available
 from repro.regex.compile import compile_ruleset
 
 __all__ = ["main", "build_parser"]
@@ -413,7 +414,10 @@ def _software(args) -> int:
           f"convergence sets: {n_blocks}")
     print(f"input: {run.n_symbols} symbols in {run.n_segments} segments")
     print(f"final state: {run.final_state}")
-    print(f"sequential: {run.sequential_seconds * 1e3:.2f} ms")
+    # the verify oracle's walk, which work speedup is measured against
+    baseline = ("compiled walk" if run.backend != "python"
+                and native_available() else "interpreted loop")
+    print(f"sequential ({baseline}): {run.sequential_seconds * 1e3:.2f} ms")
     print(f"critical path: {run.critical_path_seconds * 1e3:.2f} ms")
     print(f"elapsed: {run.elapsed_seconds * 1e3:.2f} ms")
     print(f"work speedup: {run.work_speedup:.2f}x of ideal {run.n_segments}x "

@@ -7,9 +7,11 @@ the set(N)->set(M) step is no longer free?
 
 The design mirrors the hardware engine but measures real seconds:
 
-- the sequential baseline (the ``verify`` oracle) is a tight
-  interpreted table-walk loop (Python lists beat numpy scalar indexing
-  ~5x for this access pattern);
+- the sequential baseline (the ``verify`` oracle) is one walk of the
+  whole input: the compiled table walk on the kernel backends (the
+  interpreted list loop when the native library does not load), and
+  the interpreted list loop on ``backend="python"``, whose oracle stays
+  independent of every compiled path;
 - the scan's own concrete walks — segment 0 and global re-execution —
   run on :func:`repro.kernels.walk`, one compiled table walk when the
   native library loads and the same list loop when it does not;
@@ -83,6 +85,7 @@ from repro.kernels import (
     run_segments_batch,
     walk,
 )
+from repro.kernels.native import native_walk
 
 __all__ = [
     "SoftwareRun",
@@ -105,23 +108,48 @@ def scan_sequential(
     start_state: Optional[int] = None,
     rows: Optional[List[List[int]]] = None,
     symbol_list: Optional[List[int]] = None,
+    tables: Optional[DenseTables] = None,
 ) -> Tuple[int, float]:
-    """Tight sequential scan; returns ``(final_state, seconds)``.
+    """One sequential walk of the whole input; returns ``(final_state, seconds)``.
 
+    This is the ``verify`` oracle and the baseline of
+    :attr:`SoftwareRun.work_speedup`.  With ``tables`` it is one compiled
+    table walk (``cse_native_walk``) reading byte input at byte width;
+    :func:`software_cse_scan` passes them on every kernel backend.
+    Without ``tables``, or where the compiled walk cannot run (no
+    library, a symbol outside the alphabet), it is the interpreted list
+    loop, which the ``python`` backend keeps as its independent oracle.
     ``rows`` / ``symbol_list`` optionally reuse conversions the caller
-    already paid for (:func:`software_cse_scan` hands the oracle the list
-    its python-backend segments walked).  This interpreted loop is the
-    ``verify`` oracle: the scan's own concrete walks run on
-    :func:`repro.kernels.walk`, so the oracle stays independent of them.
+    already paid for (the list its python-backend segments walked).
+
+    With observability enabled the walk is recorded as one
+    ``software.oracle`` span whose ``compiled`` flag says whether the
+    compiled walk actually ran.
     """
-    syms = symbol_list if symbol_list is not None else as_symbols(symbols).tolist()
-    if rows is None:
-        rows = _table_rows(dfa)
     state = dfa.start if start_state is None else int(start_state)
-    begin = time.perf_counter()
-    for sym in syms:
-        state = rows[sym][state]
-    elapsed = time.perf_counter() - begin
+    wall = time.time()
+    done = None
+    if tables is not None:
+        syms = byte_view(symbols)
+        if syms is None:
+            syms = as_symbols(symbols)
+        begin = time.perf_counter()
+        done = native_walk(dfa, syms, state, tables)
+        elapsed = time.perf_counter() - begin
+    if done is not None:
+        state = done[0]
+    else:
+        if symbol_list is None:
+            symbol_list = as_symbols(symbols).tolist()
+        if rows is None:
+            rows = _table_rows(dfa)
+        begin = time.perf_counter()
+        for sym in symbol_list:
+            state = rows[sym][state]
+        elapsed = time.perf_counter() - begin
+    if obs.is_enabled():
+        obs.record_span("software.oracle", wall, elapsed,
+                        compiled=done is not None)
     return int(state), elapsed
 
 
@@ -427,6 +455,10 @@ class SoftwareRun:
     final_state: int
     n_symbols: int
     n_segments: int
+    #: seconds of the ``verify`` oracle's one walk of the whole input
+    #: (:func:`scan_sequential`): the compiled walk on kernel backends,
+    #: the interpreted list loop on ``python`` (and without the native
+    #: library); 0 with ``verify=False``
     sequential_seconds: float
     segment_seconds: List[float]
     repair_seconds: float
@@ -469,7 +501,7 @@ def software_cse_scan(
     compiled=None,
     use_shared_memory: Optional[bool] = None,
 ) -> SoftwareRun:
-    """Scan an input with software CSE; verify against the tight loop.
+    """Scan an input with software CSE; verify against one sequential walk.
 
     ``executor`` (e.g. a pool from :func:`segment_pool`) runs segments
     truly in parallel when cores exist; without one, segments run serially
@@ -480,10 +512,13 @@ def software_cse_scan(
     time is attributed evenly across segments, which is the honest
     amortized figure for a SIMD realization of the parallel machine.
 
-    ``verify=False`` skips the sequential oracle pass (the composed result
-    is exact by construction — re-execution repairs any failed
-    speculation); callers on the hot path (streaming) use it, at the price
-    of ``sequential_seconds`` reading 0.
+    ``verify=True`` checks the composed result against
+    :func:`scan_sequential`: one compiled walk of the whole input on the
+    kernel backends, the interpreted list loop on ``python``.
+    ``verify=False`` skips that oracle pass (the composed result is exact
+    by construction — re-execution repairs any failed speculation);
+    callers on the hot path (streaming) use it, at the price of
+    ``sequential_seconds`` reading 0.
 
     ``compiled`` optionally supplies a
     :class:`repro.compilecache.CompiledDfa` artifact whose prebuilt tables
@@ -761,11 +796,16 @@ def _software_cse_scan(
 
     sequential_seconds = 0.0
     if verify:
+        # kernel backends check against one compiled walk of the whole
+        # input (a plain walk from the start, never the prefilter's);
+        # the python backend keeps the interpreted loop
         oracle, sequential_seconds = scan_sequential(
-            dfa, syms, start_state=start_state, rows=rows, symbol_list=syms_list
+            dfa, walk_syms, start_state=start_state, rows=rows,
+            symbol_list=syms_list,
+            tables=None if backend == "python" else dense,
         )
         if final != oracle:
-            raise AssertionError("software CSE diverged from the tight loop")
+            raise AssertionError("software CSE diverged from the sequential walk")
     return SoftwareRun(
         final_state=int(final),
         n_symbols=int(syms.size),

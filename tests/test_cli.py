@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.store import load_partition
+from repro.kernels import native_available
 
 
 @pytest.fixture
@@ -157,6 +158,11 @@ class TestSoftware:
         assert "backend:" in out
         assert "final state" in out
         assert "work speedup" in out
+        # the baseline line names the oracle walk it timed
+        resolved = out.split("backend: ", 1)[1].split()[0]
+        compiled = resolved != "python" and native_available()
+        label = "compiled walk" if compiled else "interpreted loop"
+        assert f"sequential ({label}):" in out
 
     @pytest.mark.parametrize("backend", ["lockstep", "bitset"])
     def test_retired_backend_rejected(self, rules_file, input_file, backend,

@@ -24,7 +24,7 @@ from repro.core.engine import CseEngine
 from repro.core.partition import StatePartition
 from repro.engines.enumerative import EnumerativeEngine
 from repro.engines.sequential import SequentialEngine
-from repro.kernels import run_segments_batch
+from repro.kernels import native_available, run_segments_batch
 from repro.software import segment_pool, software_cse_scan
 from repro.stream import FleetScanner, StreamScanner
 
@@ -257,6 +257,36 @@ class TestBackendRecording:
         assert len(resolved) == 1
         assert resolved[0]["labels"]["requested"] == "auto"
         assert resolved[0]["value"] == 1
+
+
+class TestOracleSpan:
+    """The verify oracle is a span of its own, flagged compiled or not."""
+
+    @pytest.mark.parametrize("backend", ["native", "python"])
+    def test_oracle_span_next_to_repair(self, dfa, word, backend):
+        with obs.using() as registry:
+            run = software_cse_scan(
+                dfa, word.astype(np.uint8),
+                StatePartition.trivial(dfa.num_states), n_segments=4,
+                backend=backend,
+            )
+        oracle = [s for s in registry.spans if s.name == "software.oracle"]
+        repair = [s for s in registry.spans if s.name == "software.repair"]
+        assert len(oracle) == 1 and len(repair) == 1
+        assert oracle[0].trace_id == repair[0].trace_id is not None
+        assert oracle[0].ts >= repair[0].ts
+        assert oracle[0].duration == run.sequential_seconds
+        # python keeps the interpreted loop; native walks the oracle
+        # compiled whenever the library loads
+        assert oracle[0].args["compiled"] is (
+            backend == "native" and native_available()
+        )
+
+    def test_no_oracle_span_without_verify(self, dfa, word):
+        with obs.using() as registry:
+            software_cse_scan(dfa, word, StatePartition.trivial(dfa.num_states),
+                              n_segments=4, backend="native", verify=False)
+        assert not [s for s in registry.spans if s.name == "software.oracle"]
 
 
 class TestCliTelemetry:

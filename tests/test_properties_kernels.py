@@ -5,7 +5,8 @@ segment transition functions on arbitrary machines, inputs and
 partitions, and the end-to-end scan must equal the sequential oracle.
 The concrete walk (:func:`repro.kernels.walk`) is additionally diffed
 against :meth:`Dfa.run` /
-:meth:`Dfa.run_reports`, with the native tier present and forced absent.
+:meth:`Dfa.run_reports`, and the compiled ``verify`` oracle against the
+interpreted one, with the native tier present and forced absent.
 """
 
 import os
@@ -14,6 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from repro import obs
 from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.engines.base import even_boundaries
@@ -21,11 +23,12 @@ from repro.kernels import (
     KERNEL_BACKENDS,
     DenseTables,
     certify_prefilter,
+    native_available,
     run_segments_batch,
     walk,
 )
 from repro.kernels.native import ENV_DISABLE, reset_native
-from repro.software import run_segment, software_cse_scan
+from repro.software import run_segment, scan_sequential, software_cse_scan
 from tests.kernel_inputs import (
     component_partition,
     disjoint_union_dfa,
@@ -401,6 +404,35 @@ class TestWalkEquivalence:
                 bare = walk(dfa, syms, state, tables=tables)
             assert (final, reports) == (want_final, want_reports)
             assert bare == (want_final, [])
+
+    @given(
+        dfa_word_partition(),
+        st.data(),
+        st.sampled_from(["uint8", "int64", "view"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_compiled_oracle_matches_list_loop_and_run(
+        self, dwp, data, symbol_kind
+    ):
+        dfa, word, _partition = dwp
+        state = data.draw(st.none() | st.integers(0, dfa.num_states - 1))
+        for absent in (False, True):
+            with native_tier(absent):
+                loaded = native_available()
+                for w in (word, word[:0]):
+                    syms = symbols_of(w, symbol_kind)
+                    with obs.using() as registry:
+                        compiled = scan_sequential(
+                            dfa, syms, start_state=state,
+                            tables=DenseTables(dfa),
+                        )[0]
+                        interpreted = scan_sequential(
+                            dfa, syms, start_state=state
+                        )[0]
+                    assert compiled == interpreted == dfa.run(w, state)
+                    flags = [s.args["compiled"] for s in registry.spans
+                             if s.name == "software.oracle"]
+                    assert flags == [loaded, False]
 
     @given(
         dfas(),

@@ -7,6 +7,7 @@ import pytest
 
 from repro.automata.builders import cycle_dfa
 from repro.core.partition import StatePartition
+from repro.core.transition import CsOutcome, SegmentFunction
 from repro.regex.compile import compile_ruleset
 from repro.software import run_segment, scan_sequential, software_cse_scan
 
@@ -100,6 +101,40 @@ class TestSoftwareCseScan:
         assert len(run.segment_seconds) == 8
         assert all(s >= 0 for s in run.segment_seconds)
         assert run.critical_path_seconds >= max(run.segment_seconds)
+
+
+class TestOracleCatchesKernelFaults:
+    """A wrong kernel outcome that speculation trusts reaches the oracle."""
+
+    @pytest.mark.parametrize("backend", ["dense", "native", "prefilter"])
+    def test_corrupted_outcome_raises(self, dfa, word, backend, monkeypatch):
+        import repro.software as software
+
+        data = word.astype(np.uint8)
+        wrong = (int(dfa.run(data)) + 1) % dfa.num_states
+        real = software.run_segments_batch
+
+        def corrupt(*args, **kwargs):
+            functions = real(*args, **kwargs)
+            last = functions[-1]
+            # a converged outcome: composition takes it without re-running
+            assert last.outcomes[0].converged
+            functions[-1] = SegmentFunction(
+                [CsOutcome(True, wrong, np.asarray([wrong], dtype=np.int64))],
+                last.cs_of_state,
+            )
+            return functions
+
+        monkeypatch.setattr(software, "run_segments_batch", corrupt)
+        partition = StatePartition.trivial(dfa.num_states)
+        # without the oracle the corruption goes through unnoticed
+        run = software_cse_scan(dfa, data, partition, n_segments=8,
+                                backend=backend, verify=False)
+        assert run.final_state == wrong
+        assert run.reexec_segments == 0
+        with pytest.raises(AssertionError, match="software CSE diverged"):
+            software_cse_scan(dfa, data, partition, n_segments=8,
+                              backend=backend, verify=True)
 
 
 class TestSharedMemoryPool:
