@@ -30,16 +30,25 @@ def as_symbols(data) -> np.ndarray:
     ``repro.ingest.InputView``) and integer sequences.  The widening to
     int64 is the only copy; buffer-protocol inputs are never round-tripped
     through ``bytes``.
+
+    Raises :class:`ValueError` on a negative symbol, which every table
+    lookup would otherwise wrap around to the top of the alphabet.  Only
+    signed inputs are checked, so byte and uint8 inputs pay nothing.
     """
-    if isinstance(data, np.ndarray):
-        return data.astype(np.int64, copy=False)
     if isinstance(data, str):
         data = data.encode("latin-1")
     if isinstance(data, (bytes, bytearray, memoryview)):
         return np.frombuffer(data, dtype=np.uint8).astype(np.int64)
     if hasattr(data, "__array__"):
-        return np.asarray(data).astype(np.int64, copy=False)
-    return np.asarray(list(data), dtype=np.int64)
+        arr = np.asarray(data)
+    else:
+        arr = np.asarray(list(data), dtype=np.int64)
+    if arr.dtype.kind == "i" and arr.size and int(arr.min()) < 0:
+        raise ValueError(
+            f"negative symbol {int(arr.min())}: input symbols must lie in "
+            f"[0, alphabet)"
+        )
+    return arr.astype(np.int64, copy=False)
 
 
 class Dfa:

@@ -29,7 +29,7 @@ belongs.  **Escape ends the obligation**: a resource that is returned,
 yielded, stored into an attribute/global/container, captured by a
 nested function, or passed to another call transfers ownership and is
 not this function's leak (this is what keeps the worker-side cached
-attach in ``software.py`` clean without a suppression).
+mmap attach in ``software.py`` clean without a suppression).
 """
 
 from __future__ import annotations

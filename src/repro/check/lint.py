@@ -19,8 +19,8 @@ R102  ``SharedMemory`` acquired in a function with no cleanup handler.
       (or calls a ``*release*``/``*cleanup*`` helper).
 R103  ``multiprocessing`` / ``ProcessPoolExecutor`` used outside
       ``repro/software.py``.  Worker lifecycle, table shipping and
-      shared-memory bookkeeping are centralized in ``segment_pool``;
-      ad-hoc pools re-pickle the DFA per task and skip telemetry merge.
+      segment transport are centralized in ``segment_pool``; ad-hoc
+      pools re-pickle the DFA per task and skip telemetry merge.
 R104  ``Engine`` subclass machinery that would bypass the ``repro.obs``
       instrumentation wrapper: overriding ``__init_subclass__``,
       assigning ``SomeEngine.run = ...`` after class creation, or
@@ -34,10 +34,11 @@ and value-range abstract interpretation) live in
 :mod:`repro.check.flow` and are appended by :func:`default_rules` —
 the set ``repro check lint`` runs unless ``--no-flow`` is given.
 
-Suppression: append ``# repro: noqa(R102)`` (or ``# repro: noqa`` for
+Suppression: append ``# repro: noqa(R106)`` (or ``# repro: noqa`` for
 all codes) to the flagged line.  Suppressions are deliberate, reviewed
-exceptions — e.g. the worker-side shared-memory attach in
-``repro/software.py`` whose handle is unlinked by the parent.  R107
+exceptions — e.g. the live metrics server's handler in
+``repro/obs/live/server.py``, which must catch every error to answer
+500.  R107
 reports suppressions that no longer suppress anything (stale after a
 refactor); it only runs when the full rule set does
 (``check_stale_noqa=True``) and is deliberately not suppressible
@@ -236,8 +237,8 @@ class MultiprocessingScopeRule(LintRule):
     """R103: process pools and raw multiprocessing live in one module.
 
     Everything multiprocess goes through ``repro.software.segment_pool``
-    so tables ship once, telemetry merges, and shared-memory lifetimes
-    stay balanced.
+    so tables ship once, telemetry merges, and segments reach workers
+    one way.
     """
 
     code = R103

@@ -12,7 +12,7 @@ serving loop's hit ratio is visible in any metrics snapshot.
 the artifact for a DFA + parameters, then run
 :func:`repro.software.software_cse_scan` against it — a warm call does no
 profiling, no table builds, and (on a fingerprint-matched process pool
-with shared memory) no per-segment input pickling.
+with file-backed input) no per-segment input pickling.
 """
 
 from __future__ import annotations
@@ -187,7 +187,6 @@ def scan_with_cache(
     profiling: Optional[ProfilingConfig] = None,
     cutoff: float = 0.99,
     max_blocks: Optional[int] = None,
-    use_shared_memory: Optional[bool] = None,
 ):
     """Profile-if-needed + scan, through the compilation cache.
 
@@ -228,5 +227,4 @@ def scan_with_cache(
         start_state=start_state,
         verify=verify,
         compiled=compiled,
-        use_shared_memory=use_shared_memory,
     )

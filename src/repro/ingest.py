@@ -1,9 +1,9 @@
 """Zero-copy input ingestion.
 
 The scan stack historically materialised input as ``bytes`` at every layer
-(file -> ``read_bytes`` -> ``np.frombuffer`` copy -> per-segment slices ->
-shared-memory populate).  This module provides the single entry point that
-removes those copies:
+(file -> ``read_bytes`` -> ``np.frombuffer`` copy -> per-segment pickled
+slices).  This module provides the single entry point that removes those
+copies:
 
 - :func:`open_input` maps a file with ``mmap`` and wraps it in an
   :class:`InputView` whose ``view8()`` is a ``uint8`` ndarray aliasing the
@@ -11,9 +11,9 @@ removes those copies:
 - :class:`InputView` implements ``__array__`` so ``as_symbols`` (and any
   ``np.asarray`` call) sees the underlying buffer without this module being
   imported from the automata layer.
-- ``coords()`` exposes ``(path, offset, length)`` so pool dispatch can ship
-  mmap coordinates to workers instead of pickling the payload, mirroring
-  the shared-memory name-passing pattern already used by ``segment_pool``.
+- ``coords()`` exposes ``(path, offset, length)`` of a mapped file so
+  pool dispatch can ship mmap coordinates to ``segment_pool`` workers
+  instead of pickling the payload.
 
 The view is read-only end to end (``ACCESS_READ`` + non-writeable ndarray);
 kernels only ever index it.
@@ -115,8 +115,13 @@ class InputView:
         return _find(view, needle, start, end)
 
     def coords(self) -> Optional[Tuple[str, int, int]]:
-        """``(path, offset, length)`` for mmap re-attachment, or ``None``."""
-        if self._path is None:
+        """``(path, offset, length)`` for mmap re-attachment, or ``None``.
+
+        Only a view that owns a mapping has coordinates: an empty or
+        unmappable file read into memory could not be mapped by a worker
+        either, so it travels as pickled slices.
+        """
+        if self._mmap is None or self._path is None:
             return None
         return (self._path, self._offset, self._length)
 
@@ -176,7 +181,8 @@ def open_input(path: Union[str, "os.PathLike[str]"]) -> InputView:
     """Map ``path`` read-only and return a zero-copy :class:`InputView`.
 
     Empty files cannot be mmapped; they degrade to an empty in-memory view
-    with the same coordinates so callers never special-case them.
+    (same ``path``, no :meth:`InputView.coords`) so callers never
+    special-case them.
     """
     path = os.fspath(path)
     size = os.path.getsize(path)

@@ -44,10 +44,11 @@ same helper the streaming layer uses.
 
 Input may be ``bytes``, a numpy symbol array, or a zero-copy
 :class:`repro.ingest.InputView` (e.g. from :func:`repro.ingest.open_input`
-— an mmap of the file).  File-backed views submitted to a
-fingerprint-matched process pool ship as ``(path, offset, length)`` mmap
-coordinates: workers map the file themselves and nothing but the
-coordinates crosses the process boundary.
+— an mmap of the file).  A fingerprint-matched process pool receives
+each segment of a file-backed view as ``(path, start, stop)`` mmap
+coordinates (workers map the file themselves and nothing but the
+coordinates crosses the process boundary) and any other input as a
+pickled slice.
 
 Per-segment wall times are measured individually, so the result reports
 both the *work speedup* (total sequential seconds / critical-path
@@ -93,7 +94,6 @@ __all__ = [
     "run_segment",
     "software_cse_scan",
     "segment_pool",
-    "dfa_fingerprint",
 ]
 
 
@@ -222,20 +222,9 @@ def run_segment(
 # ----------------------------------------------------------------------
 
 _WORKER_DFA: Optional[Dfa] = None
-#: the one shared-memory segment a worker keeps attached (name, handle);
-#: replaced (old handle closed) when a scan ships a new segment name
-_WORKER_SHM: Optional[Tuple[str, "object"]] = None
-
-
-def dfa_fingerprint(dfa: Dfa) -> Tuple:
-    """A stable identity for a DFA (used to match pools to machines).
-
-    Delegates to the memoized :attr:`repro.automata.dfa.Dfa.fingerprint`
-    (table bytes + dtype + shape + start + accepting) — the same value the
-    compilation cache addresses artifacts with, computed once per machine
-    instead of re-hashed per scan.
-    """
-    return dfa.fingerprint
+#: the one mapped input file a worker keeps open ``(path, mmap, file)``;
+#: replaced (old mapping closed) when a scan ships a new path
+_WORKER_MMAP: Optional[Tuple[str, "object", "object"]] = None
 
 
 def _pool_init(table_bytes, shape, start, accepting) -> None:
@@ -244,143 +233,11 @@ def _pool_init(table_bytes, shape, start, accepting) -> None:
     _WORKER_DFA = Dfa(table, start, accepting)
 
 
-def _pool_run_segment(partition, segment, backend, collect=False,
-                      seg_index=None, trace_id=None):
-    """Worker-side segment execution, optionally with local telemetry.
-
-    With ``collect=True`` the worker records into a registry of its own
-    and returns its snapshot alongside the result; the parent merges it
-    (:meth:`repro.obs.MetricRegistry.merge`), which is how counters and
-    spans cross the process boundary exactly.  ``trace_id`` is the
-    parent scan's trace context: every span the worker records carries
-    it, so the merged timeline reassembles into one Chrome trace.
-    """
-    if _WORKER_DFA is None:
-        raise RuntimeError("worker missing its DFA; build the pool "
-                           "with repro.software.segment_pool")
-    if not collect:
-        return run_segment(_WORKER_DFA, partition, segment, backend=backend)
-    with obs.using() as registry:
-        with obs.trace(trace_id):
-            with obs.span("software.segment", segment=seg_index,
-                          backend=backend, worker=True):
-                function, seconds = run_segment(
-                    _WORKER_DFA, partition, segment, backend=backend
-                )
-            obs.counter("software_worker_segments_total").inc()
-            obs.counter("software_worker_symbols_total").inc(int(len(segment)))
-    return function, seconds, registry.snapshot()
-
-
-# ----------------------------------------------------------------------
-# zero-copy input dispatch: one shared-memory segment per scan
-# ----------------------------------------------------------------------
-
-
-def _share_symbols(syms: np.ndarray):
-    """Place the scan's symbol array into shared memory once.
-
-    Returns the :class:`~multiprocessing.shared_memory.SharedMemory`
-    handle, or ``None`` when shared memory is unavailable on this
-    platform — callers fall back to pickling segment slices, the
-    pre-shared-memory behavior.  The populate is one dtype-preserving
-    ndarray write: uint8 byte views (memoryview/mmap-backed input) land in
-    shared memory at byte width without an intermediate ``bytes()`` copy
-    or int64 widening.
-    """
-    try:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=max(1, syms.nbytes))
-    except (ImportError, OSError, PermissionError):
-        obs.counter("software_shm_fallbacks_total").inc()
-        return None
-    try:
-        view = np.frombuffer(shm.buf, dtype=syms.dtype, count=syms.size)
-        view[:] = syms
-        del view
-        obs.counter("software_shm_scans_total").inc()
-        obs.counter("software_shm_bytes_total").inc(int(syms.nbytes))
-    except BaseException:
-        # the segment exists but was never handed out: close and unlink
-        # here or it outlives the scan as a stray /dev/shm file
-        shm.close()
-        shm.unlink()
-        raise
-    return shm
-
-
-def _release_shared(shm) -> None:
-    """Close + unlink the parent's handle; errors are non-fatal."""
-    for call in (shm.close, shm.unlink):
-        try:
-            call()
-        except (OSError, FileNotFoundError, BufferError):
-            pass
-
-
-def _attach_worker_shm(name: str):
-    """Attach (and cache) the scan's shared-memory segment in a worker.
-
-    Workers hold exactly one attachment: a new segment name closes the
-    previous one, so a long-lived pool never accumulates mappings.
-    Attaches with ``track=False`` where available (3.13+); on older
-    Pythons the worker's register collapses into the process-tree-shared
-    resource tracker's name set, and the parent's ``unlink`` performs the
-    single balanced unregister — so no extra bookkeeping is needed.
-    """
-    global _WORKER_SHM
-    if _WORKER_SHM is not None and _WORKER_SHM[0] == name:
-        return _WORKER_SHM[1]
-    from multiprocessing import shared_memory
-
-    if _WORKER_SHM is not None:
-        try:
-            _WORKER_SHM[1].close()
-        except (OSError, BufferError):
-            pass
-        _WORKER_SHM = None
-    # attach-side handles are cached for the pool's lifetime on purpose:
-    # the parent's _release_shared performs the one balanced unlink
-    try:
-        shm = shared_memory.SharedMemory(name=name, track=False)  # repro: noqa(R102)
-    except TypeError:  # Python < 3.13: no track flag
-        shm = shared_memory.SharedMemory(name=name)  # repro: noqa(R102)
-    _WORKER_SHM = (name, shm)
-    return shm
-
-
-def _pool_run_segment_shm(
-    partition, shm_name, start, stop, backend, dtype="int64", collect=False,
-    seg_index=None, trace_id=None,
-):
-    """Worker-side execution of a ``(shm_name, offset, length)`` segment.
-
-    The symbol data is read directly out of the scan's shared-memory
-    segment — nothing but the coordinates (and the dtype, so uint8 byte
-    views round-trip at byte width) crosses the process boundary.
-    """
-    shm = _attach_worker_shm(shm_name)
-    symbols = np.frombuffer(shm.buf, dtype=np.dtype(dtype), count=stop)[start:stop]
-    return _pool_run_segment(partition, symbols, backend, collect, seg_index,
-                             trace_id)
-
-
-# ----------------------------------------------------------------------
-# mmap input dispatch: workers map the input file themselves
-# ----------------------------------------------------------------------
-
-#: the one mapped input file a worker keeps open ``(path, mmap, file)``;
-#: replaced (old mapping closed) when a scan ships a new path
-_WORKER_MMAP: Optional[Tuple[str, "object", "object"]] = None
-
-
 def _attach_worker_mmap(path: str):
-    """Map (and cache) the scan's input file in a worker.
+    """Map (and cache) a file-backed scan's input file in a worker.
 
-    The worker-side twin of :func:`_attach_worker_shm` for file-backed
-    :class:`repro.ingest.InputView` inputs: one mapping per worker,
-    swapped when a scan names a different file.
+    One mapping per worker, swapped when a scan names a different file,
+    so a long-lived pool never accumulates mappings.
     """
     global _WORKER_MMAP
     if _WORKER_MMAP is not None and _WORKER_MMAP[0] == path:
@@ -406,24 +263,43 @@ def _attach_worker_mmap(path: str):
     return mapped
 
 
-def _pool_run_segment_mmap(
-    partition, path, start, stop, backend, collect=False, seg_index=None,
-    trace_id=None,
-):
-    """Worker-side execution of a ``(path, offset, length)`` mmap segment.
+def _pool_run_segment(partition, segment, backend, collect=False,
+                      seg_index=None, trace_id=None):
+    """Worker-side segment execution, optionally with local telemetry.
 
-    ``start``/``stop`` are absolute byte offsets into the file.  The
-    worker maps the file once (page-cache shared with the parent) and
-    aliases the segment as a uint8 view — zero copies anywhere: nothing
-    but the coordinates crosses the process boundary, and no populate
-    step exists at all, unlike the shared-memory path.
+    ``segment`` is either the symbol slice itself (pickled across the
+    process boundary) or, for a file-backed input, ``(path, start,
+    stop)`` mmap coordinates with absolute byte offsets into the file:
+    the worker maps the file once (page cache shared with the parent)
+    and aliases the segment as a uint8 view, so nothing but the
+    coordinates crosses the boundary.
+
+    With ``collect=True`` the worker records into a registry of its own
+    and returns its snapshot alongside the result; the parent merges it
+    (:meth:`repro.obs.MetricRegistry.merge`), which is how counters and
+    spans cross the process boundary exactly.  ``trace_id`` is the
+    parent scan's trace context: every span the worker records carries
+    it, so the merged timeline reassembles into one Chrome trace.
     """
-    mapped = _attach_worker_mmap(path)
-    symbols = np.frombuffer(
-        mapped, dtype=np.uint8, count=stop - start, offset=start
-    )
-    return _pool_run_segment(partition, symbols, backend, collect, seg_index,
-                             trace_id)
+    if _WORKER_DFA is None:
+        raise RuntimeError("worker missing its DFA; build the pool "
+                           "with repro.software.segment_pool")
+    if isinstance(segment, tuple):
+        path, start, stop = segment
+        segment = np.frombuffer(_attach_worker_mmap(path), dtype=np.uint8,
+                                count=stop - start, offset=start)
+    if not collect:
+        return run_segment(_WORKER_DFA, partition, segment, backend=backend)
+    with obs.using() as registry:
+        with obs.trace(trace_id):
+            with obs.span("software.segment", segment=seg_index,
+                          backend=backend, worker=True):
+                function, seconds = run_segment(
+                    _WORKER_DFA, partition, segment, backend=backend
+                )
+            obs.counter("software_worker_segments_total").inc()
+            obs.counter("software_worker_symbols_total").inc(int(len(segment)))
+    return function, seconds, registry.snapshot()
 
 
 def segment_pool(dfa: Dfa, max_workers: Optional[int] = None) -> ProcessPoolExecutor:
@@ -444,7 +320,7 @@ def segment_pool(dfa: Dfa, max_workers: Optional[int] = None) -> ProcessPoolExec
             tuple(sorted(dfa.accepting)),
         ),
     )
-    pool._repro_dfa_fingerprint = dfa_fingerprint(dfa)
+    pool._repro_dfa_fingerprint = dfa.fingerprint
     return pool
 
 
@@ -499,7 +375,6 @@ def software_cse_scan(
     start_state: Optional[int] = None,
     verify: bool = True,
     compiled=None,
-    use_shared_memory: Optional[bool] = None,
 ) -> SoftwareRun:
     """Scan an input with software CSE; verify against one sequential walk.
 
@@ -524,12 +399,13 @@ def software_cse_scan(
     :class:`repro.compilecache.CompiledDfa` artifact whose prebuilt tables
     (scalar rows, dense table, prefilter certificate) are reused instead
     of being derived per scan; results are bit-identical with or without
-    it.  ``use_shared_memory`` controls how segments reach a
-    fingerprint-matched process pool: ``None`` (auto) and ``True`` place
-    the symbol array in one :mod:`multiprocessing.shared_memory` segment
-    and ship ``(name, offset, length)`` coordinates, falling back to
-    pickled slices when shared memory is unavailable; ``False`` forces the
-    pickle path.
+    it.
+
+    Segments reach an ``executor`` one of two ways.  A fingerprint-matched
+    :func:`segment_pool` gets ``(path, start, stop)`` mmap coordinates
+    when the input is a file-backed :class:`repro.ingest.InputView` and a
+    pickled ``syms[a:b]`` slice otherwise; any other executor (e.g. a
+    ``ThreadPoolExecutor``) runs :func:`run_segment` with the DFA.
 
     With observability enabled, the whole scan runs inside one
     :func:`repro.obs.trace` scope (joining an ambient trace when the
@@ -541,12 +417,12 @@ def software_cse_scan(
     if not obs.is_enabled():
         return _software_cse_scan(
             dfa, symbols, partition, n_segments, executor, policy, backend,
-            start_state, verify, compiled, use_shared_memory,
+            start_state, verify, compiled,
         )
     with obs.trace() as trace_id:
         run = _software_cse_scan(
             dfa, symbols, partition, n_segments, executor, policy, backend,
-            start_state, verify, compiled, use_shared_memory,
+            start_state, verify, compiled,
         )
     obs.record_scan(
         kind="software",
@@ -572,7 +448,6 @@ def _software_cse_scan(
     start_state: Optional[int] = None,
     verify: bool = True,
     compiled=None,
-    use_shared_memory: Optional[bool] = None,
 ) -> SoftwareRun:
     """The scan body; trace scoping/flight summary live in the wrapper."""
     if compiled is not None:
@@ -661,55 +536,29 @@ def _software_cse_scan(
         pooled = (
             getattr(executor, "_repro_dfa_fingerprint", None) == fingerprint
         )
-        coords = symbols.coords() if isinstance(symbols, InputView) else None
-        shm = None
-        if (
-            pooled and coords is not None and use_shared_memory is not False
-            and enum_bounds
-        ):
-            # file-backed input: workers mmap the file themselves; only
-            # (path, offset, length) coordinates cross the boundary and
-            # there is no populate step at all
-            path, base, _length = coords
-            if collect:
-                obs.counter("software_mmap_scans_total").inc()
-                obs.counter("software_mmap_bytes_total").inc(int(syms.nbytes))
+        if pooled:
+            coords = symbols.coords() if isinstance(symbols, InputView) else None
+            if coords is not None:
+                # file-backed input: workers mmap the file themselves
+                path, base, length = coords
+                pieces = [(path, base + a, base + b) for a, b in enum_bounds]
+                if collect and enum_bounds:
+                    obs.counter("software_mmap_scans_total").inc()
+                    obs.counter("software_mmap_bytes_total").inc(length)
+            else:
+                pieces = [syms[a:b] for a, b in enum_bounds]
             futures = [
-                executor.submit(_pool_run_segment_mmap, partition, path,
-                                base + a, base + b, backend, collect, i + 1,
-                                trace_id)
-                for i, (a, b) in enumerate(enum_bounds)
+                executor.submit(_pool_run_segment, partition, piece, backend,
+                                collect, i + 1, trace_id)
+                for i, piece in enumerate(pieces)
             ]
-            timed = [f.result() for f in futures]
         else:
-            if pooled and use_shared_memory is not False and enum_bounds:
-                shm = _share_symbols(syms)
-            try:
-                if shm is not None:
-                    futures = [
-                        executor.submit(_pool_run_segment_shm, partition,
-                                        shm.name, a, b, backend,
-                                        str(syms.dtype), collect, i + 1,
-                                        trace_id)
-                        for i, (a, b) in enumerate(enum_bounds)
-                    ]
-                elif pooled:
-                    futures = [
-                        executor.submit(_pool_run_segment, partition,
-                                        syms[a:b], backend, collect, i + 1,
-                                        trace_id)
-                        for i, (a, b) in enumerate(enum_bounds)
-                    ]
-                else:
-                    futures = [
-                        executor.submit(run_segment, dfa, partition,
-                                        syms[a:b], backend)
-                        for a, b in enum_bounds
-                    ]
-                timed = [f.result() for f in futures]
-            finally:
-                if shm is not None:
-                    _release_shared(shm)
+            futures = [
+                executor.submit(run_segment, dfa, partition, syms[a:b],
+                                backend)
+                for a, b in enum_bounds
+            ]
+        timed = [f.result() for f in futures]
         functions = [entry[0] for entry in timed]
         enum_seconds = [entry[1] for entry in timed]
         if collect and pooled:

@@ -14,7 +14,6 @@ from repro.kernels import (
     run_segments_batch,
 )
 from repro.software import (
-    dfa_fingerprint,
     run_segment,
     segment_pool,
     software_cse_scan,
@@ -356,7 +355,7 @@ class TestSegmentPool:
             random_dfa_8.start,
             random_dfa_8.accepting,
         )
-        assert dfa_fingerprint(random_dfa_8) == dfa_fingerprint(clone)
+        assert random_dfa_8.fingerprint == clone.fingerprint
 
     def test_pool_does_not_pickle_dfa_per_segment(self, rng):
         table = rng.integers(0, 6, size=(4, 6)).astype(np.int32)

@@ -1,6 +1,12 @@
 """Unit tests for the software-only CSE prototype."""
 
+import contextlib
+import os
+import signal
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -8,8 +14,14 @@ import pytest
 from repro.automata.builders import cycle_dfa
 from repro.core.partition import StatePartition
 from repro.core.transition import CsOutcome, SegmentFunction
+from repro.ingest import open_input
 from repro.regex.compile import compile_ruleset
-from repro.software import run_segment, scan_sequential, software_cse_scan
+from repro.software import (
+    run_segment,
+    scan_sequential,
+    segment_pool,
+    software_cse_scan,
+)
 
 
 @pytest.fixture
@@ -102,6 +114,18 @@ class TestSoftwareCseScan:
         assert all(s >= 0 for s in run.segment_seconds)
         assert run.critical_path_seconds >= max(run.segment_seconds)
 
+    @pytest.mark.parametrize("backend",
+                             ["python", "dense", "native", "prefilter"])
+    def test_negative_symbol_raises(self, dfa, backend):
+        # a negative symbol used to wrap around to the top of the alphabet
+        word = np.array([97, 98, -1, 99] * 100)
+        partition = StatePartition.trivial(dfa.num_states)
+        with pytest.raises(ValueError, match="negative symbol"):
+            dfa.run(word)
+        with pytest.raises(ValueError, match="negative symbol"):
+            software_cse_scan(dfa, word, partition, n_segments=4,
+                              backend=backend)
+
 
 class TestOracleCatchesKernelFaults:
     """A wrong kernel outcome that speculation trusts reaches the oracle."""
@@ -137,47 +161,76 @@ class TestOracleCatchesKernelFaults:
                               backend=backend, verify=True)
 
 
-class TestSharedMemoryPool:
-    """The zero-copy segment dispatch path on a fingerprint-matched pool."""
+class TestPoolTransport:
+    """The two ways a fingerprint-matched pool receives segments: mmap
+    coordinates for a file-backed view, pickled slices for anything else."""
 
-    def test_shm_and_pickle_paths_agree(self, dfa, word):
-        from repro.compilecache import CompileCache, scan_with_cache
-        from repro.core.profiling import ProfilingConfig
-        from repro.software import segment_pool
+    @staticmethod
+    def _input(transport, data, tmp_path):
+        if transport == "bytes":
+            return contextlib.nullcontext(data)
+        path = tmp_path / "input.bin"
+        path.write_bytes(data)
+        return open_input(path)
 
-        config = ProfilingConfig(n_inputs=30, input_len=50)
-        cache = CompileCache()
-        with segment_pool(dfa, max_workers=2) as pool:
-            shm_run = scan_with_cache(dfa, word, cache=cache, n_segments=4,
-                                      executor=pool, profiling=config)
-            pickled = scan_with_cache(dfa, word, cache=cache, n_segments=4,
-                                      executor=pool, profiling=config,
-                                      use_shared_memory=False)
-        assert shm_run.final_state == pickled.final_state == dfa.run(word)
-        assert cache.stats()["builds"] == 1
-
-    def test_shm_metrics_and_cleanup(self, dfa, word):
-        import glob
-
+    @pytest.mark.parametrize("transport", ["bytes", "file"])
+    def test_pooled_matches_unpooled(self, dfa, word, tmp_path, transport):
         from repro import obs
         from repro.compilecache import CompileCache, scan_with_cache
         from repro.core.profiling import ProfilingConfig
-        from repro.software import segment_pool
 
-        before = set(glob.glob("/dev/shm/psm_*"))
+        data = word.astype(np.uint8).tobytes()
+        config = ProfilingConfig(n_inputs=30, input_len=50)
+        cache = CompileCache()
+        want = scan_with_cache(dfa, data, cache=cache, n_segments=4,
+                               profiling=config)
         with obs.using() as registry:
-            cache = CompileCache()
-            with segment_pool(dfa, max_workers=2) as pool:
-                scan_with_cache(
-                    dfa, word, cache=cache, n_segments=4, executor=pool,
-                    profiling=ProfilingConfig(n_inputs=30, input_len=50),
-                )
+            with segment_pool(dfa, max_workers=2) as pool, \
+                    self._input(transport, data, tmp_path) as symbols:
+                run = scan_with_cache(dfa, symbols, cache=cache,
+                                      n_segments=4, executor=pool,
+                                      profiling=config)
             snapshot = registry.snapshot()
+        assert run.final_state == want.final_state == dfa.run(data)
+        assert cache.stats()["builds"] == 1
         names = {m["name"]: m for m in snapshot["metrics"]}
-        if "software_shm_scans_total" in names:
-            assert names["software_shm_scans_total"]["value"] == 1
-            assert names["software_shm_bytes_total"]["value"] >= word.size * 8
-            # the parent released and unlinked its segment
-            assert set(glob.glob("/dev/shm/psm_*")) <= before
-        else:  # platform without shared memory: the fallback was counted
-            assert "software_shm_fallbacks_total" in names
+        # the artifact's fingerprint matched the pool: workers ran all
+        # three enumerative segments
+        assert names["software_worker_segments_total"]["value"] == 3
+        if transport == "file":
+            assert names["software_mmap_scans_total"]["value"] == 1
+            assert names["software_mmap_bytes_total"]["value"] == len(data)
+        else:
+            assert "software_mmap_scans_total" not in names
+
+    @pytest.mark.parametrize("transport", ["bytes", "file"])
+    def test_killed_worker_raises_broken_pool(self, dfa, word, tmp_path,
+                                              transport):
+        data = word.astype(np.uint8).tobytes()
+        partition = StatePartition.trivial(dfa.num_states)
+        with segment_pool(dfa, max_workers=2) as pool, \
+                self._input(transport, data, tmp_path) as symbols:
+            # start the workers, then kill one of them outright and wait
+            # for the pool to notice (else a scan the survivor finishes
+            # first races the death)
+            software_cse_scan(dfa, symbols, partition, n_segments=4,
+                              backend="dense", executor=pool)
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            deadline = time.monotonic() + 60
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raised = []
+
+            def scan():
+                try:
+                    software_cse_scan(dfa, symbols, partition, n_segments=4,
+                                      backend="dense", executor=pool)
+                except BrokenProcessPool as exc:
+                    raised.append(exc)
+
+            # a daemon thread, so a hung scan fails the test, not the run
+            runner = threading.Thread(target=scan, daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+            assert not runner.is_alive(), "pooled scan hung on a dead worker"
+            assert raised, "a dead worker must surface as BrokenProcessPool"
