@@ -9,10 +9,14 @@ smoke configuration (the 64-state random DFA of ``bench_kernels.py``):
 1. run ``software_cse_scan`` with the recorder disabled (no-op path),
 2. run it with a live registry installed,
 3. run it with the live HTTP endpoint serving ``/metrics`` while a
-   background poller scrapes it every ``--poll-interval`` seconds (the
+   background poller scrapes it about every ``--poll-interval`` seconds (the
    ``--metrics-port`` deployment shape),
-4. compare best-of-``--repeats`` wall times and fail when either enabled
-   case costs more than ``--budget`` (default 10%) over the no-op run,
+4. run the three cases interleaved, one of each per round for
+   ``--repeats`` rounds (the order rotating from round to round), and
+   fail when the median per-round overhead of either enabled case over
+   that round's no-op run exceeds ``--budget`` (default 10%): host noise
+   hits a round's three runs alike, where it would hit one of three
+   back-to-back blocks of runs alone,
 5. assert the functional outputs are identical either way,
 6. write the instrumented run's metrics snapshot to ``--out``, a merged
    multi-process Chrome trace to ``--trace-out``, and a folded-stack
@@ -30,6 +34,8 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import random
+import statistics
 import sys
 import threading
 import time
@@ -46,13 +52,10 @@ from repro.core.partition import StatePartition
 from repro.software import segment_pool, software_cse_scan
 
 
-def best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        begin = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - begin)
-    return best
+def timed(fn) -> float:
+    begin = time.perf_counter()
+    fn()
+    return time.perf_counter() - begin
 
 
 def main(argv=None) -> int:
@@ -61,7 +64,8 @@ def main(argv=None) -> int:
                         help="input symbols (bench smoke scale)")
     parser.add_argument("--segments", type=int, default=16)
     parser.add_argument("--backend", default="dense")
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=15,
+                        help="interleaved rounds of the three cases")
     parser.add_argument("--budget", type=float, default=0.10,
                         help="max allowed relative overhead (0.10 = 10%%)")
     parser.add_argument("--out", default=None,
@@ -89,9 +93,6 @@ def main(argv=None) -> int:
         )
 
     obs.disable()
-    baseline_run = scan()
-    noop_seconds = best_of(scan, args.repeats)
-
     registry = obs.MetricRegistry()
 
     def instrumented():
@@ -99,59 +100,76 @@ def main(argv=None) -> int:
         with obs.using(registry):
             return scan()
 
-    with obs.using(obs.MetricRegistry()):
-        instrumented_check = scan()
-    instrumented_seconds = best_of(instrumented, args.repeats)
-
-    if baseline_run.final_state != instrumented_check.final_state:
-        raise SystemExit("instrumented scan diverged from the no-op scan")
-
     # live-endpoint case: same instrumented scan, but with the HTTP
-    # endpoint up and a background poller scraping /metrics throughout
+    # endpoint up and a background poller scraping /metrics every
+    # --poll-interval while it runs
     live_registry = obs.MetricRegistry()
-
-    def live():
-        live_registry.clear()
-        with obs.using(live_registry):
-            return scan()
-
-    server = obs.ObsServer(live_registry).start()
+    polling = threading.Event()
     stop_polling = threading.Event()
     polls = [0]
 
+    def live():
+        live_registry.clear()
+        polling.set()
+        try:
+            with obs.using(live_registry):
+                return scan()
+        finally:
+            polling.clear()
+
+    server = obs.ObsServer(live_registry).start()
+
     def poller():
         url = server.url + "/metrics"
-        while not stop_polling.is_set():
+        # a free-running cadence, jittered around --poll-interval: a
+        # scrape lands anywhere in a live scan, never in a no-op or
+        # instrumented one, and does not phase-lock with the rounds (one
+        # round takes about three scans, close to the default interval)
+        jitter = random.Random(0)
+        while not stop_polling.wait(
+                args.poll_interval * (0.5 + jitter.random())):
+            if not polling.is_set():
+                continue
             try:
                 with urllib.request.urlopen(url, timeout=5) as response:
                     response.read()
                 polls[0] += 1
             except OSError:
                 pass
-            stop_polling.wait(args.poll_interval)
 
     poll_thread = threading.Thread(target=poller, daemon=True)
     poll_thread.start()
+    cases = (scan, instrumented, live)
+    rounds = []
     try:
-        live_check = live()
-        live_seconds = best_of(live, args.repeats)
+        finals = {fn.__name__: fn().final_state for fn in cases}
+        if len(set(finals.values())) != 1:
+            raise SystemExit(f"instrumented scans diverged from the no-op "
+                             f"scan: {finals}")
+        for r in range(args.repeats):
+            seconds = {}
+            for i in range(len(cases)):
+                fn = cases[(r + i) % len(cases)]
+                seconds[fn.__name__] = timed(fn)
+            rounds.append(seconds)
     finally:
         stop_polling.set()
         poll_thread.join(timeout=5.0)
         server.stop()
 
-    if baseline_run.final_state != live_check.final_state:
-        raise SystemExit("live-endpoint scan diverged from the no-op scan")
-
-    overhead = instrumented_seconds / noop_seconds - 1.0
-    live_overhead = live_seconds / noop_seconds - 1.0
-    print(f"no-op:        {noop_seconds * 1e3:8.2f} ms (best of {args.repeats})")
-    print(f"instrumented: {instrumented_seconds * 1e3:8.2f} ms "
-          f"(best of {args.repeats})")
-    print(f"live /metrics:{live_seconds * 1e3:8.2f} ms "
-          f"(best of {args.repeats}, {polls[0]} scrapes)")
+    median = statistics.median
+    noop_seconds = median([s["scan"] for s in rounds])
+    instrumented_seconds = median([s["instrumented"] for s in rounds])
+    live_seconds = median([s["live"] for s in rounds])
+    overhead = median([s["instrumented"] / s["scan"] - 1.0 for s in rounds])
+    live_overhead = median([s["live"] / s["scan"] - 1.0 for s in rounds])
+    print(f"no-op:        {noop_seconds * 1e3:8.2f} ms "
+          f"(median of {args.repeats} rounds)")
+    print(f"instrumented: {instrumented_seconds * 1e3:8.2f} ms")
+    print(f"live /metrics:{live_seconds * 1e3:8.2f} ms ({polls[0]} scrapes)")
     print(f"overhead:     {overhead:+.2%} instrumented, "
-          f"{live_overhead:+.2%} live (budget {args.budget:.0%})")
+          f"{live_overhead:+.2%} live, median per round "
+          f"(budget {args.budget:.0%})")
 
     if args.trace_out or args.flamegraph_out:
         artifact_registry = obs.MetricRegistry()

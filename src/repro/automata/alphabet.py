@@ -19,7 +19,8 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.automata.dfa import Dfa, as_symbols
+from repro.automata.dfa import Dfa
+from repro.ingest import admit
 
 __all__ = ["CompressedDfa", "compress_alphabet", "symbol_classes"]
 
@@ -58,11 +59,8 @@ class CompressedDfa:
         return self.original_alphabet_size / self.num_classes
 
     def translate(self, symbols) -> np.ndarray:
-        """Map a raw input string onto class symbols."""
-        syms = as_symbols(symbols)
-        if syms.size and (syms.min() < 0
-                          or syms.max() >= self.original_alphabet_size):
-            raise ValueError("input symbols outside the original alphabet")
+        """Map a raw input string onto class symbols (input admitted first)."""
+        syms = admit(symbols, self.original_alphabet_size)
         return self.class_of_symbol[syms]
 
     def run(self, symbols, state=None) -> int:

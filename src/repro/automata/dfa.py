@@ -9,7 +9,8 @@ A :class:`Dfa` stores its transition function as a dense numpy table
   primitive, see :mod:`repro.core.setfsm`).
 
 Symbols are small integers ``0 .. alphabet_size-1``; text workloads map bytes
-onto this range. States are ``0 .. num_states-1``.
+onto this range. States are ``0 .. num_states-1``.  Execution methods
+admit their input first (:func:`repro.ingest.admit`).
 """
 
 from __future__ import annotations
@@ -19,36 +20,9 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ingest import admit, as_symbols
+
 __all__ = ["Dfa", "as_symbols"]
-
-
-def as_symbols(data) -> np.ndarray:
-    """Normalize an input string into a 1-D int64 symbol array.
-
-    Accepts ``bytes``, ``str`` (encoded latin-1), ``memoryview``/mmap-backed
-    buffers, numpy arrays, array-likes implementing ``__array__`` (e.g.
-    ``repro.ingest.InputView``) and integer sequences.  The widening to
-    int64 is the only copy; buffer-protocol inputs are never round-tripped
-    through ``bytes``.
-
-    Raises :class:`ValueError` on a negative symbol, which every table
-    lookup would otherwise wrap around to the top of the alphabet.  Only
-    signed inputs are checked, so byte and uint8 inputs pay nothing.
-    """
-    if isinstance(data, str):
-        data = data.encode("latin-1")
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        return np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-    if hasattr(data, "__array__"):
-        arr = np.asarray(data)
-    else:
-        arr = np.asarray(list(data), dtype=np.int64)
-    if arr.dtype.kind == "i" and arr.size and int(arr.min()) < 0:
-        raise ValueError(
-            f"negative symbol {int(arr.min())}: input symbols must lie in "
-            f"[0, alphabet)"
-        )
-    return arr.astype(np.int64, copy=False)
 
 
 class Dfa:
@@ -188,7 +162,7 @@ class Dfa:
         """
         cur = self.start if state is None else int(state)
         table = self.transitions
-        for sym in as_symbols(symbols):
+        for sym in admit(symbols, self.alphabet_size, cur, self.num_states):
             cur = table[sym, cur]
         return int(cur)
 
@@ -197,7 +171,7 @@ class Dfa:
         cur = self.start if state is None else int(state)
         path = [cur]
         table = self.transitions
-        for sym in as_symbols(symbols):
+        for sym in admit(symbols, self.alphabet_size, cur, self.num_states):
             cur = int(table[sym, cur])
             path.append(cur)
         return path
@@ -213,7 +187,8 @@ class Dfa:
         table = self.transitions
         acc = self.accepting_mask
         out: List[Tuple[int, int]] = []
-        for i, sym in enumerate(as_symbols(symbols)):
+        syms = admit(symbols, self.alphabet_size, cur, self.num_states)
+        for i, sym in enumerate(syms):
             cur = int(table[sym, cur])
             if acc[cur]:
                 out.append((i, cur))
@@ -229,7 +204,7 @@ class Dfa:
         """
         cur = np.arange(self.num_states, dtype=np.int32)
         table = self.transitions
-        for sym in as_symbols(symbols):
+        for sym in admit(symbols, self.alphabet_size):
             cur = table[sym].take(cur)
         return cur
 
@@ -263,7 +238,7 @@ class Dfa:
         cur = np.unique(np.asarray(list(states), dtype=np.int32))
         table = self.transitions
         sizes: List[int] = []
-        for sym in as_symbols(symbols):
+        for sym in admit(symbols, self.alphabet_size):
             cur = np.unique(table[sym].take(cur))
             if record_sizes:
                 sizes.append(int(cur.size))
@@ -285,7 +260,7 @@ class Dfa:
             return True
         table = self.transitions
         acc = self.accepting_mask
-        for sym in as_symbols(symbols):
+        for sym in admit(symbols, self.alphabet_size):
             cur = int(table[sym, cur])
             if acc[cur]:
                 return True

@@ -19,9 +19,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.automata.dfa import Dfa, as_symbols
+from repro.automata.dfa import Dfa
 from repro.hardware.ap import APConfig
 from repro.hardware.cost import parallel_cycles, throughput_symbols_per_sec
+from repro.ingest import admit, as_symbols
 
 __all__ = [
     "Engine",
@@ -262,18 +263,10 @@ class Engine(abc.ABC):
     # shared helpers
     # ------------------------------------------------------------------
     def _prepare(self, symbols, start_state: Optional[int]):
-        syms = as_symbols(symbols)
-        if syms.size:
-            low, high = int(syms.min()), int(syms.max())
-            if low < 0 or high >= self.dfa.alphabet_size:
-                raise ValueError(
-                    f"input symbols [{low}, {high}] outside the DFA alphabet "
-                    f"[0, {self.dfa.alphabet_size})"
-                )
         start = self.dfa.start if start_state is None else int(start_state)
-        if not (0 <= start < self.dfa.num_states):
-            raise ValueError(f"start state {start} out of range")
-        return syms, start
+        syms = admit(symbols, self.dfa.alphabet_size, start,
+                     self.dfa.num_states)
+        return as_symbols(syms), start
 
     def _finalize(
         self,

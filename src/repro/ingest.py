@@ -1,4 +1,4 @@
-"""Zero-copy input ingestion.
+"""Zero-copy input ingestion and the one input contract.
 
 The scan stack historically materialised input as ``bytes`` at every layer
 (file -> ``read_bytes`` -> ``np.frombuffer`` copy -> per-segment pickled
@@ -8,12 +8,13 @@ copies:
 - :func:`open_input` maps a file with ``mmap`` and wraps it in an
   :class:`InputView` whose ``view8()`` is a ``uint8`` ndarray aliasing the
   page cache — no read, no copy.
-- :class:`InputView` implements ``__array__`` so ``as_symbols`` (and any
-  ``np.asarray`` call) sees the underlying buffer without this module being
-  imported from the automata layer.
+- :class:`InputView` implements ``__array__`` so :func:`as_symbols` (and
+  any ``np.asarray`` call) sees the underlying buffer.
 - ``coords()`` exposes ``(path, offset, length)`` of a mapped file so
   pool dispatch can ship mmap coordinates to ``segment_pool`` workers
   instead of pickling the payload.
+
+:func:`admit` is the input contract every public scan entry point calls.
 
 The view is read-only end to end (``ACCESS_READ`` + non-writeable ndarray);
 kernels only ever index it.
@@ -23,13 +24,20 @@ from __future__ import annotations
 
 import mmap
 import os
-from typing import IO, Any, Optional, Tuple, Union
+from typing import IO, Any, Iterable, Optional, Tuple, Union, cast
 
 import numpy as np
 
-__all__ = ["InputView", "open_input", "from_bytes", "byte_view"]
+__all__ = [
+    "InputError", "InputView", "admit", "as_symbols", "from_bytes",
+    "open_input",
+]
 
 BufferLike = Union[bytes, bytearray, memoryview, mmap.mmap]
+
+
+class InputError(ValueError):
+    """A symbol or start state outside the machine (see :func:`admit`)."""
 
 
 class InputView:
@@ -102,10 +110,6 @@ class InputView:
             arr.flags.writeable = False
             self._arr = arr
         return self._arr
-
-    def symbols(self) -> np.ndarray:
-        """``int64`` symbol array (one widening copy, only when asked for)."""
-        return self.view8().astype(np.int64)
 
     def find(self, needle: bytes, start: int = 0, end: Optional[int] = None) -> int:
         """``bytes.find`` over the window."""
@@ -212,17 +216,66 @@ def from_bytes(data: Union[bytes, bytearray, memoryview]) -> InputView:
     return InputView(data)
 
 
-def byte_view(symbols: object) -> Optional[np.ndarray]:
-    """Best-effort zero-copy ``uint8`` view of ``symbols``.
+_UINT8 = np.dtype(np.uint8)
 
-    Returns ``None`` when the input is not byte-like (e.g. an ``int64``
-    symbol array from a non-byte alphabet), in which case callers fall back
-    to ``as_symbols``.
+
+def _array(data: object) -> np.ndarray:
+    """Byte-like input as a zero-copy uint8 view, anything else as an array."""
+    if isinstance(data, np.ndarray):
+        return data
+    if isinstance(data, str):
+        data = data.encode("latin-1")
+    if isinstance(data, InputView):
+        return data.view8()
+    if isinstance(data, (bytes, bytearray, memoryview, mmap.mmap)):
+        return np.frombuffer(data, dtype=np.uint8)
+    if hasattr(data, "__array__"):
+        return np.asarray(data)
+    return np.asarray(list(cast(Iterable[int], data)), dtype=np.int64)
+
+
+def as_symbols(data: object) -> np.ndarray:
+    """Normalize an input string into a 1-D int64 symbol array, unchecked.
+
+    Accepts ``bytes``, ``str`` (encoded latin-1), ``memoryview``/mmap-backed
+    buffers, numpy arrays, array-likes implementing ``__array__`` (e.g.
+    :class:`InputView`) and integer sequences; the widening to int64 is
+    the only copy.
     """
-    if isinstance(symbols, InputView):
-        return symbols.view8()
-    if isinstance(symbols, (bytes, bytearray, memoryview, mmap.mmap)):
-        return np.frombuffer(symbols, dtype=np.uint8)
-    if isinstance(symbols, np.ndarray) and symbols.dtype == np.uint8 and symbols.ndim == 1:
-        return symbols
-    return None
+    return _array(data).astype(np.int64, copy=False)
+
+
+def admit(
+    symbols: object,
+    alphabet: int,
+    state: Optional[int] = None,
+    num_states: int = 0,
+) -> np.ndarray:
+    """The input contract: ``symbols`` as the array the kernels read.
+
+    Byte-like input (``bytes``, ``bytearray``, ``memoryview``, ``mmap``,
+    :class:`InputView`, a ``uint8`` ndarray) comes back as a zero-copy
+    ``uint8`` view, anything else as ``int64``.  Raises
+    :class:`InputError` naming the first symbol outside ``[0, alphabet)``
+    and its position, or a given ``state`` outside ``[0, num_states)``.
+    """
+    syms = _array(symbols)
+    byte = syms.dtype == _UINT8
+    if not byte:
+        syms = syms.astype(np.int64, copy=False)
+    if syms.size and (not byte or alphabet < 256):
+        # one pass either way: a negative int64 read as uint64 is huge
+        wide = syms if byte else syms.view(np.uint64)
+        if int(wide.max()) >= alphabet:
+            pos = int(np.argmax(wide >= alphabet))
+            sym = int(syms[pos])
+            kind = "negative symbol" if sym < 0 else "symbol"
+            raise InputError(
+                f"{kind} {sym} at position {pos} outside [0, alphabet) "
+                f"= [0, {alphabet})"
+            )
+    if state is not None and not 0 <= state < num_states:
+        raise InputError(
+            f"start state {state} outside [0, num_states) = [0, {num_states})"
+        )
+    return syms

@@ -305,11 +305,11 @@ DEFINE_RANGE_CHECK(out_of_range_i64, int64_t)
  *              uint8 ones from the front, int64 ones from the back
  *
  * Int64 segments, and uint8 segments when alphabet < 256, are range
- * checked before they are read.  Returns WALK_DONE, WALK_BAD_SYMBOL on a
- * symbol outside [0, alphabet) (the caller runs the batch on the dense
- * kernel, whose behaviour on such input is the reference), or
- * WALK_BAD_KIND on an unknown table or symbol kind or a state outside
- * [0, n_states).
+ * checked before they are read: the check guards the table reads, while
+ * the caller's input contract (repro.ingest.admit) decides what input is
+ * acceptable.  Returns WALK_DONE, WALK_BAD_SYMBOL on a symbol outside
+ * [0, alphabet), or WALK_BAD_KIND on an unknown table or symbol kind or
+ * a state outside [0, n_states).
  */
 int64_t
 cse_native_scan(const void *table, int64_t kind, int64_t n_states,
@@ -439,9 +439,7 @@ cse_native_table_view(const void *table, int64_t kind, int64_t n_cells,
 
 /* One walk body per (table kind, symbol kind).  The symbol is range
  * checked before it indexes the table: an out-of-range symbol stops the
- * walk at its position with WALK_BAD_SYMBOL and the caller replays the
- * input on the interpreted walk, whose behaviour on such input is the
- * reference. */
+ * walk at its position with WALK_BAD_SYMBOL. */
 #define DEFINE_WALK(NAME, TAB_T, SYM_T)                                      \
 static int64_t                                                               \
 NAME(const TAB_T *tab, int64_t n_states, uint64_t alphabet,                  \
@@ -498,7 +496,8 @@ DEFINE_WALK(walk_i64_i64, int64_t, int64_t)
  * Returns WALK_DONE when every symbol was read, WALK_PAUSED when the
  * report buffer filled (resume with the same arguments: pos_io/state_io
  * already point past the last report), WALK_BAD_SYMBOL at a symbol
- * outside [0, alphabet), WALK_BAD_KIND on an unknown kind or cap < 1.
+ * outside [0, alphabet), WALK_BAD_KIND on an unknown kind, cap < 1 or a
+ * start state outside [0, n_states).
  */
 int64_t
 cse_native_walk(const void *table, int64_t kind, int64_t n_states,
@@ -509,7 +508,7 @@ cse_native_walk(const void *table, int64_t kind, int64_t n_states,
 {
     const uint64_t a = (uint64_t)alphabet;
     *n_reports_out = 0;
-    if (cap < 1)
+    if (cap < 1 || (uint64_t)*state_io >= (uint64_t)n_states)
         return WALK_BAD_KIND;
 #define WALK_CALL(FN, TAB_T, SYM_T)                                          \
     return FN((const TAB_T *)table, n_states, a, (const SYM_T *)syms, len,   \
@@ -533,8 +532,7 @@ cse_native_walk(const void *table, int64_t kind, int64_t n_states,
  * run (the tail to walk from home starts there), or -1 when no run
  * qualifies.  With check set, every symbol of the segment, the erased
  * prefix included, is range checked (a symbol indexes the LUT only after
- * its check): WALK_BAD_SYMBOL on a symbol outside [0, alphabet), and the
- * caller replays the batch interpreted. */
+ * its check): WALK_BAD_SYMBOL on a symbol outside [0, alphabet). */
 #define DEFINE_RESET_SCAN(NAME, SYM_T)                                       \
 static int64_t                                                               \
 NAME(const SYM_T *syms, int64_t len, const uint8_t *lut, uint64_t alphabet,  \

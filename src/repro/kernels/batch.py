@@ -26,9 +26,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.automata.dfa import Dfa, as_symbols
+from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.core.transition import SegmentFunction
+from repro.ingest import admit
 from repro.kernels.dense import DenseTables, run_segments_dense
 from repro.kernels.native import native_available, run_segments_native
 from repro.kernels.prefilter import (
@@ -204,6 +205,7 @@ def run_segments_batch(
     ``backend="prefilter"``; when the DFA is not literal-certifiable the
     call degrades to the native (or dense) kernel — correctness never
     depends on the prefilter heuristic — and records the fallback.
+    Every segment is admitted first (:func:`repro.ingest.admit`).
     """
     if backend not in KERNEL_BACKENDS:
         raise ValueError(f"batched execution needs one of {KERNEL_BACKENDS}")
@@ -218,16 +220,9 @@ def run_segments_batch(
         # depend on the optional compiled tier
         obs.counter("kernels_native_fallbacks_total").inc()
         backend = "dense"
-    if backend == "prefilter":
-        # keep the incoming dtype: uint8 mmap views flow into the anchor
-        # sweep zero-copy, no int64 widening of the skipped bytes
-        segments = [
-            s if isinstance(s, np.ndarray) else as_symbols(s) for s in segments
-        ]
-    elif backend == "dense":
-        # the NumPy gather indexes with int64 symbols; the native core
-        # reads every segment at its own width itself
-        segments = [as_symbols(s) for s in segments]
+    # byte input stays a zero-copy uint8 view: the prefilter sweep and
+    # the native core read it at that width
+    segments = [admit(s, dfa.alphabet_size) for s in segments]
     n_seg = len(segments)
     if n_seg == 0:
         return []

@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.automata.dfa import Dfa, as_symbols
+from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.core.transition import CsOutcome
 
@@ -121,15 +121,12 @@ def run_segments_dense(
     ``stride`` pins the gap between collapse checks; ``None`` adapts it
     (start at :data:`STRIDE_MIN`, double toward :data:`STRIDE_MAX` while
     checks find nothing new, reset on progress).
-
-    A negative symbol raises :class:`ValueError`, as in the native kernel.
     """
     from repro.engines.base import stack_segments
 
     if stride is not None and int(stride) < 1:
         raise ValueError("stride must be >= 1")
     tables = tables or DenseTables(dfa)
-    segments = [as_symbols(s) for s in segments]
     n_seg = len(segments)
     blocks = partition.block_arrays()
     n_blocks = len(blocks)

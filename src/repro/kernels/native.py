@@ -36,13 +36,13 @@ The same library also runs the scan's concrete walks — segment 0, global
 re-execution and a matcher's report pass — through :func:`walk`: one
 compiled table walk from a start state over symbols read at their own
 width, collecting ``(offset, state)`` reports into a bounded buffer that
-the walk pauses on and resumes from.  Without the library, or on
-symbols outside the alphabet, :func:`walk` runs the interpreted list
-walk instead, so every answer (and every exception) is the interpreted
-one.  :func:`native_prefilter` runs the literal prefilter
-(:mod:`repro.kernels.prefilter`) for a batch of segments in one call: a
-backward scan to each segment's last proven reset, then the compiled
-walk of the tail after it.
+the walk pauses on and resumes from.  Without the library :func:`walk`
+runs the interpreted list walk.  :func:`native_prefilter` runs the
+literal prefilter (:mod:`repro.kernels.prefilter`) for a batch of
+segments in one call: a backward scan to each segment's last proven
+reset, then the compiled walk of the tail after it.  The C range checks
+only guard memory reads: a refused call raises the input contract's
+error (:func:`repro.ingest.admit`), never a replay.
 
 Outcomes are bit-identical to every other backend: the C core returns
 raw final frontiers and this module reuses ``dense.py``'s epilogue
@@ -65,14 +65,16 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, NoReturn, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
-from repro.automata.dfa import Dfa, as_symbols
+from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.core.transition import CsOutcome
-from repro.ingest import byte_view
+from repro.ingest import admit
 from repro.kernels.dense import DenseTables
 
 if TYPE_CHECKING:
@@ -413,22 +415,18 @@ def walk(
 ) -> Tuple[int, List[Report]]:
     """One concrete walk from ``state``; returns ``(final_state, reports)``.
 
-    With the native library loaded this is ``cse_native_walk`` over
-    ``tables`` (the dense tables, built from ``dfa`` when not given),
-    reading byte input as uint8 and anything else as int64.  With
-    ``reports=True`` the list holds ``(offset, state)`` for every
-    position whose post-symbol state is accepting, exactly as
-    :meth:`Dfa.run_reports` emits them; otherwise it is empty.
-
-    Without the library, on a start state outside the machine, or on a
-    symbol outside ``[0, alphabet)``, the walk runs on the interpreted
-    list walk over ``rows`` (the nested-list table, built from ``dfa``
-    when not given), so the answer or exception is the interpreted one.
+    The input is admitted first (:func:`repro.ingest.admit`).  With the
+    native library loaded this is ``cse_native_walk`` over ``tables``
+    (the dense tables, built from ``dfa`` when not given), reading byte
+    input as uint8 and anything else as int64.  With ``reports=True``
+    the list holds ``(offset, state)`` for every position whose
+    post-symbol state is accepting, exactly as :meth:`Dfa.run_reports`
+    emits them; otherwise it is empty.  Without the library it is the
+    interpreted list walk over ``rows`` (the nested-list table, built
+    from ``dfa`` when not given).
     """
     start = dfa.start if state is None else int(state)
-    syms = byte_view(symbols)
-    if syms is None:
-        syms = as_symbols(symbols)
+    syms = admit(symbols, dfa.alphabet_size, start, dfa.num_states)
     done = native_walk(dfa, syms, start, tables, reports)
     if done is not None:
         return done
@@ -445,16 +443,16 @@ def native_walk(
 ) -> Optional[Tuple[int, List[Report]]]:
     """The compiled half of :func:`walk`, or ``None`` where it cannot run.
 
-    ``None`` means the library is absent, ``state`` is outside the
-    machine, a symbol is outside ``[0, alphabet)``, or the table or
-    symbol dtype has no C kind: the interpreted walk is the answer
-    there.  ``cap`` sizes the report buffer each C call fills before it
-    pauses; ``repro check`` (K116) passes a tiny one so that a short
-    probe crosses many pause/resume points.
+    ``None`` means the library is absent or the table or symbol dtype
+    has no C kind: the interpreted walk is the answer there.  A symbol
+    or ``state`` the C walk refuses raises the input contract's
+    :class:`repro.ingest.InputError`.  ``cap`` sizes the report buffer
+    each C call fills before it pauses; ``repro check`` (K116) passes a
+    tiny one so that a short probe crosses many pause/resume points.
     """
     lib = load_native()
     n_states = dfa.num_states
-    if lib is None or not 0 <= state < n_states or cap < 1:
+    if lib is None or cap < 1:
         return None
     tables = tables if tables is not None else DenseTables(dfa)
     kind = _TABLE_KINDS.get(tables.table.dtype)
@@ -494,8 +492,7 @@ def native_walk(
         if rc == _WALK_DONE:
             return int(cur.value), out
         if rc != _WALK_PAUSED:
-            # an out-of-range symbol: its behaviour is the interpreted one
-            return None
+            _refuse(dfa, [syms], [state], rc)
 
 
 def native_prefilter(
@@ -516,10 +513,10 @@ def native_prefilter(
     run, whose frontier the caller runs).  Segments are read at their own
     width, uint8 or int64, with no copy.
 
-    ``None`` means the compiled call cannot answer: the library is
-    absent, a symbol or table dtype has no C kind, a start state is
-    outside the machine, or a symbol is outside ``[0, alphabet)``.  The
-    interpreted prefilter is the answer there.
+    ``None`` means the library is absent or a symbol or table dtype has
+    no C kind: the interpreted prefilter is the answer there.  A symbol
+    or start state the C call refuses raises the input contract's
+    :class:`repro.ingest.InputError`.
     """
     lib = load_native()
     if lib is None:
@@ -559,10 +556,19 @@ def native_prefilter(
         _ptr(start_arr), _ptr(final), _ptr(walk_from),
     ))
     if rc != _WALK_DONE:
-        # an out-of-range symbol or start state: its behaviour is the
-        # interpreted one
-        return None
+        _refuse(dfa, segs, [s for s in starts if s != -1], rc)
     return final, walk_from
+
+
+def _refuse(
+    dfa: Dfa, segments: Sequence[np.ndarray], states: Sequence[int], rc: int
+) -> NoReturn:
+    """Raise :func:`repro.ingest.admit`'s error for a refused C call."""
+    for seg in segments:
+        admit(seg, dfa.alphabet_size)
+    for state in states:
+        admit(b"", dfa.alphabet_size, int(state), dfa.num_states)
+    raise RuntimeError(f"native call refused admitted input (rc {rc})")
 
 
 def _walk_list(
@@ -628,13 +634,13 @@ def run_segments_native(
     :func:`repro.kernels.dense.run_segments_dense`; ``stats`` carries the
     native tier's own telemetry (``native_positions``, ``frontier_steps``,
     ``stride_checks``, ``degraded_segments``, ``scalar_positions``,
-    ``collapses``).  Segments are read at their own width: byte input
-    (uint8 arrays, :class:`repro.ingest.InputView`, bytes) as uint8,
-    anything else as int64.  Inputs the C core cannot take verbatim (an
-    unsupported table dtype, a table not shaped alphabet x states, or
-    out-of-range symbols that dense's gather answers its own way)
-    delegate to the dense kernel — never a crash, never a different
-    answer.
+    ``collapses``).  Segments are read at their own width, as uint8 or
+    int64 arrays (what :func:`repro.ingest.admit` returns; an
+    :class:`repro.ingest.InputView` reads as uint8).  Inputs the C core
+    cannot take verbatim (another symbol dtype, an unsupported table
+    dtype, a table not shaped alphabet x states) delegate to the dense
+    kernel — never a crash, never a different answer.  A symbol outside
+    ``[0, alphabet)`` raises :class:`repro.ingest.InputError`.
     """
     from repro.kernels.dense import run_segments_dense
 
@@ -654,16 +660,13 @@ def run_segments_native(
             "frontier_steps": 0, "collapses": 0,
         }
     # keep every contiguous segment alive for the call: the C side reads
-    # them through raw addresses
-    segs: List[np.ndarray] = []
-    for seg in segments:
-        view = byte_view(seg)
-        syms = view if view is not None else as_symbols(seg)
-        segs.append(np.ascontiguousarray(syms, dtype=syms.dtype))
+    # them through raw addresses; dtype deliberately inherited
+    segs = [np.ascontiguousarray(seg) for seg in segments]  # repro: noqa(R101)
     kind = _TABLE_KINDS.get(tables.table.dtype)
     n_states = int(tables.num_states)
     if (
-        kind is None or any(seg.ndim != 1 for seg in segs)
+        kind is None
+        or any(seg.ndim != 1 or seg.dtype not in _SYMBOL_KINDS for seg in segs)
         or int(tables.table.size) != dfa.alphabet_size * n_states
     ):
         grid, dstats = run_segments_dense(
@@ -714,12 +717,7 @@ def run_segments_native(
         _ptr(stamp), _ptr(seen_scratch), _ptr(tails[0]), _ptr(tails[1]),
     ))
     if rc == _WALK_BAD_SYMBOL:
-        # dense's gather answers out-of-range symbols its own way (or
-        # raises); the C gather must not read past the table
-        grid, dstats = run_segments_dense(
-            dfa, partition, segments, tables=tables, stride=stride
-        )
-        return grid, _delegate_stats(dstats)
+        _refuse(dfa, segs, [], rc)
     if rc != _WALK_DONE:
         raise RuntimeError(
             f"native scan rejected the table (kind {kind}, rc {rc})"

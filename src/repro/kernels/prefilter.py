@@ -39,9 +39,8 @@ rightmost one, so the erased prefix is never read) and the tail after it
 is walked from home over the dense tables, each segment read at its own
 width.  Without the library the reference does one vectorized anchor-LUT
 sweep (``np.flatnonzero(lut[segment])``), finds the last qualifying run
-(:func:`_last_reset`) and walks the tail with the interpreted table; a
-symbol outside the alphabet sends the compiled call back to that
-reference, so every value and exception is the reference's.  Segments
+(:func:`_last_reset`) and walks the tail with the interpreted table;
+both read admitted input (:func:`repro.ingest.admit`).  Segments
 with no qualifying run (adversarially dense matches, or shorter than the
 skip width) fall back to the native or dense frontier kernel, batched in
 one call, so correctness never depends on the prefilter being profitable.
@@ -63,6 +62,7 @@ import numpy as np
 from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.core.transition import CsOutcome
+from repro.ingest import admit
 from repro.kernels.dense import DenseTables, run_segments_dense
 from repro.kernels.native import (
     native_available,
@@ -314,22 +314,21 @@ def prefilter_scan_scalar(
     Returns ``(final_state, walked)`` where ``walked`` is the number of
     positions actually stepped through the table; the rest of the segment
     was erased by a proven reset run.  Bit-identical to
-    ``dfa.run(segment, start_state)``.  Runs as one
-    ``cse_native_prefilter`` call over ``dense`` (built from ``dfa`` when
-    not given) when the native library loads, else as the anchor sweep
-    plus the interpreted tail walk over ``rows``.
+    ``dfa.run(segment, start_state)``, and like it admits the input first
+    (:func:`repro.ingest.admit`).  Runs as one ``cse_native_prefilter``
+    call over ``dense`` (built from ``dfa`` when not given) when the
+    native library loads, else as the anchor sweep plus the interpreted
+    tail walk over ``rows``.
     """
-    # dtype deliberately inherited: uint8 views stay uint8 (zero-copy)
-    seg = np.asarray(segment)  # repro: noqa(R101)
-    length = int(seg.size)
     state = dfa.start if start_state is None else int(start_state)
+    seg = admit(segment, dfa.alphabet_size, state, dfa.num_states)
+    length = int(seg.size)
     if length == 0:
         return state, 0
-    if 0 <= state < dfa.num_states:
-        done = native_prefilter(dfa, tables, [seg], [state], dense)
-        if done is not None:
-            final, resume = done
-            return int(final[0]), length - max(0, int(resume[0]))
+    done = native_prefilter(dfa, tables, [seg], [state], dense)
+    if done is not None:
+        final, resume = done
+        return int(final[0]), length - max(0, int(resume[0]))
     hits = np.flatnonzero(tables.anchor_lut[seg])
     proven, walk_from = _last_reset(hits, length, tables.skip_width)
     if proven:

@@ -44,11 +44,11 @@ same helper the streaming layer uses.
 
 Input may be ``bytes``, a numpy symbol array, or a zero-copy
 :class:`repro.ingest.InputView` (e.g. from :func:`repro.ingest.open_input`
-— an mmap of the file).  A fingerprint-matched process pool receives
-each segment of a file-backed view as ``(path, start, stop)`` mmap
-coordinates (workers map the file themselves and nothing but the
-coordinates crosses the process boundary) and any other input as a
-pickled slice.
+— an mmap of the file), admitted once (:func:`repro.ingest.admit`).  A
+fingerprint-matched process pool receives each segment of a file-backed
+view as ``(path, start, stop)`` mmap coordinates (workers map the file
+themselves and nothing but the coordinates crosses the process
+boundary) and any other input as a pickled slice.
 
 Per-segment wall times are measured individually, so the result reports
 both the *work speedup* (total sequential seconds / critical-path
@@ -69,12 +69,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.automata.dfa import Dfa, as_symbols
+from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.core.reexec import ReexecutionStats, compose_and_fix
 from repro.core.transition import CsOutcome, SegmentFunction
 from repro.engines.base import even_boundaries
-from repro.ingest import InputView, byte_view
+from repro.ingest import InputView, admit
 from repro.kernels import (
     BACKENDS,
     DenseTables,
@@ -113,26 +113,25 @@ def scan_sequential(
     """One sequential walk of the whole input; returns ``(final_state, seconds)``.
 
     This is the ``verify`` oracle and the baseline of
-    :attr:`SoftwareRun.work_speedup`.  With ``tables`` it is one compiled
+    :attr:`SoftwareRun.work_speedup`.  The input is admitted first
+    (:func:`repro.ingest.admit`).  With ``tables`` it is one compiled
     table walk (``cse_native_walk``) reading byte input at byte width;
     :func:`software_cse_scan` passes them on every kernel backend.
-    Without ``tables``, or where the compiled walk cannot run (no
-    library, a symbol outside the alphabet), it is the interpreted list
-    loop, which the ``python`` backend keeps as its independent oracle.
-    ``rows`` / ``symbol_list`` optionally reuse conversions the caller
-    already paid for (the list its python-backend segments walked).
+    Without ``tables``, or without the native library, it is the
+    interpreted list loop, which the ``python`` backend keeps as its
+    independent oracle.  ``rows`` / ``symbol_list`` optionally reuse
+    conversions the caller already paid for (the list its python-backend
+    segments walked).
 
     With observability enabled the walk is recorded as one
     ``software.oracle`` span whose ``compiled`` flag says whether the
     compiled walk actually ran.
     """
     state = dfa.start if start_state is None else int(start_state)
+    syms = admit(symbols, dfa.alphabet_size, state, dfa.num_states)
     wall = time.time()
     done = None
     if tables is not None:
-        syms = byte_view(symbols)
-        if syms is None:
-            syms = as_symbols(symbols)
         begin = time.perf_counter()
         done = native_walk(dfa, syms, state, tables)
         elapsed = time.perf_counter() - begin
@@ -140,7 +139,7 @@ def scan_sequential(
         state = done[0]
     else:
         if symbol_list is None:
-            symbol_list = as_symbols(symbols).tolist()
+            symbol_list = syms.tolist()
         if rows is None:
             rows = _table_rows(dfa)
         begin = time.perf_counter()
@@ -166,11 +165,9 @@ def run_segment(
     Returns the segment transition function and the measured seconds.
     ``backend`` selects the interpreted reference path (``"python"``) or a
     batched kernel (``"dense"`` / ``"native"`` / ``"prefilter"``) —
-    results are bit-identical.
+    results are bit-identical.  A ``segment_list`` is taken as admitted.
     """
     if backend != "python":
-        # run_segments_batch widens what its kernel cannot read at byte
-        # width (the prefilter sweep and the native core read uint8 views)
         begin = time.perf_counter()
         functions = run_segments_batch(dfa, partition, [segment], backend=backend)
         return functions[0], time.perf_counter() - begin
@@ -179,7 +176,7 @@ def run_segment(
     table = dfa.transitions.astype(np.int64)
     blocks = partition.block_arrays()
     if segment_list is None:
-        segment_list = as_symbols(segment).tolist()
+        segment_list = admit(segment, dfa.alphabet_size).tolist()
     begin = time.perf_counter()
     outcomes: List[CsOutcome] = []
     for block in blocks:
@@ -472,15 +469,9 @@ def _software_cse_scan(
             # prefilter when certification succeeded)
             obs.counter("kernels_prefilter_fallbacks_total").inc()
             backend = "native" if native_available() else "dense"
-    # byte-width input stays at byte width where it can: the prefilter's
-    # anchor sweep, the native frontier core and the concrete walks
-    # (segment 0, re-execution) read the uint8 view directly
-    view8 = byte_view(symbols)
-    if backend in ("prefilter", "native") and view8 is not None:
-        syms = view8
-    else:
-        syms = as_symbols(symbols)
-    walk_syms = view8 if view8 is not None else syms
+    # byte input stays a uint8 view for every kernel, walk and pickled
+    # slice; the dense kernel widens per segment
+    syms = admit(symbols, dfa.alphabet_size, start_state, dfa.num_states)
     bounds = even_boundaries(int(syms.size), n_segments)
     # python-backend segments run here walk a list (shared with the
     # verify oracle, which otherwise converts when it runs)
@@ -518,7 +509,7 @@ def _software_cse_scan(
         first_seconds = time.perf_counter() - begin0
     else:
         begin0 = time.perf_counter()
-        first_final = concrete_walk(walk_syms[a0:b0], start_state)
+        first_final = concrete_walk(syms[a0:b0], start_state)
         first_seconds = time.perf_counter() - begin0
     if collect:
         obs.record_span("software.segment", scan_wall, first_seconds,
@@ -610,7 +601,7 @@ def _software_cse_scan(
     repair_wall = time.time()
     repair_begin = time.perf_counter()
     final, stats = compose_and_fix(
-        dfa, walk_syms, enum_bounds, functions, first_final, policy=policy,
+        dfa, syms, enum_bounds, functions, first_final, policy=policy,
         walk=concrete_walk,
     )
     repair_seconds = time.perf_counter() - repair_begin
@@ -649,7 +640,7 @@ def _software_cse_scan(
         # input (a plain walk from the start, never the prefilter's);
         # the python backend keeps the interpreted loop
         oracle, sequential_seconds = scan_sequential(
-            dfa, walk_syms, start_state=start_state, rows=rows,
+            dfa, syms, start_state=start_state, rows=rows,
             symbol_list=syms_list,
             tables=None if backend == "python" else dense,
         )

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.automata.dfa import Dfa, as_symbols
+from repro.automata.dfa import Dfa
 from repro.core.engine import CseEngine
 from repro.core.partition import StatePartition
 from repro.engines.base import Engine
@@ -35,7 +35,7 @@ from repro.engines.sequential import SequentialEngine
 from repro.fleet import ShardMachine, ShardPlan, plan_shards
 from repro.hardware.ap import APConfig
 from repro.hardware.cost import throughput_symbols_per_sec
-from repro.ingest import byte_view
+from repro.ingest import admit
 from repro.kernels import DenseTables, resolve_backend, walk
 
 __all__ = ["StreamScanner", "FleetScanner", "FleetResult", "FleetWallclock",
@@ -141,7 +141,8 @@ class StreamScanner:
     def feed(self, chunk) -> List[Tuple[int, int]]:
         """Consume one chunk; return the report events it produced.
 
-        Report offsets are global stream offsets.
+        Report offsets are global stream offsets.  A chunk the input
+        contract refuses (:func:`repro.ingest.admit`) leaves no trace.
         """
         if not obs.is_enabled():
             return self._feed(chunk)[0]
@@ -164,8 +165,7 @@ class StreamScanner:
 
     def _feed(self, chunk) -> Tuple[List[Tuple[int, int]], int]:
         """Consume one chunk; return its reports and its symbol count."""
-        view8 = byte_view(chunk)
-        syms = view8 if view8 is not None else as_symbols(chunk)
+        syms = admit(chunk, self.dfa.alphabet_size)
         n = int(syms.size)
         if n == 0:
             return [], 0
@@ -321,6 +321,8 @@ class FleetScanner:
 
         # -- per-unit engines, backends, compiled artifacts -------------
         self.n_units = len(unit_dfas)
+        #: the alphabet every unit reads: scans admit their input against it
+        self.alphabet_size = min(dfa.alphabet_size for dfa in unit_dfas)
         per_unit_cores = max(1, self.config.total_half_cores // self.n_units)
         cores_per_segment = max(1, per_unit_cores // self.n_segments)
         self.unit_engines: List[Engine] = []
@@ -421,7 +423,7 @@ class FleetScanner:
         return result
 
     def _scan(self, symbols) -> FleetResult:
-        syms = as_symbols(symbols)
+        syms = admit(symbols, self.alphabet_size)
         per_unit_cycles: List[int] = []
         per_slot: Dict[int, List[Tuple[int, int]]] = {}
         collect = obs.is_enabled()
@@ -523,8 +525,7 @@ class FleetScanner:
         from repro.software import software_cse_scan
 
         # byte input stays at byte width: every unit's scan reads the view
-        view8 = byte_view(symbols)
-        syms = view8 if view8 is not None else as_symbols(symbols)
+        syms = admit(symbols, self.alphabet_size)
         runs = []
         collect = obs.is_enabled()
         wall = time.time()

@@ -11,10 +11,14 @@ computed the long way, one lane per start state: it is what the core's
 counters must read however the core stores its frontier.
 :func:`symbols_of` gives a word at each symbol width the kernels read,
 and :func:`outcome` captures a call's value or exception type.
+:func:`native_tier` runs a body with the native tier loaded or forced
+absent.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -22,6 +26,7 @@ import numpy as np
 from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.ingest import from_bytes
+from repro.kernels.native import ENV_DISABLE, reset_native
 
 #: the native core's adaptive collapse-check ladder
 STRIDE_MIN = 8
@@ -134,3 +139,20 @@ def outcome(call):
         return "value", call()
     except Exception as exc:
         return "raised", type(exc)
+
+
+@contextmanager
+def native_tier(absent):
+    """Run the body with the native tier loaded, or forced absent."""
+    saved = os.environ.get(ENV_DISABLE)
+    if absent:
+        os.environ[ENV_DISABLE] = "0"
+    reset_native()
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(ENV_DISABLE, None)
+        else:
+            os.environ[ENV_DISABLE] = saved
+        reset_native()

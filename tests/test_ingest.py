@@ -1,7 +1,8 @@
 """Zero-copy ingestion: mmap-backed views through the whole scan stack.
 
 ``repro.ingest.open_input`` maps a file once and every consumer slices
-the same pages: ``as_symbols`` widens without a ``bytes()`` round-trip,
+the same pages: ``admit`` keeps it a uint8 view, ``as_symbols`` widens
+without a ``bytes()`` round-trip,
 the prefilter kernel scans the uint8 view directly, and a pooled scan
 ships ``(path, offset, length)`` coordinates so workers mmap the file
 themselves.  The contract under test is equivalence — an mmap view and
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.automata.dfa import as_symbols
 from repro.core.partition import StatePartition
-from repro.ingest import InputView, byte_view, from_bytes, open_input
+from repro.ingest import InputError, InputView, admit, from_bytes, open_input
+from repro.kernels import walk
 from repro.regex.compile import compile_ruleset
 from repro.software import segment_pool, software_cse_scan
 from repro.workloads import generate_ruleset, literal_payload
@@ -100,18 +102,41 @@ class TestInputView:
 
 
 class TestByteView:
-    def test_accepts_byte_likes(self):
+    """:func:`admit` reads byte-like input as a zero-copy uint8 view."""
+
+    def test_accepts_byte_likes(self, tmp_path):
+        import mmap
+
+        path = tmp_path / "abc.bin"
+        path.write_bytes(b"abc")
+        with open(path, "rb") as f:
+            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        view = open_input(path)
         for source in (b"abc", bytearray(b"abc"), memoryview(b"abc"),
-                       from_bytes(b"abc"),
-                       np.frombuffer(b"abc", dtype=np.uint8)):
-            arr = byte_view(source)
-            assert arr is not None
+                       np.frombuffer(b"abc", dtype=np.uint8), mapped,
+                       from_bytes(b"abc"), view):
+            base = (source.view8() if isinstance(source, InputView)
+                    else np.frombuffer(source, dtype=np.uint8))
+            arr = admit(source, 256)
             assert arr.dtype == np.uint8
             assert bytes(arr) == b"abc"
+            assert np.shares_memory(arr, base)
+            del arr, base
+        mapped.close()
+        view.close()
 
     def test_rejects_wide_symbols(self):
-        assert byte_view(np.asarray([1, 2, 300], dtype=np.int64)) is None
-        assert byte_view([1, 2, 3]) is None
+        # a symbol wider than the alphabet is refused, and anything not
+        # byte-like comes back as int64
+        with pytest.raises(InputError, match="symbol 300 at position 2"):
+            admit(np.asarray([1, 2, 300], dtype=np.int64), 256)
+        with pytest.raises(InputError, match="negative symbol -1 at position 0"):
+            admit([-1, 2, 3], 256)
+        with pytest.raises(InputError, match=r"\[0, alphabet\) = \[0, 16\)"):
+            admit(b"\x00\x10", 16)
+        assert admit([1, 2, 3], 4).dtype == np.int64
+        # no byte is out of range for a 256-symbol alphabet
+        assert admit(b"\xff", 256).tolist() == [255]
 
     def test_as_symbols_on_view(self):
         view = from_bytes(bytes(range(8)))
@@ -194,6 +219,31 @@ class TestPooledMmapDispatch:
         assert run.final_state == software_cse_scan(
             literal_dfa, data, partition, n_segments=4, backend="dense"
         ).final_state
+
+    def test_file_is_not_widened_in_the_parent(self, tmp_path, literal_dfa):
+        # the parent keeps a file-backed view at byte width: it walks
+        # segment 0 and any re-executed segment itself, the workers map
+        # the file, and an int64 copy of the file would be 8 MiB
+        import tracemalloc
+
+        data = np.random.default_rng(7).integers(
+            0, 256, size=1 << 20, dtype=np.uint8).tobytes()
+        path = tmp_path / "big.bin"
+        path.write_bytes(data)
+        partition = StatePartition.trivial(literal_dfa.num_states)
+        with segment_pool(literal_dfa, max_workers=2) as pool:
+            with open_input(path) as view:
+                tracemalloc.start()
+                try:
+                    run = software_cse_scan(
+                        literal_dfa, view, partition, n_segments=16,
+                        backend="dense", executor=pool, verify=False,
+                    )
+                    _size, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        assert run.final_state == walk(literal_dfa, data)[0]
+        assert peak < 2 << 20
 
     @pytest.mark.parametrize("size", [0, 3, 40])
     def test_short_files_on_a_pool(self, tmp_path, literal_dfa, size):

@@ -11,9 +11,6 @@ prefilter must fall back rather than skip.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -35,11 +32,12 @@ from repro.kernels import (
     run_segments_batch,
 )
 from repro.kernels.dense import run_segments_dense
-from repro.kernels.native import ENV_DISABLE, native_prefilter, reset_native
+from repro.kernels.native import native_prefilter
 from repro.kernels.prefilter import _last_reset, run_segments_prefilter
 from repro.regex.compile import compile_ruleset
 from repro.software import software_cse_scan
 from repro.workloads import generate_ruleset, literal_payload
+from tests.kernel_inputs import native_tier
 
 
 @pytest.fixture(scope="module")
@@ -406,31 +404,6 @@ class TestArtifactEnvelope:
 # ----------------------------------------------------------------------
 # the compiled prefilter (cse_native_prefilter) against the reference
 # ----------------------------------------------------------------------
-@contextmanager
-def native_tier(absent):
-    """Run the body with the native tier loaded, or forced absent."""
-    saved = os.environ.get(ENV_DISABLE)
-    if absent:
-        os.environ[ENV_DISABLE] = "0"
-    reset_native()
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(ENV_DISABLE, None)
-        else:
-            os.environ[ENV_DISABLE] = saved
-        reset_native()
-
-
-def outcome(call):
-    """A call's value, or the type of the exception it raised."""
-    try:
-        return "value", call()
-    except Exception as exc:
-        return "raised", type(exc)
-
-
 def grid_key(grid):
     """A prefilter/dense grid as plain comparable tuples."""
     return [
@@ -582,44 +555,6 @@ class TestCompiledPrefilter:
                 )
             assert run.backend == "prefilter"
             assert run.final_state == dfa.run(word)
-
-    @given(
-        st.sampled_from([5, 8, 13]),
-        st.lists(st.integers(-16, 16), max_size=24),
-        st.sampled_from(["prefix", "tail", "anywhere"]),
-        st.sampled_from(["uint8", "int64"]),
-        st.data(),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_out_of_range_symbols_match_absent_tier(
-        self, k, word, where, kind, data
-    ):
-        """Negative and over-range symbols, even inside a prefix a reset
-        erases, give the value or exception type of the sweep."""
-        dfa = compile_ruleset(["\x01\x02", "\x03\x01"], alphabet_size=k)
-        tables = derive_prefilter(dfa)
-        plain = np.flatnonzero(~tables.anchor_lut)
-        reset = plain[: 1].repeat(tables.skip_width + 1).tolist()
-        if where == "prefix":
-            word = word + reset + [1, 2]
-        elif where == "tail":
-            word = [1] + reset + word
-        if kind == "uint8":
-            word = [abs(sym) for sym in word]  # over-range only
-        seg = np.asarray(word, dtype=kind)
-        state = data.draw(st.integers(0, dfa.num_states - 1))
-        partition = StatePartition.from_labels(
-            [q % 2 for q in range(dfa.num_states)])
-        results = []
-        for absent in (False, True):
-            with native_tier(absent):
-                results.append((
-                    outcome(lambda: prefilter_scan_scalar(
-                        dfa, tables, seg, start_state=state)),
-                    outcome(lambda: grid_key(run_segments_prefilter(
-                        dfa, partition, [seg, seg[1:]], tables)[0])),
-                ))
-        assert results[0] == results[1]
 
     @pytest.mark.parametrize("absent", [False, True])
     def test_edge_segments(self, literal_dfa, absent):

@@ -9,8 +9,6 @@ against :meth:`Dfa.run` /
 interpreted one, with the native tier present and forced absent.
 """
 
-import os
-from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -27,13 +25,12 @@ from repro.kernels import (
     run_segments_batch,
     walk,
 )
-from repro.kernels.native import ENV_DISABLE, reset_native
 from repro.software import run_segment, scan_sequential, software_cse_scan
 from tests.kernel_inputs import (
     component_partition,
     disjoint_union_dfa,
     lane_schedule,
-    outcome,
+    native_tier,
     symbols_of,
 )
 
@@ -291,23 +288,6 @@ class TestNativeFrontierEquivalence:
         assert {key: stats[key] for key in model} == model
 
 
-@contextmanager
-def native_tier(absent):
-    """Run the body with the native tier loaded, or forced absent."""
-    saved = os.environ.get(ENV_DISABLE)
-    if absent:
-        os.environ[ENV_DISABLE] = "0"
-    reset_native()
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(ENV_DISABLE, None)
-        else:
-            os.environ[ENV_DISABLE] = saved
-        reset_native()
-
-
 def tables_of(dfa, kind):
     """Dense tables at an explicit table kind (uint8 / uint16 / int64)."""
     tables = DenseTables(dfa)
@@ -433,25 +413,3 @@ class TestWalkEquivalence:
                     flags = [s.args["compiled"] for s in registry.spans
                              if s.name == "software.oracle"]
                     assert flags == [loaded, False]
-
-    @given(
-        dfas(),
-        st.lists(st.integers(-6, 9), max_size=30),
-        st.data(),
-        st.sampled_from(["uint8", "int64"]),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_out_of_range_symbols_match_interpreted(
-        self, dfa, word, data, symbol_kind
-    ):
-        state = data.draw(st.integers(0, dfa.num_states - 1))
-        if symbol_kind == "uint8":
-            word = [abs(sym) for sym in word]  # over-range only
-        syms = np.asarray(word, dtype=symbol_kind)
-        want = outcome(lambda: (
-            dfa.run(syms, state), dfa.run_reports(syms, state)
-        ))
-        for absent in (False, True):
-            with native_tier(absent):
-                got = outcome(lambda: walk(dfa, syms, state, reports=True))
-            assert got == want

@@ -188,14 +188,16 @@ class TestStreamScannerBackends:
         import repro.stream as stream
         from repro import obs
 
-        widened = []
-        as_symbols = stream.as_symbols
-        monkeypatch.setattr(stream, "as_symbols",
-                            lambda data: widened.append(1) or as_symbols(data))
+        admitted = []
+        admit = stream.admit
+        monkeypatch.setattr(
+            stream, "admit",
+            lambda *args: admitted.append(admit(*args)) or admitted[-1])
         scanner = StreamScanner(dfa, backend="dense")
         with obs.using() as registry:
             scanner.feed(TEXT)
-        assert widened == []  # byte chunks are never widened to int64
+        # admitted once, and byte chunks are never widened to int64
+        assert [syms.dtype for syms in admitted] == [np.uint8]
         assert registry.get("stream_symbols_total").value == len(TEXT)
 
     def test_resolved_via_shared_helper(self, dfa):
@@ -260,15 +262,17 @@ class TestFleetWallclock:
                    else from_bytes(data))
         fleet = FleetScanner(dfas, shard=True, n_segments=4)
         assert set(fleet.unit_backends) == {"prefilter"}
-        widened = []
+        admitted = []
         for module in (stream, software):
-            original = module.as_symbols
+            original = module.admit
             monkeypatch.setattr(
-                module, "as_symbols",
-                lambda sym, original=original: widened.append(1)
-                or original(sym))
+                module, "admit",
+                lambda *args, original=original:
+                admitted.append(original(*args)) or admitted[-1])
         result = fleet.scan_wallclock(symbols, verify=False)
-        assert widened == []  # byte input is never widened to int64
+        # byte input is never widened to int64
+        assert admitted and {syms.dtype for syms in admitted} == {
+            np.dtype(np.uint8)}
         assert result.final_states == [d.run(data) for d in dfas]
 
     def test_backends_resolved_per_fsm(self):
