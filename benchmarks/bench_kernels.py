@@ -12,7 +12,11 @@ Gates (full mode only):
   — a 64-state DFA, 1 MB of input, 16 segments, one set-flow per state;
 - ``random64/trivial`` resolves (``backend="auto"``) to a backend whose
   measured speedup vs the interpreter is >= 1x — the interpreter itself
-  qualifies, and one block gives the batched kernels nothing to amortize.
+  qualifies, and one block gives the batched kernels nothing to amortize;
+- every config's ``auto_backend`` runs within 1.2x of the fastest
+  eligible bit-identical backend: the interpreter, dense, native when
+  the library loads, and prefilter only where the DFA is certified
+  (elsewhere it runs the native or dense frontier under its name).
 
 ``random1024/discrete`` measures the kernels on a machine four times the
 uint8 width, where the dense tables narrow to uint16.
@@ -41,7 +45,13 @@ from repro.automata.builders import cycle_dfa, random_dfa
 from repro.core.partition import StatePartition
 from repro.core.profiling import ProfilingConfig, predict_convergence_sets
 from repro.engines.base import even_boundaries
-from repro.kernels import KERNEL_BACKENDS, resolve_backend, run_segments_batch
+from repro.kernels import (
+    KERNEL_BACKENDS,
+    certify_prefilter,
+    native_available,
+    resolve_backend,
+    run_segments_batch,
+)
 from repro.regex.compile import compile_ruleset
 from repro.software import run_segment
 
@@ -124,8 +134,8 @@ def bench_config(config: Dict, n_segments: int) -> Dict:
         "python_seconds": python_seconds,
         "acceptance_config": config["acceptance"],
         # what backend="auto" would run for this profile — the heuristic's
-        # choice is part of what the bench documents (a config whose best
-        # kernel is sub-1x must resolve to "python")
+        # choice is part of what the bench documents (a config whose
+        # kernels are all sub-1x must resolve to "python")
         "auto_backend": resolve_backend(dfa, None, partition, n_segments),
     }
     for backend in KERNEL_BACKENDS:
@@ -146,6 +156,17 @@ def bench_config(config: Dict, n_segments: int) -> Dict:
     entry["auto_backend_speedup"] = (
         1.0 if auto == "python" else entry[f"{auto}_speedup"]
     )
+    # what auto may pick from: prefilter only where the DFA is certified
+    # (elsewhere its run is the native or dense frontier), native only
+    # where the library loads (elsewhere its run is dense)
+    eligible = {"python": python_seconds, "dense": entry["dense_seconds"]}
+    if native_available():
+        eligible["native"] = entry["native_seconds"]
+    if certify_prefilter(dfa) is not None:
+        eligible["prefilter"] = entry["prefilter_seconds"]
+    fastest = min(eligible, key=eligible.__getitem__)
+    entry["fastest_eligible_backend"] = fastest
+    entry["auto_over_fastest"] = eligible[auto] / eligible[fastest]
     return entry
 
 
@@ -183,13 +204,21 @@ def main(argv=None) -> int:
                 f"{entry['auto_backend']} at "
                 f"{entry['auto_backend_speedup']:.2f}x (< 1x vs interpreter)"
             )
+        if entry["auto_over_fastest"] > 1.2:
+            raise SystemExit(
+                f"resolver gate failed: {entry['config']} resolves to "
+                f"{entry['auto_backend']}, {entry['auto_over_fastest']:.2f}x "
+                f"the time of {entry['fastest_eligible_backend']} (> 1.2x)"
+            )
 
     ARTIFACT.write_text(json.dumps(
         {
             "benchmark": "software kernel backends vs interpreted run_segment",
             "smoke": bool(args.smoke),
             "acceptance_gate": "dense >= 5x python on random64/discrete; "
-                               "random64/trivial auto backend >= 1x",
+                               "random64/trivial auto backend >= 1x; "
+                               "every auto backend within 1.2x of the "
+                               "fastest eligible backend",
             "env": env_info(),
             "results": results,
         },

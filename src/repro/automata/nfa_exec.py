@@ -19,8 +19,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.automata.dfa import as_symbols
 from repro.automata.nfa import EPSILON, Nfa
+from repro.ingest import admit
 
 __all__ = ["CompiledNfa"]
 
@@ -81,7 +81,7 @@ class CompiledNfa:
         """
         cur = self.start_mask.copy() if mask is None else mask.copy()
         counts: List[int] = []
-        for sym in as_symbols(symbols):
+        for sym in admit(symbols, self.alphabet_size):
             cur = self.step_mask(cur, int(sym))
             if record_counts:
                 counts.append(int(np.count_nonzero(cur)))
@@ -102,7 +102,7 @@ class CompiledNfa:
         """
         cur = self.start_mask.copy()
         out: List[Tuple[int, int]] = []
-        for offset, sym in enumerate(as_symbols(symbols)):
+        for offset, sym in enumerate(admit(symbols, self.alphabet_size)):
             cur = self.step_mask(cur, int(sym))
             hits = np.flatnonzero(cur & self.accepting_mask)
             for state in hits.tolist():

@@ -21,7 +21,8 @@ from typing import FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.automata.dfa import Dfa, as_symbols
+from repro.automata.dfa import Dfa
+from repro.ingest import admit
 
 __all__ = ["OneHotAutomaton", "PySetAutomaton"]
 
@@ -67,7 +68,7 @@ class OneHotAutomaton:
         sizes: List[int] = []
         table = self.dfa.transitions
         active = np.flatnonzero(mask).astype(np.int32)
-        for sym in as_symbols(symbols):
+        for sym in admit(symbols, self.dfa.alphabet_size):
             active = np.unique(table[sym].take(active))
             if record_sizes:
                 sizes.append(int(active.size))
@@ -101,7 +102,7 @@ class PySetAutomaton:
     ) -> Tuple[FrozenSet[int], List[int]]:
         cur = frozenset(int(q) for q in states)
         sizes: List[int] = []
-        for sym in as_symbols(symbols):
+        for sym in admit(symbols, self.dfa.alphabet_size):
             cur = self.step_set(cur, int(sym))
             if record_sizes:
                 sizes.append(len(cur))

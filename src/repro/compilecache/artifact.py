@@ -14,7 +14,9 @@ matrix:
   skip width (:class:`repro.kernels.PrefilterTables`, built eagerly when
   the resolved backend is ``"prefilter"``; ``None`` when the machine is
   not literal-certifiable),
-- the resolved kernel backend hint for the artifact's segment count.
+- the resolved kernel backend hint for the artifact's segment count,
+- for an ``auto`` artifact, the measured per-byte costs of its two scan
+  plans (:class:`PlanCosts`): kept in memory only, never stored.
 
 Content addressing lives in :func:`cache_key`: the key is a digest of the
 DFA fingerprint (table bytes + dtype + shape + start + accepting) and of
@@ -27,9 +29,11 @@ any disagreement derives a different key.
 from __future__ import annotations
 
 import hashlib
+import statistics
 import time
+from collections import deque
 from dataclasses import astuple, dataclass, field
-from typing import Counter as CounterT, List, Optional, Tuple
+from typing import Counter as CounterT, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.partition import StatePartition
 from repro.core.profiling import (
@@ -46,7 +50,17 @@ from repro.kernels import (
     resolve_backend,
 )
 
-__all__ = ["CompiledDfa", "cache_key", "compile_dfa"]
+__all__ = ["CompiledDfa", "PlanCosts", "cache_key", "compile_dfa"]
+
+#: the walk plan must measure this much cheaper per byte than the CSE
+#: plan before an ``auto`` scan switches to it; near-ties stay put
+PLAN_MARGIN = 1.2
+#: samples each running median keeps
+PLAN_WINDOW = 5
+#: samples both plans need before a switch: a median of three outlasts
+#: one cold scan (a process's first ``np.unique`` imports ``numpy.ma``,
+#: which made a 2.6 ns/B random64 scan read 16.7 ns/B)
+PLAN_MIN_SAMPLES = 3
 
 
 def cache_key(
@@ -67,6 +81,52 @@ def cache_key(
         int(n_segments),
     ))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class PlanCosts:
+    """Measured ns per input byte of an ``auto`` scan's two plans.
+
+    ``"cse"`` is the artifact's CSE plan, timed whole
+    (:attr:`repro.software.SoftwareRun.elapsed_seconds`); ``"walk"`` is
+    one compiled walk of the whole input, sampled by every CSE scan's
+    segment 0 (a plain walk outside the prefilter) and by every
+    walk-plan scan itself.  Each ``(plan, pooled)`` pair keeps a short
+    running median, since a pool changes what the CSE plan costs.  A
+    switch to the walk plan is sticky: the CSE plan is no longer timed
+    after it.  Threads scanning one artifact share it without a lock:
+    each step is one container call, and a race at worst counts one
+    switch twice.
+    """
+
+    def __init__(self) -> None:
+        self._samples: Dict[Tuple[str, bool], Deque[float]] = {}
+        self._switched: Set[bool] = set()
+
+    def record(self, plan: str, pooled: bool, ns_per_byte: float) -> None:
+        window = self._samples.setdefault(
+            (plan, pooled), deque(maxlen=PLAN_WINDOW))
+        window.append(ns_per_byte)
+
+    def _window(self, plan: str, pooled: bool) -> List[float]:
+        return list(self._samples.get((plan, pooled), ()))
+
+    def median(self, plan: str, pooled: bool) -> Optional[float]:
+        """The running median of ``plan``'s cost, ``None`` before a sample."""
+        window = self._window(plan, pooled)
+        return float(statistics.median(window)) if window else None
+
+    def choose(self, pooled: bool) -> Tuple[str, str]:
+        """``(plan, reason)`` for the next scan."""
+        if pooled in self._switched:
+            return "walk", "switched"
+        walk = self._window("walk", pooled)
+        cse = self._window("cse", pooled)
+        if min(len(walk), len(cse)) < PLAN_MIN_SAMPLES:
+            return "cse", "unmeasured"
+        if statistics.median(walk) * PLAN_MARGIN > statistics.median(cse):
+            return "cse", "walk-not-cheaper"
+        self._switched.add(pooled)
+        return "walk", "walk-cheaper"
 
 
 @dataclass
@@ -97,6 +157,19 @@ class CompiledDfa:
     #: legitimately ``None`` for uncertifiable machines, so presence
     #: cannot double as the built flag)
     _prefilter_built: bool = field(default=False, repr=False)
+    #: the plan costs ``auto`` scans measure; in memory only
+    plans: PlanCosts = field(default_factory=PlanCosts, repr=False,
+                             compare=False)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # measured costs belong to this process and host: never stored
+        state = dict(self.__dict__)
+        del state["plans"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.plans = PlanCosts()
 
     @property
     def partition(self) -> StatePartition:

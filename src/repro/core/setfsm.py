@@ -19,7 +19,8 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.automata.dfa import Dfa, as_symbols
+from repro.automata.dfa import Dfa
+from repro.ingest import admit
 
 __all__ = ["SetFsm"]
 
@@ -68,7 +69,7 @@ class SetFsm:
         cur = self.make_set(states)
         table = self.dfa.transitions
         sizes: List[int] = []
-        for sym in as_symbols(symbols):
+        for sym in admit(symbols, self.dfa.alphabet_size):
             cur = np.unique(table[sym].take(cur))
             if record_sizes:
                 sizes.append(int(cur.size))
@@ -106,7 +107,7 @@ class SetFsm:
         acc = self.dfa.accepting_mask
         sizes: List[int] = []
         ambiguous = False
-        for sym in as_symbols(symbols):
+        for sym in admit(symbols, self.dfa.alphabet_size):
             cur = np.unique(table[sym].take(cur))
             sizes.append(int(cur.size))
             if not ambiguous and int(np.count_nonzero(acc[cur])) > 1:

@@ -40,7 +40,11 @@ Four execution backends are available (``backend=``):
   is not literal-certifiable.
 
 ``backend="auto"`` picks via :func:`repro.kernels.resolve_backend`, the
-same helper the streaming layer uses.
+same helper the streaming layer uses.  A scan through an ``auto``
+artifact (``compiled=``) then chooses its plan by measured cost: once
+one walk of the whole input has measured 1.2x cheaper per byte than the
+artifact's CSE plan, it runs that walk alone (``backend="walk"``, one
+segment); see :class:`repro.compilecache.artifact.PlanCosts`.
 
 Input may be ``bytes``, a numpy symbol array, or a zero-copy
 :class:`repro.ingest.InputView` (e.g. from :func:`repro.ingest.open_input`
@@ -84,9 +88,8 @@ from repro.kernels import (
     prefilter_walk,
     resolve_backend,
     run_segments_batch,
-    walk,
 )
-from repro.kernels.native import native_walk
+from repro.kernels.native import _walk_list, native_walk
 
 __all__ = [
     "SoftwareRun",
@@ -100,6 +103,25 @@ __all__ = [
 def _table_rows(dfa: Dfa) -> List[List[int]]:
     """Transition table as nested lists (fast scalar indexing)."""
     return [row.tolist() for row in dfa.transitions]
+
+
+def _walk_admitted(
+    dfa: Dfa,
+    syms: np.ndarray,
+    state: int,
+    dense: Optional[DenseTables],
+    rows: Optional[List[List[int]]],
+) -> int:
+    """One concrete walk of already admitted input from ``state``.
+
+    The compiled table walk when the native library loads, else the
+    interpreted list loop; the scan's own walks (segment 0,
+    re-execution, the walk plan) call it so the input is admitted once.
+    """
+    done = native_walk(dfa, syms, state, dense)
+    if done is not None:
+        return done[0]
+    return _walk_list(dfa, syms, state, rows, False)[0]
 
 
 def scan_sequential(
@@ -337,6 +359,8 @@ class SoftwareRun:
     repair_seconds: float
     elapsed_seconds: float
     reexec_segments: int
+    #: the backend the scan ran; ``"walk"`` (with ``n_segments == 1``)
+    #: for an ``auto`` scan that took the walk plan
     backend: str = "python"
     #: the backend the caller asked for ("auto"/None resolve to
     #: :attr:`backend`); keeps the resolve_backend decision recoverable
@@ -396,7 +420,10 @@ def software_cse_scan(
     :class:`repro.compilecache.CompiledDfa` artifact whose prebuilt tables
     (scalar rows, dense table, prefilter certificate) are reused instead
     of being derived per scan; results are bit-identical with or without
-    it.
+    it.  An artifact compiled for ``auto`` also keeps the measured costs
+    of its CSE plan and of one whole-input walk, and its scans run the
+    walk plan once that measured 1.2x cheaper (the returned
+    :class:`SoftwareRun` then reads ``backend="walk"``).
 
     Segments reach an ``executor`` one of two ways.  A fingerprint-matched
     :func:`segment_pool` gets ``(path, start, stop)`` mmap coordinates
@@ -447,8 +474,13 @@ def _software_cse_scan(
     compiled=None,
 ) -> SoftwareRun:
     """The scan body; trace scoping/flight summary live in the wrapper."""
+    plans = None
     if compiled is not None:
         requested = compiled.requested_backend
+        if requested == "auto" and backend in (None, "auto", compiled.backend):
+            # an auto artifact's scan: the plan choice below may run one
+            # walk instead of its CSE plan
+            plans = compiled.plans
         backend = compiled.backend if backend in (None, "auto") else backend
         backend = resolve_backend(dfa, backend, partition, n_segments)
         rows = compiled.rows
@@ -472,12 +504,6 @@ def _software_cse_scan(
     # byte input stays a uint8 view for every kernel, walk and pickled
     # slice; the dense kernel widens per segment
     syms = admit(symbols, dfa.alphabet_size, start_state, dfa.num_states)
-    bounds = even_boundaries(int(syms.size), n_segments)
-    # python-backend segments run here walk a list (shared with the
-    # verify oracle, which otherwise converts when it runs)
-    syms_list: Optional[List[int]] = (
-        syms.tolist() if executor is None and backend == "python" else None
-    )
     # the dense tables serve the dense/native kernels, the prefilter (and
     # its frontier fallback) and the compiled concrete walks (segment 0,
     # re-execution); an artifact builds them once
@@ -487,11 +513,33 @@ def _software_cse_scan(
     elif backend in ("dense", "native") or native_available():
         dense = DenseTables(dfa)
 
+    start = dfa.start if start_state is None else int(start_state)
+    pooled = executor is not None
+    if plans is not None:
+        # segment 0 of a prefilter scan is not a plain walk, so it never
+        # measures the walk plan
+        plan, reason = (
+            ("cse", "prefilter") if backend == "prefilter"
+            else plans.choose(pooled)
+        )
+        obs.counter("kernels_plan_total", plan=plan, reason=reason).inc()
+        if plan == "walk":
+            return _walk_plan(dfa, syms, start, plans, pooled, verify,
+                              dense, rows)
+
+    bounds = even_boundaries(int(syms.size), n_segments)
+    # python-backend segments run here walk a list (shared with the
+    # verify oracle, which otherwise converts when it runs)
+    syms_list: Optional[List[int]] = (
+        syms.tolist() if executor is None and backend == "python" else None
+    )
+
     def concrete_walk(segment: np.ndarray, state: Optional[int]) -> int:
         if pf_tables is not None:
             # a proven reset erases the prefix before it: walk the tail
             return prefilter_walk(dfa, pf_tables, segment, state, rows, dense)
-        return walk(dfa, segment, state, tables=dense, rows=rows)[0]
+        return _walk_admitted(dfa, segment, start if state is None else state,
+                              dense, rows)
 
     collect = obs.is_enabled()
     trace_id = obs.current_trace_id() if collect else None
@@ -606,6 +654,12 @@ def _software_cse_scan(
     )
     repair_seconds = time.perf_counter() - repair_begin
     elapsed = time.perf_counter() - begin_all
+    costs = {}
+    if plans is not None and backend != "prefilter" and syms.size:
+        if b0 > a0:
+            plans.record("walk", pooled, first_seconds * 1e9 / (b0 - a0))
+        plans.record("cse", pooled, elapsed * 1e9 / syms.size)
+        costs = _plan_costs(plans, pooled)
 
     if collect:
         obs.record_span("software.repair", repair_wall, repair_seconds,
@@ -613,7 +667,7 @@ def _software_cse_scan(
                         reexecuted=len(stats.reexecuted_segments))
         obs.record_span("software.scan", scan_wall, elapsed,
                         backend=backend, n_segments=n_segments,
-                        n_symbols=int(syms.size))
+                        n_symbols=int(syms.size), **costs)
         obs.counter("software_scans_total", backend=backend).inc()
         obs.counter("software_symbols_total").inc(int(syms.size))
         # pre-create one re-exec counter per enumerative segment so a
@@ -657,4 +711,63 @@ def _software_cse_scan(
         reexec_segments=len(stats.reexecuted_segments),
         backend=backend,
         requested_backend=requested,
+    )
+
+
+def _plan_costs(plans, pooled: bool) -> dict:
+    """The running medians a plan decision reads, as span arguments."""
+    return {
+        "walk_ns_per_byte": plans.median("walk", pooled),
+        "cse_ns_per_byte": plans.median("cse", pooled),
+    }
+
+
+def _walk_plan(
+    dfa: Dfa,
+    syms: np.ndarray,
+    start: int,
+    plans,
+    pooled: bool,
+    verify: bool,
+    dense: Optional[DenseTables],
+    rows: List[List[int]],
+) -> SoftwareRun:
+    """The walk plan: one concrete walk of the whole admitted input.
+
+    An ``auto`` scan runs it once the walk measured
+    :data:`repro.compilecache.artifact.PLAN_MARGIN` cheaper than the
+    CSE plan: no segment reaches a pool, and nothing is enumerated or
+    composed.  It times itself into ``plans``; ``verify`` still checks
+    it against :func:`scan_sequential`'s compiled walk.
+    """
+    scan_wall = time.time()
+    begin = time.perf_counter()
+    final = _walk_admitted(dfa, syms, start, dense, rows)
+    elapsed = time.perf_counter() - begin
+    if syms.size:
+        plans.record("walk", pooled, elapsed * 1e9 / syms.size)
+    if obs.is_enabled():
+        obs.record_span("software.scan", scan_wall, elapsed, backend="walk",
+                        n_segments=1, n_symbols=int(syms.size),
+                        **_plan_costs(plans, pooled))
+        obs.counter("software_scans_total", backend="walk").inc()
+        obs.counter("software_symbols_total").inc(int(syms.size))
+        obs.histogram("software_scan_seconds", backend="walk").observe(elapsed)
+    sequential_seconds = 0.0
+    if verify:
+        oracle, sequential_seconds = scan_sequential(
+            dfa, syms, start_state=start, rows=rows, tables=dense)
+        if final != oracle:
+            raise AssertionError("walk plan diverged from the sequential walk")
+    return SoftwareRun(
+        final_state=int(final),
+        n_symbols=int(syms.size),
+        n_segments=1,
+        sequential_seconds=sequential_seconds,
+        segment_seconds=[elapsed],
+        repair_seconds=0.0,
+        elapsed_seconds=elapsed,
+        reexec_segments=0,
+        backend="walk",
+        requested_backend="auto",
     )

@@ -18,9 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.automata.nfa_exec import CompiledNfa
+from repro.automata.onehot import OneHotAutomaton, PySetAutomaton
 from repro.compilecache import CompileCache, scan_with_cache
 from repro.core.engine import CseEngine
 from repro.core.partition import StatePartition
+from repro.core.setfsm import SetFsm
 from repro.engines.sequential import SequentialEngine
 from repro.ingest import InputError
 from repro.kernels import (
@@ -31,7 +34,7 @@ from repro.kernels import (
     run_segments_batch,
     walk,
 )
-from repro.regex.compile import compile_ruleset
+from repro.regex.compile import compile_ruleset, pattern_to_nfa
 from repro.software import run_segment, scan_sequential, software_cse_scan
 from repro.stream import FleetScanner, StreamScanner
 from tests.kernel_inputs import native_tier, symbols_of
@@ -50,8 +53,9 @@ def machine(k):
         for backend in BACKENDS
     }
     engines = (CseEngine(dfa, n_segments=3), SequentialEngine(dfa))
+    nfa = CompiledNfa(pattern_to_nfa("\x01\x02", alphabet_size=k))
     return (dfa, derive_prefilter(dfa), partition, scanners, engines,
-            CompileCache())
+            CompileCache(), nfa)
 
 
 def entry_points(k):
@@ -59,7 +63,7 @@ def entry_points(k):
 
     A ``call`` that takes no start state ignores ``state``.
     """
-    dfa, tables, partition, scanners, engines, cache = machine(k)
+    dfa, tables, partition, scanners, engines, cache, nfa = machine(k)
     for backend in BACKENDS:
         stream, fleet = scanners[backend]
         yield f"software_cse_scan/{backend}", True, (
@@ -91,6 +95,17 @@ def entry_points(k):
     for engine in engines:
         yield f"{type(engine).__name__}.run", True, (
             lambda s, q, e=engine: e.run(s, start_state=q))
+    # the set-level and active-mask machines of the cycle model
+    setfsm, onehot, pyset = SetFsm(dfa), OneHotAutomaton(dfa), PySetAutomaton(dfa)
+    yield "SetFsm.run", False, lambda s, q: setfsm.run([dfa.start], s)
+    yield "SetFsm.run_with_reports", False, (
+        lambda s, q: setfsm.run_with_reports([dfa.start], s))
+    yield "OneHotAutomaton.run_mask", False, (
+        lambda s, q: onehot.run_mask(onehot.mask_from_states([dfa.start]), s))
+    yield "PySetAutomaton.run_set", False, (
+        lambda s, q: pyset.run_set([dfa.start], s))
+    yield "CompiledNfa.run", False, lambda s, q: nfa.run(s)
+    yield "CompiledNfa.run_reports", False, lambda s, q: nfa.run_reports(s)
 
 
 @st.composite
@@ -156,5 +171,10 @@ class TestInputContract:
             dfa.run(np.asarray([1, 2, 3, 9]))
         with pytest.raises(InputError, match=r"start state 9 outside"):
             walk(dfa, b"", 9)
+        # a negative symbol no longer wraps to the top of the alphabet
+        with pytest.raises(InputError, match="negative symbol -1"):
+            SetFsm(dfa).run([dfa.start], np.asarray([-1]))
+        with pytest.raises(InputError, match="negative symbol -1"):
+            machine(5)[-1].run(np.asarray([1, -1]))
         # callers that catch ValueError catch the contract's error
         assert issubclass(InputError, ValueError)

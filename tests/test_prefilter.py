@@ -608,7 +608,6 @@ class TestPrefilterReexecution:
     @pytest.mark.parametrize("absent", [False, True])
     def test_reexecution_matches_dfa_run(self, policy, absent, monkeypatch):
         import repro.software as software
-        from repro.kernels import walk
 
         dfa = self._machine()
         tables = derive_prefilter(dfa)
@@ -640,9 +639,10 @@ class TestPrefilterReexecution:
             monkeypatch.setattr(
                 DenseTables, "__init__",
                 lambda self, d: built.append(1) or init(self, d))
+            plain_walk = software._walk_admitted
             monkeypatch.setattr(
-                software, "walk",
-                lambda *args, **kwargs: walked.append(1) or walk(
+                software, "_walk_admitted",
+                lambda *args, **kwargs: walked.append(1) or plain_walk(
                     *args, **kwargs))
             run = software_cse_scan(
                 dfa, word, partition, n_segments=6, backend="prefilter",
