@@ -38,6 +38,7 @@ from repro.check.artifact import (
     verify_native,
     verify_partition,
     verify_prefilter,
+    verify_sfa,
     verify_shard,
 )
 from repro.check.convergence import (
@@ -80,6 +81,7 @@ __all__ = [
     "verify_artifact_file",
     "verify_native",
     "verify_prefilter",
+    "verify_sfa",
     "verify_shard",
     "CONVERGENT",
     "DIVERGENT",

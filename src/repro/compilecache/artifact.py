@@ -15,8 +15,10 @@ matrix:
   the resolved backend is ``"prefilter"``; ``None`` when the machine is
   not literal-certifiable),
 - the resolved kernel backend hint for the artifact's segment count,
-- for an ``auto`` artifact, the measured per-byte costs of its two scan
-  plans (:class:`PlanCosts`): kept in memory only, never stored.
+- for an ``auto`` artifact, the measured per-byte costs of its scan
+  plans (:class:`PlanCosts`) and its lazily grown SFA
+  (:class:`repro.kernels.sfa.LazySfa`): kept in memory only, never
+  stored.
 
 Content addressing lives in :func:`cache_key`: the key is a digest of the
 DFA fingerprint (table bytes + dtype + shape + start + accepting) and of
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import statistics
+import threading
 import time
 from collections import deque
 from dataclasses import astuple, dataclass, field
@@ -49,6 +52,7 @@ from repro.kernels import (
     certify_prefilter,
     resolve_backend,
 )
+from repro.kernels.sfa import LazySfa
 
 __all__ = ["CompiledDfa", "PlanCosts", "cache_key", "compile_dfa"]
 
@@ -57,10 +61,14 @@ __all__ = ["CompiledDfa", "PlanCosts", "cache_key", "compile_dfa"]
 PLAN_MARGIN = 1.2
 #: samples each running median keeps
 PLAN_WINDOW = 5
-#: samples both plans need before a switch: a median of three outlasts
-#: one cold scan (a process's first ``np.unique`` imports ``numpy.ma``,
-#: which made a 2.6 ns/B random64 scan read 16.7 ns/B)
+#: samples both plans need before a switch.  ``numpy.ma`` is imported
+#: with :mod:`repro.core.transition` now, so a process's first random64
+#: scan no longer reads 12-17 ns/B against 2-3 warm; it still reads up to
+#: 1.15x its warm scans, and one sample swings more than ``PLAN_MARGIN``
+#: on a busy host, which a median of three outlasts
 PLAN_MIN_SAMPLES = 3
+#: serializes creating an artifact's SFA, so threads share one
+_SFA_CREATE = threading.Lock()
 
 
 def cache_key(
@@ -84,23 +92,34 @@ def cache_key(
 
 
 class PlanCosts:
-    """Measured ns per input byte of an ``auto`` scan's two plans.
+    """Measured ns per input byte of an ``auto`` scan's three plans.
 
     ``"cse"`` is the artifact's CSE plan, timed whole
     (:attr:`repro.software.SoftwareRun.elapsed_seconds`); ``"walk"`` is
     one compiled walk of the whole input, sampled by every CSE scan's
     segment 0 (a plain walk outside the prefilter) and by every
-    walk-plan scan itself.  Each ``(plan, pooled)`` pair keeps a short
-    running median, since a pool changes what the CSE plan costs.  A
-    switch to the walk plan is sticky: the CSE plan is no longer timed
-    after it.  Threads scanning one artifact share it without a lock:
-    each step is one container call, and a race at worst counts one
-    switch twice.
+    walk-plan scan itself; ``"sfa"`` is the SFA plan, one lane per
+    segment over the artifact's lazily grown SFA, sampled only by scans
+    that grew no row.  Each ``(plan, pooled)`` pair keeps a short running
+    median, since a pool changes what the CSE plan costs.
+
+    The walk plan replaces the CSE plan once it is :data:`PLAN_MARGIN`
+    cheaper.  After :data:`PLAN_MIN_SAMPLES` walk-plan scans, so that the
+    walk's median rests on whole-input walks, a scan that may run the SFA
+    (``sfa=True``: the native library loads and the SFA is not abandoned)
+    tries it until it has as many samples; it then replaces the walk plan
+    if it is :data:`PLAN_MARGIN` cheaper, and is never tried again
+    otherwise.  Every switch and rejection is sticky.  Threads scanning
+    one artifact share it without a lock: each step is one container
+    call, and a race at worst counts one switch twice.
     """
 
     def __init__(self) -> None:
         self._samples: Dict[Tuple[str, bool], Deque[float]] = {}
         self._switched: Set[bool] = set()
+        self._walks: Dict[bool, int] = {}
+        self._sfa_switched: Set[bool] = set()
+        self._sfa_rejected: Set[bool] = set()
 
     def record(self, plan: str, pooled: bool, ns_per_byte: float) -> None:
         window = self._samples.setdefault(
@@ -115,18 +134,35 @@ class PlanCosts:
         window = self._window(plan, pooled)
         return float(statistics.median(window)) if window else None
 
-    def choose(self, pooled: bool) -> Tuple[str, str]:
+    def choose(self, pooled: bool, sfa: bool = False) -> Tuple[str, str]:
         """``(plan, reason)`` for the next scan."""
-        if pooled in self._switched:
-            return "walk", "switched"
-        walk = self._window("walk", pooled)
-        cse = self._window("cse", pooled)
-        if min(len(walk), len(cse)) < PLAN_MIN_SAMPLES:
-            return "cse", "unmeasured"
-        if statistics.median(walk) * PLAN_MARGIN > statistics.median(cse):
-            return "cse", "walk-not-cheaper"
-        self._switched.add(pooled)
-        return "walk", "walk-cheaper"
+        if pooled not in self._switched:
+            walk = self._window("walk", pooled)
+            cse = self._window("cse", pooled)
+            if min(len(walk), len(cse)) < PLAN_MIN_SAMPLES:
+                return "cse", "unmeasured"
+            if statistics.median(walk) * PLAN_MARGIN > statistics.median(cse):
+                return "cse", "walk-not-cheaper"
+            self._switched.add(pooled)
+            return self._walk(pooled, "walk-cheaper")
+        if not sfa or pooled in self._sfa_rejected \
+                or self._walks.get(pooled, 0) < PLAN_MIN_SAMPLES:
+            return self._walk(pooled, "switched")
+        if pooled in self._sfa_switched:
+            return "sfa", "switched"
+        lanes = self._window("sfa", pooled)
+        if len(lanes) < PLAN_MIN_SAMPLES:
+            return "sfa", "unmeasured"
+        if statistics.median(lanes) * PLAN_MARGIN \
+                > statistics.median(self._window("walk", pooled)):
+            self._sfa_rejected.add(pooled)
+            return self._walk(pooled, "sfa-not-cheaper")
+        self._sfa_switched.add(pooled)
+        return "sfa", "sfa-cheaper"
+
+    def _walk(self, pooled: bool, reason: str) -> Tuple[str, str]:
+        self._walks[pooled] = self._walks.get(pooled, 0) + 1
+        return "walk", reason
 
 
 @dataclass
@@ -160,16 +196,21 @@ class CompiledDfa:
     #: the plan costs ``auto`` scans measure; in memory only
     plans: PlanCosts = field(default_factory=PlanCosts, repr=False,
                              compare=False)
+    #: the SFA plan's lazily grown SFA, built on first use; in memory only
+    _sfa: Optional[LazySfa] = field(default=None, repr=False, compare=False)
 
     def __getstate__(self) -> Dict[str, object]:
-        # measured costs belong to this process and host: never stored
+        # measured costs and the SFA grown from this process's traffic
+        # belong to it: never stored
         state = dict(self.__dict__)
         del state["plans"]
+        del state["_sfa"]
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
         self.plans = PlanCosts()
+        self._sfa = None
 
     @property
     def partition(self) -> StatePartition:
@@ -185,6 +226,19 @@ class CompiledDfa:
         if self._dense is None:
             self._dense = DenseTables(self.dfa)
         return self._dense
+
+    def sfa(self) -> LazySfa:
+        """The lazily grown SFA of the machine, created on first use."""
+        if self._sfa is None:
+            with _SFA_CREATE:
+                if self._sfa is None:
+                    self._sfa = LazySfa(self.dfa)
+        return self._sfa
+
+    @property
+    def sfa_abandoned(self) -> bool:
+        """Whether the SFA outgrew its budget (never true before it exists)."""
+        return self._sfa is not None and self._sfa.abandoned
 
     def prefilter_tables(self) -> Optional[PrefilterTables]:
         """Literal-skip certificate, derived on first use.

@@ -22,8 +22,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.automata.dfa import Dfa, as_symbols
+from repro.automata.dfa import Dfa
 from repro.engines.base import even_boundaries
+from repro.ingest import admit
 
 __all__ = ["RecoveredRun", "recover_reports", "segment_start_states"]
 
@@ -81,7 +82,7 @@ def recover_reports(
         reachable): they provably produce no report, so the rescan is
         unnecessary.  Results are identical either way.
     """
-    syms = as_symbols(symbols)
+    syms = admit(symbols, dfa.alphabet_size, start_state, dfa.num_states)
     bounds = even_boundaries(int(syms.size), n_segments)
     if boundary_states is None:
         boundary_states = segment_start_states(dfa, syms, n_segments, start_state)

@@ -22,7 +22,7 @@ from repro import obs
 from repro.automata.dfa import Dfa
 from repro.hardware.ap import APConfig
 from repro.hardware.cost import parallel_cycles, throughput_symbols_per_sec
-from repro.ingest import admit, as_symbols
+from repro.ingest import admit
 
 __all__ = [
     "Engine",
@@ -266,7 +266,7 @@ class Engine(abc.ABC):
         start = self.dfa.start if start_state is None else int(start_state)
         syms = admit(symbols, self.dfa.alphabet_size, start,
                      self.dfa.num_states)
-        return as_symbols(syms), start
+        return syms, start
 
     def _finalize(
         self,

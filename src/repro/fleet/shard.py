@@ -36,8 +36,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.automata.dfa import Dfa, as_symbols
+from repro.automata.dfa import Dfa
 from repro.automata.ops import ProductSizeExceeded
+from repro.ingest import admit
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
@@ -181,7 +182,8 @@ class ShardMachine:
         ``reports[member_index]`` is exactly the ``(offset, state)``
         event list the member's own :meth:`Dfa.run_reports` would emit.
         """
-        syms = as_symbols(symbols)
+        syms = admit(symbols, self.dfa.alphabet_size, start_state,
+                     self.dfa.num_states)
         cur = self.dfa.start if start_state is None else int(start_state)
         table = self.dfa.transitions
         acc = self.dfa.accepting_mask

@@ -39,6 +39,14 @@
  * skip_width non-anchor symbols (a proven reset to home), then the walk
  * of only the tail after that run.
  *
+ * cse_native_lanes walks k independent lanes over one state-major int32
+ * table (rows x alphabet, entries are row offsets), the tail pass's round
+ * robin with one addition: a negative entry marks a row not built yet,
+ * and a lane that reads one pauses there and reports its position and
+ * state for the caller to build the row and resume it.  The lazily grown
+ * SFA (sfa.py) is its table: one lane per segment gives that segment's
+ * whole function.
+ *
  * Deliberately plain C with a flat pointer ABI: no Python.h, no numpy
  * headers.  The Python side (native.py) loads it through ctypes, passes
  * preallocated numpy buffers (every scratch buffer too: nothing here
@@ -50,7 +58,7 @@
 
 /* bump when the entry-point signatures change; native.py refuses to use
  * a library whose cse_native_abi() disagrees */
-#define CSE_NATIVE_ABI 5
+#define CSE_NATIVE_ABI 6
 
 /* same adaptive collapse-check ladder as dense.py */
 #define NATIVE_STRIDE_MIN 8
@@ -624,4 +632,185 @@ cse_native_prefilter(const void *table, int64_t kind, int64_t n_states,
         final_out[s] = state;
     }
     return WALK_DONE;
+}
+
+/* A round with all TAIL_LANES lanes busy, their states in locals: no
+ * lane's state goes through memory between positions.  Returns the
+ * position it stopped at: run, or the first position where some lane's
+ * entry is outside [0, last], which the caller's general loop redoes
+ * (states are written back as of the position before it). */
+#define LANE_STEP(J)                                                         \
+    n##J = tab[q##J + (int64_t)s##J[t]]
+#define DEFINE_FULL_ROUND(NAME, SYM_T)                                       \
+static int64_t                                                               \
+NAME(const int32_t *tab, uint64_t last, const SYM_T *const *sym,             \
+     int64_t *q, int64_t run)                                                \
+{                                                                            \
+    const SYM_T *s0 = sym[0], *s1 = sym[1], *s2 = sym[2], *s3 = sym[3];      \
+    const SYM_T *s4 = sym[4], *s5 = sym[5], *s6 = sym[6], *s7 = sym[7];      \
+    int64_t q0 = q[0], q1 = q[1], q2 = q[2], q3 = q[3];                      \
+    int64_t q4 = q[4], q5 = q[5], q6 = q[6], q7 = q[7];                      \
+    int64_t t;                                                               \
+    for (t = 0; t < run; t++) {                                              \
+        int64_t n0, n1, n2, n3, n4, n5, n6, n7;                              \
+        LANE_STEP(0); LANE_STEP(1); LANE_STEP(2); LANE_STEP(3);              \
+        LANE_STEP(4); LANE_STEP(5); LANE_STEP(6); LANE_STEP(7);              \
+        if ((uint64_t)n0 > last || (uint64_t)n1 > last                       \
+                || (uint64_t)n2 > last || (uint64_t)n3 > last                \
+                || (uint64_t)n4 > last || (uint64_t)n5 > last                \
+                || (uint64_t)n6 > last || (uint64_t)n7 > last)               \
+            break;                                                           \
+        q0 = n0; q1 = n1; q2 = n2; q3 = n3;                                  \
+        q4 = n4; q5 = n5; q6 = n6; q7 = n7;                                  \
+    }                                                                        \
+    q[0] = q0; q[1] = q1; q[2] = q2; q[3] = q3;                              \
+    q[4] = q4; q[5] = q5; q[6] = q6; q[7] = q7;                              \
+    return t;                                                                \
+}
+
+/* Walk lanes over a row-offset table, per symbol kind.  order holds
+ * n_order lane ids; lane s reads seg_ptrs[s] from pos_io[s] to
+ * seg_lens[s] starting at row offset state_io[s], and both are written
+ * back when it ends or pauses.  The rounds are DEFINE_TAILS's: every busy
+ * lane steps by the shortest remaining span, with all TAIL_LANES lanes
+ * busy in registers (DEFINE_FULL_ROUND).  An entry outside [0, last] ends
+ * the round after its position: a negative one pauses its lane on the
+ * symbol it could not take (that lane steps one position less), a too
+ * large one is a table that cannot be trusted.  Returns the number of
+ * paused lanes, or WALK_BAD_KIND. */
+#define DEFINE_LANES(NAME, FULL, SYM_T)                                      \
+static int64_t                                                               \
+NAME(const int32_t *tab, uint64_t last, const int64_t *seg_ptrs,             \
+     const int64_t *seg_lens, const int64_t *order, int64_t n_order,         \
+     int64_t *pos_io, int64_t *state_io)                                     \
+{                                                                            \
+    const SYM_T *sym[TAIL_LANES];                                            \
+    int64_t q[TAIL_LANES], left[TAIL_LANES], lane[TAIL_LANES];               \
+    int held[TAIL_LANES];                                                    \
+    int64_t next = 0, live = 0, paused = 0, run, t, i;                       \
+    for (;;) {                                                               \
+        while (live < TAIL_LANES && next < n_order) {                        \
+            const int64_t s = order[next++];                                 \
+            if (pos_io[s] >= seg_lens[s])                                    \
+                continue;                                                    \
+            sym[live] = (const SYM_T *)(intptr_t)seg_ptrs[s] + pos_io[s];    \
+            left[live] = seg_lens[s] - pos_io[s];                            \
+            q[live] = state_io[s];                                           \
+            held[live] = 0;                                                  \
+            lane[live++] = s;                                                \
+        }                                                                    \
+        if (live == 0)                                                       \
+            return paused;                                                   \
+        run = left[0];                                                       \
+        for (i = 1; i < live; i++)                                           \
+            if (left[i] < run)                                               \
+                run = left[i];                                               \
+        t = live == TAIL_LANES ? FULL(tab, last, sym, q, run) : 0;           \
+        for (; t < run; t++)                                                 \
+            for (i = 0; i < live; i++) {                                     \
+                const int64_t nq = tab[q[i] + (int64_t)sym[i][t]];           \
+                if ((uint64_t)nq > last) {                                   \
+                    if (nq >= 0)                                             \
+                        return WALK_BAD_KIND;                                \
+                    held[i] = 1;                                             \
+                    run = t + 1;                                             \
+                    continue;                                                \
+                }                                                            \
+                q[i] = nq;                                                   \
+            }                                                                \
+        for (i = 0; i < live;) {                                             \
+            const int64_t step = held[i] ? run - 1 : run;                    \
+            sym[i] += step;                                                  \
+            left[i] -= step;                                                 \
+            if (!held[i] && left[i] > 0) {                                   \
+                i++;                                                         \
+                continue;                                                    \
+            }                                                                \
+            /* ended or paused: the last busy lane moves into its place */   \
+            pos_io[lane[i]] = seg_lens[lane[i]] - left[i];                   \
+            state_io[lane[i]] = q[i];                                        \
+            paused += held[i];                                               \
+            live--;                                                          \
+            sym[i] = sym[live];                                              \
+            left[i] = left[live];                                            \
+            q[i] = q[live];                                                  \
+            held[i] = held[live];                                            \
+            lane[i] = lane[live];                                            \
+        }                                                                    \
+    }                                                                        \
+}
+
+DEFINE_FULL_ROUND(full_u8, uint8_t)
+DEFINE_FULL_ROUND(full_i64, int64_t)
+DEFINE_LANES(lanes_u8, full_u8, uint8_t)
+DEFINE_LANES(lanes_i64, full_i64, int64_t)
+
+/* Walk k lanes over one state-major int32 table.
+ *
+ * table          n_rows x alphabet int32 entries, row-major; entry
+ *                [r, c] is the row offset r' * alphabet of the row after
+ *                symbol c from row r, or negative for a row not built yet
+ * seg_ptrs       n_lanes span base addresses, each read at its own width
+ * seg_lens       n_lanes span lengths
+ * seg_kinds      n_lanes symbol kinds (KIND_U8 or KIND_I64)
+ * check          nonzero: range check each lane's unread span first; a
+ *                call resuming spans an earlier call checked passes 0
+ * pos_io         in: each lane's first position to read; out: where it
+ *                stopped (seg_lens[s] once it ended)
+ * state_io       in: each lane's row offset before pos_io; out: its row
+ *                offset there
+ * order_scratch  n_lanes int64 entries: the lane ids, uint8 ones from the
+ *                front, int64 ones from the back
+ *
+ * Row offsets rather than row ids keep a multiply off each lane's chain
+ * of dependent loads.  With check set, each lane's unread span is range
+ * checked before it is read, int64 ones always and uint8 ones when
+ * alphabet < 256; resuming calls skip it, since a growing scan resumes
+ * once per row it builds.
+ * Returns the number of lanes that paused on a negative entry (0: every
+ * lane ended), WALK_BAD_SYMBOL on a symbol outside [0, alphabet), or
+ * WALK_BAD_KIND on an unknown symbol kind, a table past int32 offsets,
+ * or a row offset (given or read) past the last row.
+ */
+int64_t
+cse_native_lanes(const int32_t *table, int64_t n_rows, int64_t alphabet,
+                 const int64_t *seg_ptrs, const int64_t *seg_lens,
+                 const int64_t *seg_kinds, int64_t n_lanes, int64_t check,
+                 int64_t *pos_io, int64_t *state_io, int64_t *order_scratch)
+{
+    const uint64_t a = (uint64_t)alphabet;
+    uint64_t last;
+    int64_t s, n_u8 = 0, n_i64 = 0, rc, paused;
+    if (n_rows < 1 || alphabet < 1 || n_rows > INT32_MAX / alphabet)
+        return WALK_BAD_KIND;
+    last = (uint64_t)(n_rows - 1) * a;
+    for (s = 0; s < n_lanes; s++) {
+        const int64_t pos = pos_io[s], len = seg_lens[s];
+        if ((uint64_t)state_io[s] > last || pos < 0)
+            return WALK_BAD_KIND;
+        if (pos >= len)
+            continue;
+        if (seg_kinds[s] == KIND_U8) {
+            if (check && alphabet < 256 && out_of_range_u8(
+                    (const uint8_t *)(intptr_t)seg_ptrs[s] + pos, len - pos,
+                    a))
+                return WALK_BAD_SYMBOL;
+            order_scratch[n_u8++] = s;
+        } else if (seg_kinds[s] == KIND_I64) {
+            if (check && out_of_range_i64(
+                    (const int64_t *)(intptr_t)seg_ptrs[s] + pos, len - pos,
+                    a))
+                return WALK_BAD_SYMBOL;
+            order_scratch[n_lanes - ++n_i64] = s;
+        } else {
+            return WALK_BAD_KIND;
+        }
+    }
+    paused = lanes_u8(table, last, seg_ptrs, seg_lens, order_scratch, n_u8,
+                      pos_io, state_io);
+    if (paused < 0)
+        return paused;
+    rc = lanes_i64(table, last, seg_ptrs, seg_lens,
+                   order_scratch + n_lanes - n_i64, n_i64, pos_io, state_io);
+    return rc < 0 ? rc : paused + rc;
 }

@@ -6,7 +6,7 @@ numpy's full-generality machinery behind it.  This module loads
 ``_native.c`` — a dependency-free C library (no ``Python.h``, no numpy
 headers) — through :mod:`ctypes` and advances **every** segment's
 enumeration frontier over its **whole** symbol buffer in a single native
-call (ABI 5).  Each segment is passed by pointer, length and symbol kind
+call (ABI 6).  Each segment is passed by pointer, length and symbol kind
 and read at its own width: byte input as uint8, anything else as int64,
 with no widening or concatenation here.  The frontier is a segment's
 *distinct live states*: each lane (a start state) points at one of them,
@@ -40,9 +40,12 @@ the walk pauses on and resumes from.  Without the library :func:`walk`
 runs the interpreted list walk.  :func:`native_prefilter` runs the
 literal prefilter (:mod:`repro.kernels.prefilter`) for a batch of
 segments in one call: a backward scan to each segment's last proven
-reset, then the compiled walk of the tail after it.  The C range checks
-only guard memory reads: a refused call raises the input contract's
-error (:func:`repro.ingest.admit`), never a replay.
+reset, then the compiled walk of the tail after it.  :func:`native_lanes`
+walks independent lanes over one state-major int32 table of row
+offsets, eight at a time, and pauses a lane on an entry not built yet:
+the lazily grown SFA (:mod:`repro.kernels.sfa`) runs on it.  The C
+range checks only guard memory reads: a refused call raises the input
+contract's error (:func:`repro.ingest.admit`), never a replay.
 
 Outcomes are bit-identical to every other backend: the C core returns
 raw final frontiers and this module reuses ``dense.py``'s epilogue
@@ -81,6 +84,7 @@ if TYPE_CHECKING:
     from repro.kernels.prefilter import PrefilterTables
 
 __all__ = [
+    "Lanes",
     "NATIVE_ABI",
     "WALK_REPORT_CAP",
     "NativeBuildError",
@@ -88,6 +92,7 @@ __all__ = [
     "load_native",
     "native_available",
     "native_build_info",
+    "native_lanes",
     "native_library_path",
     "native_prefilter",
     "native_table_view",
@@ -99,7 +104,7 @@ __all__ = [
 ]
 
 #: expected ``cse_native_abi()`` of a loadable library
-NATIVE_ABI = 5
+NATIVE_ABI = 6
 #: set to ``0``/``off``/``false`` to disable the native tier entirely
 ENV_DISABLE = "REPRO_NATIVE"
 #: overrides the per-user build cache directory
@@ -256,6 +261,13 @@ def _configure(lib: ctypes.CDLL) -> None:
         c_ptr, c_i64, c_i64,          # anchor_lut, home, skip_width
         c_ptr, c_ptr, c_ptr, c_i64,   # seg_ptrs, seg_lens, seg_kinds, n_seg
         c_ptr, c_ptr, c_ptr,          # starts, final_out, walk_from_out
+    ]
+    lib.cse_native_lanes.restype = c_i64
+    lib.cse_native_lanes.argtypes = [
+        c_ptr, c_i64, c_i64,          # table, n_rows, alphabet
+        c_ptr, c_ptr, c_ptr, c_i64,   # seg_ptrs, seg_lens, seg_kinds, n_lanes
+        c_i64,                        # check
+        c_ptr, c_ptr, c_ptr,          # pos_io, state_io, order_scratch
     ]
 
 
@@ -558,6 +570,79 @@ def native_prefilter(
     if rc != _WALK_DONE:
         _refuse(dfa, segs, [s for s in starts if s != -1], rc)
     return final, walk_from
+
+
+class Lanes:
+    """Independent walks for :func:`native_lanes`, one per symbol span.
+
+    ``pos[i]`` is lane ``i``'s next position and ``state[i]`` its row
+    offset there (row id times the alphabet size, int64);
+    :func:`native_lanes` advances both in place, so a lane paused on a
+    row not built yet resumes where it stopped.  The spans must be
+    admitted input (uint8 or int64, one dimension); they are kept alive
+    here because the C side reads them through raw addresses, and range
+    checked by the first call only (``checked``), since a growing scan
+    resumes once per row it builds.
+    """
+
+    def __init__(self, spans: Sequence[np.ndarray], state: int) -> None:
+        self.spans = [np.ascontiguousarray(s, dtype=s.dtype) for s in spans]
+        n = len(self.spans)
+        for span in self.spans:
+            if span.ndim != 1 or span.dtype not in _SYMBOL_KINDS:
+                raise ValueError(f"lane spans are admitted input, not "
+                                 f"{span.dtype} of {span.ndim} dimensions")
+        self.ptrs = np.asarray([s.ctypes.data for s in self.spans],
+                               dtype=np.int64)
+        self.lens = np.asarray([s.size for s in self.spans], dtype=np.int64)
+        self.kinds = np.asarray([_SYMBOL_KINDS[s.dtype] for s in self.spans],
+                                dtype=np.int64)
+        self.pos = np.zeros(n, dtype=np.int64)
+        self.state = np.full(n, state, dtype=np.int64)
+        self._order = np.empty(max(n, 1), dtype=np.int64)
+        self.checked = False
+
+    def paused(self) -> np.ndarray:
+        """Ids of the lanes that have not read their whole span."""
+        return np.flatnonzero(self.pos < self.lens)
+
+
+def native_lanes(table: np.ndarray, lanes: Lanes) -> int:
+    """One ``cse_native_lanes`` call: advance every lane over ``table``.
+
+    ``table`` is a C-contiguous int32 ``(rows, alphabet)`` array whose
+    entry ``[r, c]`` is the row offset (``r2 * alphabet``) of the row
+    after symbol ``c`` from row ``r``; a negative entry is a row not built
+    yet.  Row offsets keep a multiply off each lane's chain of dependent
+    loads.  Lanes are walked eight at a time, round robin, and a lane
+    that reads a negative entry pauses on that symbol.  Returns the
+    number of paused lanes (0 when every lane read its whole span).  A
+    symbol outside ``[0, alphabet)`` raises
+    :class:`repro.ingest.InputError`; a row offset outside the table
+    raises ``RuntimeError``.  Requires the native library.
+    """
+    lib = load_native()
+    if lib is None:
+        raise RuntimeError(
+            f"native tier unavailable: {native_unavailable_reason()}"
+        )
+    if table.dtype != np.int32 or table.ndim != 2 \
+            or not table.flags.c_contiguous:
+        raise ValueError("lane table must be a C-contiguous 2-D int32 array")
+    rows, alphabet = table.shape
+    rc = int(lib.cse_native_lanes(
+        _ptr(table), rows, alphabet,
+        _ptr(lanes.ptrs), _ptr(lanes.lens), _ptr(lanes.kinds),
+        len(lanes.spans), int(not lanes.checked), _ptr(lanes.pos),
+        _ptr(lanes.state), _ptr(lanes._order),
+    ))
+    if rc == _WALK_BAD_SYMBOL:
+        for span in lanes.spans:
+            admit(span, alphabet)
+    if rc < 0:
+        raise RuntimeError(f"native lane walk refused its table (rc {rc})")
+    lanes.checked = True
+    return rc
 
 
 def _refuse(

@@ -30,21 +30,28 @@ Four execution backends are available (``backend=``):
   every segment keeps one dense frontier of all N states and advances it
   with exactly one flat gather per symbol position (dtype-narrowed table,
   strided collapse checks; :mod:`repro.kernels.dense`);
-- ``"native"`` — the compiled set-flow tier: the dense frontier advanced
-  over the whole symbol buffer in one C call (:mod:`repro.kernels.native`);
-  degrades to ``"dense"`` when no compiled library is loadable.
+- ``"native"`` — the compiled set-flow tier: every segment's frontier of
+  distinct live states advanced over its whole symbol buffer in one C
+  call, collapsed segments' tails walked eight at a time
+  (:mod:`repro.kernels.native`); an explicit ``"native"`` resolves to
+  ``"dense"`` when no compiled library is loadable;
 - ``"prefilter"`` — the literal-prefilter fast path for certified
-  literal-heavy machines: a vectorized anchor sweep plus an interpreted
-  walk of only the tail after the last proven reset run
-  (:mod:`repro.kernels.prefilter`); degrades to ``"dense"`` when the DFA
-  is not literal-certifiable.
+  literal-heavy machines: a backward scan to each segment's last proven
+  reset and a walk of only the tail after it, one C call per batch with
+  the library (:mod:`repro.kernels.prefilter`); an uncertifiable machine
+  runs the native or dense frontier instead.
 
 ``backend="auto"`` picks via :func:`repro.kernels.resolve_backend`, the
 same helper the streaming layer uses.  A scan through an ``auto``
-artifact (``compiled=``) then chooses its plan by measured cost: once
-one walk of the whole input has measured 1.2x cheaper per byte than the
-artifact's CSE plan, it runs that walk alone (``backend="walk"``, one
-segment); see :class:`repro.compilecache.artifact.PlanCosts`.
+artifact (``compiled=``) then chooses among three plans by measured
+cost (:class:`repro.compilecache.artifact.PlanCosts`): the artifact's
+CSE plan; the walk plan, one walk of the whole input (``backend="walk"``,
+one segment), once that measured 1.2x cheaper per byte than the CSE
+plan; and, after the walk plan and with the native library, the SFA
+plan (``backend="sfa"``): each segment walked as one compiled lane over
+the artifact's lazily grown SFA (:mod:`repro.kernels.sfa`) and the
+segment functions composed, once that measured 1.2x cheaper than the
+walk.
 
 Input may be ``bytes``, a numpy symbol array, or a zero-copy
 :class:`repro.ingest.InputView` (e.g. from :func:`repro.ingest.open_input`
@@ -360,7 +367,8 @@ class SoftwareRun:
     elapsed_seconds: float
     reexec_segments: int
     #: the backend the scan ran; ``"walk"`` (with ``n_segments == 1``)
-    #: for an ``auto`` scan that took the walk plan
+    #: for an ``auto`` scan that took the walk plan, ``"sfa"`` for one
+    #: that took the SFA plan
     backend: str = "python"
     #: the backend the caller asked for ("auto"/None resolve to
     #: :attr:`backend`); keeps the resolve_backend decision recoverable
@@ -421,9 +429,11 @@ def software_cse_scan(
     (scalar rows, dense table, prefilter certificate) are reused instead
     of being derived per scan; results are bit-identical with or without
     it.  An artifact compiled for ``auto`` also keeps the measured costs
-    of its CSE plan and of one whole-input walk, and its scans run the
-    walk plan once that measured 1.2x cheaper (the returned
-    :class:`SoftwareRun` then reads ``backend="walk"``).
+    of its CSE plan, of one whole-input walk and of its SFA plan; its
+    scans run the walk plan once that measured 1.2x cheaper than CSE (the
+    returned :class:`SoftwareRun` then reads ``backend="walk"``), and,
+    with the native library, the SFA plan once that measured 1.2x
+    cheaper than the walk (``backend="sfa"``).
 
     Segments reach an ``executor`` one of two ways.  A fingerprint-matched
     :func:`segment_pool` gets ``(path, start, stop)`` mmap coordinates
@@ -520,12 +530,16 @@ def _software_cse_scan(
         # measures the walk plan
         plan, reason = (
             ("cse", "prefilter") if backend == "prefilter"
-            else plans.choose(pooled)
+            else plans.choose(pooled, native_available()
+                              and not compiled.sfa_abandoned)
         )
         obs.counter("kernels_plan_total", plan=plan, reason=reason).inc()
         if plan == "walk":
             return _walk_plan(dfa, syms, start, plans, pooled, verify,
                               dense, rows)
+        if plan == "sfa":
+            return _sfa_plan(dfa, syms, start, plans, pooled, verify,
+                             dense, rows, compiled.sfa(), n_segments)
 
     bounds = even_boundaries(int(syms.size), n_segments)
     # python-backend segments run here walk a list (shared with the
@@ -719,6 +733,7 @@ def _plan_costs(plans, pooled: bool) -> dict:
     return {
         "walk_ns_per_byte": plans.median("walk", pooled),
         "cse_ns_per_byte": plans.median("cse", pooled),
+        "sfa_ns_per_byte": plans.median("sfa", pooled),
     }
 
 
@@ -746,28 +761,97 @@ def _walk_plan(
     elapsed = time.perf_counter() - begin
     if syms.size:
         plans.record("walk", pooled, elapsed * 1e9 / syms.size)
+    return _plan_run(dfa, syms, start, plans, pooled, verify, dense, rows,
+                     "walk", final, [elapsed], scan_wall, {})
+
+
+def _sfa_plan(
+    dfa: Dfa,
+    syms: np.ndarray,
+    start: int,
+    plans,
+    pooled: bool,
+    verify: bool,
+    dense: Optional[DenseTables],
+    rows: List[List[int]],
+    sfa,
+    n_segments: int,
+) -> SoftwareRun:
+    """The SFA plan: one lane per segment over the artifact's lazy SFA.
+
+    Each segment is walked from the identity function in C, eight lanes
+    at a time (:meth:`repro.kernels.sfa.LazySfa.scan`); a lane that
+    reaches an SFA state whose row is not built pauses while the row is
+    built, and the final state is the segments' functions applied to
+    ``start`` in turn.  Nothing is enumerated, speculated or
+    re-executed, and no segment reaches a pool.  Only a scan that grew
+    no row times itself into ``plans``.  When the SFA outgrows
+    :data:`repro.kernels.sfa.SFA_MAX_FUNCTIONS` it is abandoned for good
+    and this scan runs the walk plan instead.  ``verify`` checks it
+    against :func:`scan_sequential`'s compiled walk.
+    """
+    scan_wall = time.time()
+    begin = time.perf_counter()
+    bounds = even_boundaries(int(syms.size), n_segments)
+    done = sfa.scan([syms[a:b] for a, b in bounds], start)
+    if done is None:
+        obs.counter("kernels_plan_total", plan="walk",
+                    reason="sfa-abandoned").inc()
+        return _walk_plan(dfa, syms, start, plans, pooled, verify, dense,
+                          rows)
+    final, grew = done
+    elapsed = time.perf_counter() - begin
+    if syms.size and not grew:
+        plans.record("sfa", pooled, elapsed * 1e9 / syms.size)
+    # the lanes run interleaved in one call: each gets an even share
+    shares = [elapsed / len(bounds)] * len(bounds)
+    return _plan_run(dfa, syms, start, plans, pooled, verify, dense, rows,
+                     "sfa", final, shares, scan_wall,
+                     {"grew": grew, "sfa_functions": sfa.functions,
+                      "sfa_rows": sfa.rows})
+
+
+def _plan_run(
+    dfa: Dfa,
+    syms: np.ndarray,
+    start: int,
+    plans,
+    pooled: bool,
+    verify: bool,
+    dense: Optional[DenseTables],
+    rows: List[List[int]],
+    backend: str,
+    final: int,
+    segment_seconds: List[float],
+    scan_wall: float,
+    span_args: dict,
+) -> SoftwareRun:
+    """Telemetry, the ``verify`` oracle and the result of a one-pass plan."""
+    elapsed = sum(segment_seconds)
     if obs.is_enabled():
-        obs.record_span("software.scan", scan_wall, elapsed, backend="walk",
-                        n_segments=1, n_symbols=int(syms.size),
-                        **_plan_costs(plans, pooled))
-        obs.counter("software_scans_total", backend="walk").inc()
+        obs.record_span("software.scan", scan_wall, elapsed, backend=backend,
+                        n_segments=len(segment_seconds),
+                        n_symbols=int(syms.size),
+                        **_plan_costs(plans, pooled), **span_args)
+        obs.counter("software_scans_total", backend=backend).inc()
         obs.counter("software_symbols_total").inc(int(syms.size))
-        obs.histogram("software_scan_seconds", backend="walk").observe(elapsed)
+        obs.histogram("software_scan_seconds", backend=backend).observe(elapsed)
     sequential_seconds = 0.0
     if verify:
         oracle, sequential_seconds = scan_sequential(
             dfa, syms, start_state=start, rows=rows, tables=dense)
         if final != oracle:
-            raise AssertionError("walk plan diverged from the sequential walk")
+            raise AssertionError(
+                f"{backend} plan diverged from the sequential walk")
     return SoftwareRun(
         final_state=int(final),
         n_symbols=int(syms.size),
-        n_segments=1,
+        n_segments=len(segment_seconds),
         sequential_seconds=sequential_seconds,
-        segment_seconds=[elapsed],
+        segment_seconds=segment_seconds,
         repair_seconds=0.0,
         elapsed_seconds=elapsed,
         reexec_segments=0,
-        backend="walk",
+        backend=backend,
         requested_backend="auto",
     )

@@ -14,10 +14,16 @@ native tier loaded and absent (``REPRO_NATIVE=0``), except where noted.
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro import obs
 from repro.automata.builders import random_dfa
@@ -206,3 +212,16 @@ def test_costs_stay_in_memory(dotstar, packets, tmp_path):
     run = scan_with_cache(dotstar, packets, cache=cache,
                           n_segments=N_SEGMENTS)
     assert run.backend != "walk"
+
+
+def test_numpy_ma_loads_with_the_package():
+    """The first ``np.unique`` of a process imports ``numpy.ma`` (about
+    15 ms); importing the package pays it, so no scan's plan sample does."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, repro.software; print('numpy.ma' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True"

@@ -17,6 +17,7 @@ from repro import obs
 from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.engines.base import even_boundaries
+from repro.ingest import admit
 from repro.kernels import (
     KERNEL_BACKENDS,
     DenseTables,
@@ -25,6 +26,7 @@ from repro.kernels import (
     run_segments_batch,
     walk,
 )
+from repro.kernels.sfa import LazySfa
 from repro.software import run_segment, scan_sequential, software_cse_scan
 from tests.kernel_inputs import (
     component_partition,
@@ -413,3 +415,29 @@ class TestWalkEquivalence:
                     flags = [s.args["compiled"] for s in registry.spans
                              if s.name == "software.oracle"]
                     assert flags == [loaded, False]
+
+
+class TestSfaLaneEquivalence:
+    """The lazily grown SFA's lane walk composes to the interpreted walk."""
+
+    @given(
+        dfa_word_partition(max_len=200),
+        st.data(),
+        st.sampled_from(["uint8", "int64", "view"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sfa_lanes_match_run(self, dwp, data, symbol_kind):
+        from repro.check import verify_sfa
+
+        if not native_available():
+            return
+        dfa, word, _partition = dwp
+        state = data.draw(st.integers(0, dfa.num_states - 1))
+        n_lanes = data.draw(st.integers(1, 19))
+        syms = admit(symbols_of(word, symbol_kind), dfa.alphabet_size)
+        spans = [syms[a:b] for a, b in even_boundaries(syms.size, n_lanes)]
+        sfa = LazySfa(dfa)
+        # growing on the first scan, grown on the second
+        for grew in (word.size > 0, False):
+            assert sfa.scan(spans, state) == (dfa.run(word, state), grew)
+        assert verify_sfa(sfa, dfa) == []
