@@ -38,7 +38,12 @@ Gates (full mode only):
   ``file-pool-dotstar`` machine), 1 MiB packet buffers,
   ``scan_with_cache(..., verify=False)``: the median walk-plan call
   against the median SFA-plan call that grew no row, over three fresh
-  artifacts.
+  artifacts;
+- **verified sfa >= 1.5x verified walk** on the same buffers,
+  ``scan_with_cache(..., verify=True)``: the walk plan checked by the
+  serial oracle walk against the SFA plan checked by the chained walk
+  of its lanes, each on an artifact settled on its plan with fixed
+  samples, medians of calls taken in turns.
 
 ``random1024/discrete`` measures the kernels on a machine four times the
 uint8 width, where the dense tables narrow to uint16.
@@ -244,7 +249,7 @@ def sfa_seconds(dfa, word, n_segments: int):
     done = scan()
     if done is None:
         return None
-    if done[0] != dfa.run(word):
+    if done[0][-1] != dfa.run(word):
         raise AssertionError("SFA lanes diverged from Dfa.run")
     return best_of(3, scan)
 
@@ -303,6 +308,7 @@ def bench_dotstar_plans(n_bytes: int, artifacts: int) -> Dict:
                 break
     walk_med = float(np.median(times["walk"])) if times["walk"] else None
     sfa_med = float(np.median(times["sfa"])) if times["sfa"] else None
+    verified = bench_verified_plans(dfa, buffers, want)
     return {
         "config": "Dotstar06/e2e",
         "n_symbols": n_bytes,
@@ -313,6 +319,66 @@ def bench_dotstar_plans(n_bytes: int, artifacts: int) -> Dict:
         "sfa_median_seconds": sfa_med,
         "sfa_over_walk_speedup": (
             walk_med / sfa_med if walk_med and sfa_med else None),
+        **verified,
+    }
+
+
+def settled_on(dfa, plan: str) -> CompileCache:
+    """A cache whose artifact for ``dfa`` runs ``plan`` from now on.
+
+    Fixed per-byte costs (CSE 10, walk 3, and SFA 1 for ``"sfa"`` or 10
+    for ``"walk"``) take the decisions a measured artifact would, so
+    every later ``auto`` scan runs ``plan``.
+    """
+    cache = CompileCache()
+    plans = cache.get_or_compile(dfa).plans
+    for _ in range(PLAN_MIN_SAMPLES):
+        plans.record("cse", False, 10.0)
+        plans.record("walk", False, 3.0)
+    for _ in range(PLAN_MIN_SAMPLES):
+        plans.choose(False, True)
+    for _ in range(PLAN_MIN_SAMPLES):
+        plans.record("sfa", False, 1.0 if plan == "sfa" else 10.0)
+    assert plans.choose(False, True)[0] == plan
+    return cache
+
+
+def bench_verified_plans(dfa, buffers, want, calls: int = 24) -> Dict:
+    """Verified calls, ``scan_with_cache(..., verify=True)``, per plan.
+
+    One artifact settled on the walk plan (its check the serial oracle
+    walk) and one on the SFA plan (its check the chained walk of its
+    lanes) scan the buffers once untimed, growing the SFA, then take
+    turns for ``calls`` timed calls each; an SFA-plan call that grew a
+    row is not counted.
+    """
+    caches = {plan: settled_on(dfa, plan) for plan in ("walk", "sfa")}
+    sfa = caches["sfa"].get_or_compile(dfa).sfa()
+    for plan, cache in caches.items():
+        for buf in buffers:
+            scan_with_cache(dfa, buf, cache=cache)
+    times: Dict[str, List[float]] = {"walk": [], "sfa": []}
+    for call in range(calls):
+        i = call % len(buffers)
+        for plan, cache in caches.items():
+            rows = sfa.rows
+            begin = time.perf_counter()
+            run = scan_with_cache(dfa, buffers[i], cache=cache)
+            seconds = time.perf_counter() - begin
+            if (run.backend, run.final_state) != (plan, want[i]):
+                raise AssertionError(f"verified {plan} plan ran "
+                                     f"{run.backend} or diverged")
+            if sfa.rows == rows:
+                times[plan].append(seconds)
+    walk_med = float(np.median(times["walk"]))
+    sfa_med = float(np.median(times["sfa"])) if times["sfa"] else None
+    return {
+        "verified_walk_calls": len(times["walk"]),
+        "verified_sfa_calls": len(times["sfa"]),
+        "verified_walk_median_seconds": walk_med,
+        "verified_sfa_median_seconds": sfa_med,
+        "verified_sfa_over_walk_speedup": (
+            walk_med / sfa_med if sfa_med else None),
     }
 
 
@@ -379,12 +445,19 @@ def main(argv=None) -> int:
               f"{fmt_ms(plans['walk_median_seconds'])} ({plans['walk_calls']}"
               f" calls)  sfa plan {fmt_ms(plans['sfa_median_seconds'])} "
               f"({plans['sfa_calls']} calls)")
-        speedup = plans["sfa_over_walk_speedup"]
-        if not args.smoke and (speedup is None or speedup < 1.5):
-            raise SystemExit(
-                f"plan gate failed: on Dotstar06 the SFA plan is "
-                f"{speedup if speedup is None else round(speedup, 2)}x "
-                "the walk plan end to end (< 1.5x)")
+        print(f"{plans['config']:<20} verified walk plan "
+              f"{fmt_ms(plans['verified_walk_median_seconds'])} "
+              f"({plans['verified_walk_calls']} calls)  verified sfa plan "
+              f"{fmt_ms(plans['verified_sfa_median_seconds'])} "
+              f"({plans['verified_sfa_calls']} calls)")
+        for key, what in (("sfa_over_walk_speedup", ""),
+                          ("verified_sfa_over_walk_speedup", "verified ")):
+            speedup = plans[key]
+            if not args.smoke and (speedup is None or speedup < 1.5):
+                raise SystemExit(
+                    f"plan gate failed: on Dotstar06 the {what}SFA plan "
+                    f"is {speedup if speedup is None else round(speedup, 2)}"
+                    f"x the {what}walk plan end to end (< 1.5x)")
 
     ARTIFACT.write_text(json.dumps(
         {
@@ -397,7 +470,8 @@ def main(argv=None) -> int:
                                "plan-choosing auto plan within 1.2x of "
                                "the fastest whole-scan plan; "
                                "sfa >= 1.5x walk end to end on "
-                               "Dotstar06 1 MiB",
+                               "Dotstar06 1 MiB, unverified and "
+                               "verified",
             "env": env_info(),
             "results": results,
             "plans": plans,

@@ -79,6 +79,7 @@ K115 = register_code("K115", "native single-step replay disagrees with the trans
 K116 = register_code("K116", "native report walk disagrees with Dfa.run_reports")
 K117 = register_code("K117", "native multi-position frontier replay disagrees with the dense kernel")
 K118 = register_code("K118", "grown SFA row does not re-derive from the transition table")
+K119 = register_code("K119", "native interleaved span walks disagree with Dfa.run")
 K120 = register_code("K120", "shard key does not re-derive from member fingerprints")
 K121 = register_code("K121", "shard demux map is malformed or misses members")
 K122 = register_code("K122", "shard demux disagrees with member transitions")
@@ -502,10 +503,11 @@ def _probe_sfa(dfa: "object",
     if done is None:
         return []
     want = int(dfa.run(probe, start))  # type: ignore[attr-defined]
-    if done[0] != want:
+    final = done[0][-1]
+    if final != want:
         return [_err(
             K118,
-            f"SFA lane scan of the probe reached {done[0]}, Dfa.run "
+            f"SFA lane scan of the probe reached {final}, Dfa.run "
             f"reaches {want} (the SFA plan would return another state)",
             f"{location}.scan")]
     return verify_sfa(sfa, dfa, location=location)
@@ -528,7 +530,12 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
     string walked by ``cse_native_walk`` with reports on, through a
     three-entry report buffer so the walk pauses and resumes many times,
     must give :meth:`Dfa.run_reports`'s reports and :meth:`Dfa.run`'s
-    final state, at uint8 and int64 symbol width.  K117 proves the
+    final state, at uint8 and int64 symbol width.  K119 proves the
+    interleaved walks the SFA plan's chained verify runs: the same probe
+    cut into 17 spans plus an empty one, and pieces of 1, 2 and 3
+    symbols of K117's random tail, walked by ``cse_native_walks`` in one
+    call each from its own seeded start state, must end every span where
+    :meth:`Dfa.run` does, at both widths.  K117 proves the
     frontier across collapse checks and lane merges: a fixed
     multi-position probe (each symbol repeated 64 times, then 4096
     seeded-random symbols, one representative per distinct table row)
@@ -539,7 +546,7 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
     full rounds, refills and a partial round), must give
     ``run_segments_dense``'s outcomes over tables re-derived from the
     transition matrix, at uint8 and int64 width (``deep=False`` skips
-    the three replays; very large tables cap them).  An unavailable native tier yields no diagnostics —
+    the four replays; very large tables cap them).  An unavailable native tier yields no diagnostics —
     degradation to dense is the documented contract, not a defect.
     """
     from repro.kernels import DenseTables
@@ -547,6 +554,7 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
         native_available,
         native_table_view,
         native_walk,
+        native_walks,
         run_segments_native,
     )
 
@@ -631,6 +639,42 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
                 f"{location}.walk[{syms.dtype}]"))
             return out
 
+    # interleaved span walks: the K116 probe in 17 spans (two full
+    # rounds of the tail pass's eight lanes and one partial) plus an
+    # empty span, each from its own seeded start state.  Those spans are
+    # long enough for a regex machine to forget where they started, so
+    # pieces of 1, 2 and 3 symbols drawn one per distinct table row (as
+    # K117's random tail is, below) follow: their end states still show
+    # a wrong start state, a skipped symbol or a span stopped short
+    from repro.engines.base import even_boundaries
+
+    reps = np.unique(table, axis=0, return_index=True)[1].astype(np.int64)
+    mixed = reps[np.random.default_rng(117).integers(0, reps.size, size=4096)]
+    spans = [probe[a:b] for a, b in even_boundaries(probe.size, 17)]
+    spans.append(probe[:0])
+    spans += [mixed[a:a + size] for size in (1, 2, 3)
+              for a in range(0, 1024 - size + 1, size)]
+    starts = np.random.default_rng(119).integers(0, n_states,
+                                                 size=len(spans))
+    want_ends = [int(dfa.run(span, int(q)))  # type: ignore[attr-defined]
+                 for span, q in zip(spans, starts)]
+    for width in [np.int64] + ([np.uint8] if alphabet <= 256 else []):
+        ends = native_walks(
+            dfa, [span.astype(width) for span in spans],  # type: ignore[arg-type]
+            starts.tolist(), tables=tables,  # type: ignore[arg-type]
+        ).tolist()
+        if ends != want_ends:
+            i = next(i for i, (a, b) in enumerate(zip(ends, want_ends))
+                     if a != b)
+            out.append(_err(
+                K119,
+                f"native interleaved walk of {np.dtype(width)} probe span "
+                f"{i} from state {int(starts[i])} ended at {ends[i]}, "
+                f"Dfa.run ends at {want_ends[i]} (the SFA plan's chained "
+                "verify would check against wrong boundaries)",
+                f"{location}.walks[{np.dtype(width)}][{i}]"))
+            return out
+
     # frontier replay: each symbol's run drives every collapse it has,
     # the random tail mixes them, so the probe crosses collapse checks,
     # lane merges and the scalar degrade; 17 pieces fill the core's
@@ -642,14 +686,11 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
     # frontier that collapses at the first collapse check leaves a tail
     # of 0 or 3 symbols, whose end state still shows a wrong tail start
     # state or a skipped symbol
-    from repro.engines.base import even_boundaries
     from repro.kernels.dense import STRIDE_MIN, run_segments_dense
 
     part = partition if isinstance(partition, StatePartition) \
         and partition.num_states == n_states \
         else StatePartition.discrete(n_states)
-    reps = np.unique(table, axis=0, return_index=True)[1].astype(np.int64)
-    mixed = reps[np.random.default_rng(117).integers(0, reps.size, size=4096)]
     probe = np.concatenate([
         np.repeat(np.arange(alphabet, dtype=np.int64), 64), mixed,
     ])

@@ -34,6 +34,10 @@
  * (offset, state) reports into a caller-sized buffer, pausing when the
  * buffer fills and resuming on the next call.
  *
+ * cse_native_walks runs many such walks at once, each span from its own
+ * start state, through the tail pass: the SFA plan's chained verify
+ * walks every segment from its claimed start boundary as one lane.
+ *
  * cse_native_prefilter is the literal prefilter (prefilter.py) for a
  * batch of segments: a backward scan per segment to its rightmost run of
  * skip_width non-anchor symbols (a proven reset to home), then the walk
@@ -58,7 +62,7 @@
 
 /* bump when the entry-point signatures change; native.py refuses to use
  * a library whose cse_native_abi() disagrees */
-#define CSE_NATIVE_ABI 6
+#define CSE_NATIVE_ABI 7
 
 /* same adaptive collapse-check ladder as dense.py */
 #define NATIVE_STRIDE_MIN 8
@@ -272,6 +276,31 @@ DEFINE_TAILS(tails_u8_i64, uint8_t, int64_t)
 DEFINE_TAILS(tails_u16_i64, uint16_t, int64_t)
 DEFINE_TAILS(tails_i64_i64, int64_t, int64_t)
 
+/* The tail pass over the pending spans, per table kind: the uint8 ones
+ * are pending[0..n_u8), the int64 ones the last n_i64 of pending's n_seg
+ * entries.  Span s starts at tail_pos[s] from states[s], and its final
+ * state replaces that entry. */
+static void
+run_tails(const void *table, int64_t kind, int64_t n_states,
+          const int64_t *seg_ptrs, const int64_t *seg_lens,
+          const int64_t *pending, int64_t n_seg, int64_t n_u8, int64_t n_i64,
+          const int64_t *tail_pos, int64_t *states)
+{
+#define TAILS_CALL(FN, TAB_T, PENDING, N_PENDING)                            \
+    FN((const TAB_T *)table, n_states, seg_ptrs, seg_lens, PENDING,          \
+       N_PENDING, tail_pos, states)
+#define TAILS_BY_TABLE(U8_FN, U16_FN, I64_FN, PENDING, N_PENDING)            \
+    if (kind == KIND_U8) TAILS_CALL(U8_FN, uint8_t, PENDING, N_PENDING);     \
+    else if (kind == KIND_U16)                                               \
+        TAILS_CALL(U16_FN, uint16_t, PENDING, N_PENDING);                    \
+    else TAILS_CALL(I64_FN, int64_t, PENDING, N_PENDING)
+    TAILS_BY_TABLE(tails_u8_u8, tails_u16_u8, tails_i64_u8, pending, n_u8);
+    TAILS_BY_TABLE(tails_u8_i64, tails_u16_i64, tails_i64_i64,
+                   pending + n_seg - n_i64, n_i64);
+#undef TAILS_BY_TABLE
+#undef TAILS_CALL
+}
+
 /* 1 when some symbol is outside [0, alphabet); branch-free so it
  * vectorizes */
 #define DEFINE_RANGE_CHECK(NAME, SYM_T)                                      \
@@ -402,20 +431,67 @@ cse_native_scan(const void *table, int64_t kind, int64_t n_states,
                 dst[j] = f.active[f.slot[j]];
         }
     }
-#define TAILS_CALL(FN, TAB_T, PENDING, N_PENDING)                            \
-    FN((const TAB_T *)table, n_states, seg_ptrs, seg_lens, PENDING,          \
-       N_PENDING, tail_scratch, collapsed_out)
-#define TAILS_BY_TABLE(U8_FN, U16_FN, I64_FN, PENDING, N_PENDING)            \
-    if (kind == KIND_U8) TAILS_CALL(U8_FN, uint8_t, PENDING, N_PENDING);     \
-    else if (kind == KIND_U16)                                               \
-        TAILS_CALL(U16_FN, uint16_t, PENDING, N_PENDING);                    \
-    else TAILS_CALL(I64_FN, int64_t, PENDING, N_PENDING)
-    TAILS_BY_TABLE(tails_u8_u8, tails_u16_u8, tails_i64_u8,
-                   pending_scratch, n_u8);
-    TAILS_BY_TABLE(tails_u8_i64, tails_u16_i64, tails_i64_i64,
-                   pending_scratch + n_seg - n_i64, n_i64);
-#undef TAILS_BY_TABLE
-#undef TAILS_CALL
+    run_tails(table, kind, n_states, seg_ptrs, seg_lens, pending_scratch,
+              n_seg, n_u8, n_i64, tail_scratch, collapsed_out);
+    return WALK_DONE;
+}
+
+/* Walk n_seg independent spans, each from its own start state.
+ *
+ * table        raveled (alphabet x n_states) transition table, per kind
+ * kind         KIND_U8 / KIND_U16 / KIND_I64
+ * seg_ptrs     n_seg span base addresses, each read at its own width
+ * seg_lens     n_seg span lengths
+ * seg_kinds    n_seg symbol kinds (KIND_U8 or KIND_I64)
+ * states_io    in: each span's start state; out: its final state
+ * pos_scratch  n_seg int64 entries (the tail pass's start positions)
+ * pending_scratch  n_seg int64 entries: the ids of non-empty spans,
+ *              uint8 ones from the front, int64 ones from the back
+ *
+ * The spans are the tail pass's tails (DEFINE_TAILS), so they are walked
+ * TAIL_LANES at a time and their loads overlap.  Every start state is
+ * checked to lie in [0, n_states) and every span range checked, int64
+ * ones always and uint8 ones when alphabet < 256, before any is read.
+ * Returns WALK_DONE, WALK_BAD_SYMBOL on a symbol outside [0, alphabet),
+ * or WALK_BAD_KIND on an unknown table or symbol kind or a start state
+ * outside the machine.
+ */
+int64_t
+cse_native_walks(const void *table, int64_t kind, int64_t n_states,
+                 int64_t alphabet, const int64_t *seg_ptrs,
+                 const int64_t *seg_lens, const int64_t *seg_kinds,
+                 int64_t n_seg, int64_t *states_io, int64_t *pos_scratch,
+                 int64_t *pending_scratch)
+{
+    const uint64_t a = (uint64_t)alphabet;
+    int64_t s, n_u8 = 0, n_i64 = 0;
+    if (kind != KIND_U8 && kind != KIND_U16 && kind != KIND_I64)
+        return WALK_BAD_KIND;
+    for (s = 0; s < n_seg; s++) {
+        const void *syms = (const void *)(intptr_t)seg_ptrs[s];
+        const int64_t len = seg_lens[s];
+        if ((uint64_t)states_io[s] >= (uint64_t)n_states)
+            return WALK_BAD_KIND;
+        if (seg_kinds[s] == KIND_U8) {
+            if (alphabet < 256
+                    && out_of_range_u8((const uint8_t *)syms, len, a))
+                return WALK_BAD_SYMBOL;
+        } else if (seg_kinds[s] == KIND_I64) {
+            if (out_of_range_i64((const int64_t *)syms, len, a))
+                return WALK_BAD_SYMBOL;
+        } else {
+            return WALK_BAD_KIND;
+        }
+        pos_scratch[s] = 0;
+        if (len <= 0)
+            continue;
+        if (seg_kinds[s] == KIND_U8)
+            pending_scratch[n_u8++] = s;
+        else
+            pending_scratch[n_seg - ++n_i64] = s;
+    }
+    run_tails(table, kind, n_states, seg_ptrs, seg_lens, pending_scratch,
+              n_seg, n_u8, n_i64, pos_scratch, states_io);
     return WALK_DONE;
 }
 

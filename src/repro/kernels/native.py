@@ -6,7 +6,7 @@ numpy's full-generality machinery behind it.  This module loads
 ``_native.c`` — a dependency-free C library (no ``Python.h``, no numpy
 headers) — through :mod:`ctypes` and advances **every** segment's
 enumeration frontier over its **whole** symbol buffer in a single native
-call (ABI 6).  Each segment is passed by pointer, length and symbol kind
+call (ABI 7).  Each segment is passed by pointer, length and symbol kind
 and read at its own width: byte input as uint8, anything else as int64,
 with no widening or concatenation here.  The frontier is a segment's
 *distinct live states*: each lane (a start state) points at one of them,
@@ -98,13 +98,14 @@ __all__ = [
     "native_table_view",
     "native_unavailable_reason",
     "native_walk",
+    "native_walks",
     "reset_native",
     "run_segments_native",
     "walk",
 ]
 
 #: expected ``cse_native_abi()`` of a loadable library
-NATIVE_ABI = 6
+NATIVE_ABI = 7
 #: set to ``0``/``off``/``false`` to disable the native tier entirely
 ENV_DISABLE = "REPRO_NATIVE"
 #: overrides the per-user build cache directory
@@ -243,6 +244,12 @@ def _configure(lib: ctypes.CDLL) -> None:
         c_ptr, c_ptr, c_ptr,          # active, slot, remap scratch
         c_ptr, c_ptr,                 # stamp_scratch, seen_scratch
         c_ptr, c_ptr,                 # tail_scratch, pending_scratch
+    ]
+    lib.cse_native_walks.restype = c_i64
+    lib.cse_native_walks.argtypes = [
+        c_ptr, c_i64, c_i64, c_i64,   # table, kind, n_states, alphabet
+        c_ptr, c_ptr, c_ptr, c_i64,   # seg_ptrs, seg_lens, seg_kinds, n_seg
+        c_ptr, c_ptr, c_ptr,          # states_io, pos_scratch, pending_scratch
     ]
     lib.cse_native_table_view.restype = c_i64
     lib.cse_native_table_view.argtypes = [c_ptr, c_i64, c_i64, c_ptr]
@@ -505,6 +512,62 @@ def native_walk(
             return int(cur.value), out
         if rc != _WALK_PAUSED:
             _refuse(dfa, [syms], [state], rc)
+
+
+def native_walks(
+    dfa: Dfa,
+    spans: Sequence[np.ndarray],
+    states: Sequence[int],
+    tables: Optional[DenseTables] = None,
+) -> np.ndarray:
+    """The final state of each span walked from ``states[i]``, in one C call.
+
+    ``spans`` are admitted input (uint8 or int64, one dimension, freely
+    mixed), read at their own width with no copy; ``tables`` are the
+    dense tables (built from ``dfa`` when not given).  The walks are the
+    tail pass's lanes, eight at a time, so their loads overlap.  Returns
+    an int64 array of one final state per span (an empty span ends where
+    it starts).  A symbol or start state the C call refuses raises the
+    input contract's :class:`repro.ingest.InputError`.  Requires the
+    native library.
+    """
+    lib = load_native()
+    if lib is None:
+        raise RuntimeError(
+            f"native tier unavailable: {native_unavailable_reason()}"
+        )
+    n_states = dfa.num_states
+    tables = tables if tables is not None else DenseTables(dfa)
+    kind = _TABLE_KINDS.get(tables.table.dtype)
+    if kind is None or tables.num_states != n_states \
+            or int(tables.table.size) != dfa.alphabet_size * n_states:
+        raise ValueError("walks need dense tables of this machine")
+    # keep every contiguous span alive for the call: the C side reads
+    # them through raw addresses
+    segs = [np.ascontiguousarray(s, dtype=s.dtype) for s in spans]
+    for seg in segs:
+        if seg.ndim != 1 or seg.dtype not in _SYMBOL_KINDS:
+            raise ValueError(f"walk spans are admitted input, not "
+                             f"{seg.dtype} of {seg.ndim} dimensions")
+    n_seg = len(segs)
+    out = np.array(states, dtype=np.int64).reshape(-1)
+    if out.size != n_seg:
+        raise ValueError(f"{n_seg} spans but {out.size} start states")
+    seg_ptrs = np.asarray([seg.ctypes.data for seg in segs], dtype=np.int64)
+    seg_lens = np.asarray([seg.size for seg in segs], dtype=np.int64)
+    seg_kinds = np.asarray([_SYMBOL_KINDS[seg.dtype] for seg in segs],
+                           dtype=np.int64)
+    table = np.ascontiguousarray(tables.table, dtype=tables.table.dtype)
+    # the tail pass's start positions and pending span ids
+    scratch = np.empty((2, max(n_seg, 1)), dtype=np.int64)
+    rc = int(lib.cse_native_walks(
+        _ptr(table), kind, n_states, dfa.alphabet_size,
+        _ptr(seg_ptrs), _ptr(seg_lens), _ptr(seg_kinds), n_seg,
+        _ptr(out), _ptr(scratch[0]), _ptr(scratch[1]),
+    ))
+    if rc != _WALK_DONE:
+        _refuse(dfa, segs, [int(q) for q in states], rc)
+    return out
 
 
 def native_prefilter(

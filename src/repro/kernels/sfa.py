@@ -75,11 +75,14 @@ class LazySfa:
             self._abandon()
 
     def scan(self, spans: Sequence[np.ndarray], state: int
-             ) -> Optional[Tuple[int, bool]]:
-        """The state after ``spans`` from ``state``, and whether it grew.
+             ) -> Optional[Tuple[List[int], bool]]:
+        """The boundary states of ``spans`` from ``state``, and whether it grew.
 
         ``spans`` are admitted input (uint8 or int64), walked as one lane
         each from the identity; their functions are then applied in turn.
+        The boundaries are ``len(spans) + 1`` states: ``state``, then the
+        state after each span, so the last is the final state.  They are
+        returned, never kept here, since several threads may scan one SFA.
         The flag is true when some lane paused on a row not built yet
         (built by this scan, or meanwhile by another thread).  ``None``
         when the SFA was, or became, abandoned: the caller falls back to
@@ -104,9 +107,10 @@ class LazySfa:
                 return None
             # every row a table ever named is a row of this array
             funcs = self.funcs
+        boundaries = [int(state)]
         for fid in (lanes.state // self.alphabet_size).tolist():
-            state = int(funcs[fid, state])
-        return state, paused
+            boundaries.append(int(funcs[fid, boundaries[-1]]))
+        return boundaries, paused
 
     def build(self, states: Iterable[int]) -> bool:
         """Build the rows of SFA ``states``; ``False`` once abandoned."""

@@ -11,7 +11,9 @@ The design mirrors the hardware engine but measures real seconds:
   whole input: the compiled table walk on the kernel backends (the
   interpreted list loop when the native library does not load), and
   the interpreted list loop on ``backend="python"``, whose oracle stays
-  independent of every compiled path;
+  independent of every compiled path.  The SFA plan, which computes
+  every segment's start state, is verified by a chained check instead:
+  each segment walked from its claimed start, all at once;
 - the scan's own concrete walks — segment 0 and global re-execution —
   run on :func:`repro.kernels.walk`, one compiled table walk when the
   native library loads and the same list loop when it does not;
@@ -96,7 +98,7 @@ from repro.kernels import (
     resolve_backend,
     run_segments_batch,
 )
-from repro.kernels.native import _walk_list, native_walk
+from repro.kernels.native import _walk_list, native_walk, native_walks
 
 __all__ = [
     "SoftwareRun",
@@ -357,10 +359,13 @@ class SoftwareRun:
     final_state: int
     n_symbols: int
     n_segments: int
-    #: seconds of the ``verify`` oracle's one walk of the whole input
+    #: seconds of the ``verify`` check.  On the CSE and walk plans that
+    #: is the oracle's one walk of the whole input
     #: (:func:`scan_sequential`): the compiled walk on kernel backends,
     #: the interpreted list loop on ``python`` (and without the native
-    #: library); 0 with ``verify=False``
+    #: library).  On ``sfa`` runs it is the chained check's, every
+    #: segment walked from its claimed start boundary as interleaved
+    #: lanes.  0 with ``verify=False``
     sequential_seconds: float
     segment_seconds: List[float]
     repair_seconds: float
@@ -418,7 +423,10 @@ def software_cse_scan(
 
     ``verify=True`` checks the composed result against
     :func:`scan_sequential`: one compiled walk of the whole input on the
-    kernel backends, the interpreted list loop on ``python``.
+    kernel backends, the interpreted list loop on ``python``.  A scan on
+    the SFA plan runs the chained check instead: every segment walked
+    from the start boundary the SFA claims for it, as interleaved lanes,
+    must end on the next claimed boundary.
     ``verify=False`` skips that oracle pass (the composed result is exact
     by construction — re-execution repairs any failed speculation);
     callers on the hot path (streaming) use it, at the price of
@@ -761,8 +769,14 @@ def _walk_plan(
     elapsed = time.perf_counter() - begin
     if syms.size:
         plans.record("walk", pooled, elapsed * 1e9 / syms.size)
-    return _plan_run(dfa, syms, start, plans, pooled, verify, dense, rows,
-                     "walk", final, [elapsed], scan_wall, {})
+    sequential_seconds = 0.0
+    if verify:
+        oracle, sequential_seconds = scan_sequential(
+            dfa, syms, start_state=start, rows=rows, tables=dense)
+        if final != oracle:
+            raise AssertionError("walk plan diverged from the sequential walk")
+    return _plan_run(syms, plans, pooled, "walk", final, [elapsed],
+                     scan_wall, {}, sequential_seconds)
 
 
 def _sfa_plan(
@@ -787,46 +801,86 @@ def _sfa_plan(
     re-executed, and no segment reaches a pool.  Only a scan that grew
     no row times itself into ``plans``.  When the SFA outgrows
     :data:`repro.kernels.sfa.SFA_MAX_FUNCTIONS` it is abandoned for good
-    and this scan runs the walk plan instead.  ``verify`` checks it
-    against :func:`scan_sequential`'s compiled walk.
+    and this scan runs the walk plan instead.  ``verify`` runs the
+    chained check (:func:`_chained_check`), not the serial oracle.
     """
     scan_wall = time.time()
     begin = time.perf_counter()
     bounds = even_boundaries(int(syms.size), n_segments)
-    done = sfa.scan([syms[a:b] for a, b in bounds], start)
+    spans = [syms[a:b] for a, b in bounds]
+    done = sfa.scan(spans, start)
     if done is None:
         obs.counter("kernels_plan_total", plan="walk",
                     reason="sfa-abandoned").inc()
         return _walk_plan(dfa, syms, start, plans, pooled, verify, dense,
                           rows)
-    final, grew = done
+    boundaries, grew = done
     elapsed = time.perf_counter() - begin
     if syms.size and not grew:
         plans.record("sfa", pooled, elapsed * 1e9 / syms.size)
+    sequential_seconds = (
+        _chained_check(dfa, spans, start, boundaries, dense) if verify
+        else 0.0)
     # the lanes run interleaved in one call: each gets an even share
     shares = [elapsed / len(bounds)] * len(bounds)
-    return _plan_run(dfa, syms, start, plans, pooled, verify, dense, rows,
-                     "sfa", final, shares, scan_wall,
+    return _plan_run(syms, plans, pooled, "sfa", boundaries[-1], shares,
+                     scan_wall,
                      {"grew": grew, "sfa_functions": sfa.functions,
-                      "sfa_rows": sfa.rows})
+                      "sfa_rows": sfa.rows},
+                     sequential_seconds)
+
+
+def _chained_check(
+    dfa: Dfa,
+    spans: Sequence[np.ndarray],
+    start: int,
+    boundaries: Sequence[int],
+    dense: Optional[DenseTables],
+) -> float:
+    """The SFA plan's ``verify``: each segment walked from its claimed start.
+
+    ``boundaries`` are the SFA scan's claimed states, ``start`` and then
+    the state after each span.  Segment 0 is walked from ``start`` itself
+    and segment ``i`` from boundary ``i``, all at once as the tail pass's
+    interleaved lanes over the dense tables (:func:`repro.kernels.native.
+    native_walks`); each must end on boundary ``i + 1``.  By induction
+    every boundary, the final state among them, then equals the serial
+    walk's, and a wrong interior boundary fails even where its error
+    converges away later.  The walks never read the SFA or its lanes.
+    Raises ``AssertionError`` naming the first segment that ends
+    elsewhere; returns the check's seconds.
+    """
+    if len(boundaries) != len(spans) + 1:
+        raise AssertionError(
+            f"sfa plan returned {len(boundaries)} boundaries for "
+            f"{len(spans)} segments")
+    wall = time.time()
+    begin = time.perf_counter()
+    ends = native_walks(dfa, spans, [start, *boundaries[1:-1]], dense)
+    elapsed = time.perf_counter() - begin
+    if obs.is_enabled():
+        obs.record_span("software.oracle", wall, elapsed, compiled=True,
+                        chained=True, lanes=len(spans))
+    bad = np.flatnonzero(ends != np.asarray(boundaries[1:], dtype=np.int64))
+    if bad.size:
+        raise AssertionError(
+            f"sfa plan diverged from the chained walk at segment "
+            f"{int(bad[0])}")
+    return elapsed
 
 
 def _plan_run(
-    dfa: Dfa,
     syms: np.ndarray,
-    start: int,
     plans,
     pooled: bool,
-    verify: bool,
-    dense: Optional[DenseTables],
-    rows: List[List[int]],
     backend: str,
     final: int,
     segment_seconds: List[float],
     scan_wall: float,
     span_args: dict,
+    sequential_seconds: float,
 ) -> SoftwareRun:
-    """Telemetry, the ``verify`` oracle and the result of a one-pass plan."""
+    """Telemetry and the result of a one-pass plan its caller verified."""
     elapsed = sum(segment_seconds)
     if obs.is_enabled():
         obs.record_span("software.scan", scan_wall, elapsed, backend=backend,
@@ -836,13 +890,6 @@ def _plan_run(
         obs.counter("software_scans_total", backend=backend).inc()
         obs.counter("software_symbols_total").inc(int(syms.size))
         obs.histogram("software_scan_seconds", backend=backend).observe(elapsed)
-    sequential_seconds = 0.0
-    if verify:
-        oracle, sequential_seconds = scan_sequential(
-            dfa, syms, start_state=start, rows=rows, tables=dense)
-        if final != oracle:
-            raise AssertionError(
-                f"{backend} plan diverged from the sequential walk")
     return SoftwareRun(
         final_state=int(final),
         n_symbols=int(syms.size),

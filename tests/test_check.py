@@ -238,6 +238,25 @@ def test_mutated_dense_offsets_is_k112(compiled):
     assert error_codes(verify_compiled(compiled)) == {"K112"}
 
 
+def test_short_interleaved_walks_are_k119(compiled, monkeypatch):
+    """Span walks that stop one symbol short are K119 alone: the other
+    native replays never run ``native_walks``."""
+    import repro.kernels.native as native
+
+    if not native.native_available():
+        pytest.skip("K119 certifies the native library")
+    assert not error_codes(verify_compiled(compiled, deep=True))
+    honest = native.native_walks
+
+    def short(dfa, spans, states, tables=None):
+        return honest(dfa, [span[:-1] for span in spans], states, tables)
+
+    monkeypatch.setattr(native, "native_walks", short)
+    assert error_codes(verify_compiled(compiled, deep=True)) == {"K119"}
+    # a shallow check runs no replay
+    assert not error_codes(verify_compiled(compiled, deep=False))
+
+
 def test_unbuilt_dense_tables_verify_clean(compiled):
     assert compiled._dense is None
     assert not error_codes(verify_compiled(compiled, deep=True))

@@ -164,6 +164,27 @@ class TestSoftware:
         label = "compiled walk" if compiled else "interpreted loop"
         assert f"sequential ({label}):" in out
 
+    @pytest.mark.skipif(not native_available(),
+                        reason="the SFA plan runs on the native library")
+    def test_sfa_run_names_the_chained_check(self, input_file, tmp_path,
+                                              capsys, monkeypatch):
+        from repro.compilecache.artifact import PlanCosts
+
+        # a dot-star ruleset: no prefilter certificate, so auto chooses
+        rules = tmp_path / "dotstar.txt"
+        rules.write_text("ca.*sh\nd[a-z]+g\n")
+        # settle every auto artifact on the SFA plan, whatever the timings
+        monkeypatch.setattr(PlanCosts, "choose",
+                            lambda self, pooled, sfa=False: ("sfa", "switched"))
+        assert main([
+            "software", str(rules), input_file, "--backend", "auto",
+            "--segments", "4", "--cache-dir", str(tmp_path / "cache"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "backend: sfa" in out
+        assert "verify (chained lanes):" in out
+        assert "sequential (" not in out
+
     @pytest.mark.parametrize("backend", ["lockstep", "bitset"])
     def test_retired_backend_rejected(self, rules_file, input_file, backend,
                                       capsys):

@@ -35,6 +35,7 @@ from repro.kernels.native import (
     native_table_view,
     native_unavailable_reason,
     native_walk,
+    native_walks,
     reset_native,
     run_segments_native,
 )
@@ -385,6 +386,62 @@ class TestWalk:
         assert native_walk(dfa, np.asarray([2, 1]), 0) == (
             dfa.run([2, 1], 0), []
         )
+
+
+@needs_native
+class TestWalks:
+    """``native_walks``: many spans, each from its own start state, walked
+    as the tail pass's interleaved lanes."""
+
+    @pytest.mark.parametrize("n_lanes", [1, 8, 9, 17])
+    @pytest.mark.parametrize("table_kind", ["uint8", "uint16", "int64"])
+    def test_every_span_ends_where_run_does(self, rng, n_lanes, table_kind):
+        dfa = random_dfa(40, 7, rng)
+        tables = DenseTables(dfa)
+        tables.table = dfa.transitions.astype(table_kind).ravel()
+        lengths = rng.integers(0, 300, size=n_lanes)
+        lengths[::4] = 0  # an empty span every fourth lane
+        words = [rng.integers(0, 7, size=int(n)) for n in lengths]
+        # uint8 and int64 spans mixed in one call
+        spans = [w.astype((np.uint8, np.int64)[i % 2])
+                 for i, w in enumerate(words)]
+        starts = rng.integers(0, 40, size=n_lanes).tolist()
+        ends = native_walks(dfa, spans, starts, tables=tables)
+        assert ends.dtype == np.int64
+        assert ends.tolist() == [dfa.run(w, q) for w, q in zip(words, starts)]
+        # an empty span ends where it starts
+        assert ends[0] == starts[0]
+
+    def test_uint16_tables_of_a_wide_machine(self, rng):
+        dfa = random_dfa(1024, 8, rng)
+        assert DenseTables(dfa).table.dtype == np.uint16
+        words = [rng.integers(0, 8, size=n) for n in (5000, 0, 1, 777) * 3]
+        spans = [w.astype(np.uint8) if i % 2 else w
+                 for i, w in enumerate(words)]
+        starts = rng.integers(0, 1024, size=len(words)).tolist()
+        assert native_walks(dfa, spans, starts).tolist() == [
+            dfa.run(w, q) for w, q in zip(words, starts)]
+
+    def test_no_spans(self, rng):
+        dfa = random_dfa(8, 3, rng)
+        assert native_walks(dfa, [], []).tolist() == []
+
+    def test_refusals(self, rng):
+        dfa = random_dfa(8, 3, rng)
+        good = np.asarray([0, 1, 2], dtype=np.int64)
+        with pytest.raises(InputError, match="symbol 3 at position 1"):
+            native_walks(dfa, [good, np.asarray([2, 3], np.int64)], [0, 0])
+        with pytest.raises(InputError):
+            native_walks(dfa, [np.asarray([-1], np.int64)], [0])
+        with pytest.raises(InputError, match="symbol 3"):
+            native_walks(dfa, [np.asarray([3], np.uint8)], [0])
+        for state in (8, -1):
+            with pytest.raises(InputError, match="start state"):
+                native_walks(dfa, [good, good], [0, state])
+        with pytest.raises(ValueError, match="start states"):
+            native_walks(dfa, [good, good], [0])
+        with pytest.raises(ValueError, match="admitted input"):
+            native_walks(dfa, [good.astype(np.int32)], [0])
 
 
 class TestReexecution:

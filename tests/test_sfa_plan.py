@@ -191,7 +191,7 @@ class TestReachesSfa:
         for run in runs[walks:] + after:
             assert run.n_segments == N_SEGMENTS
             assert run.reexec_segments == 0
-            assert run.sequential_seconds > 0  # verify ran the oracle
+            assert run.sequential_seconds > 0  # verify ran its check
         spans = [s for s in snapshot["spans"] if s["name"] == "software.scan"]
         switch = spans[len(runs) - 1]["args"]
         assert switch["backend"] == "sfa" and switch["grew"] is False
@@ -207,8 +207,8 @@ class TestReachesSfa:
     def test_dotstar_sfa_plan_is_exact_and_verified(self, dotstar, traffic,
                                                     pooled, tmp_path):
         """Settled on the SFA plan without timing, pooled or not, every
-        scan runs it exactly, the oracle checks it, and no segment
-        reaches a worker."""
+        scan runs it exactly, the chained check verifies it, and no
+        segment reaches a worker."""
         cache = CompileCache()
         onto_sfa(dotstar, cache, pooled)
         path = tmp_path / "traffic.bin"
@@ -230,8 +230,14 @@ class TestReachesSfa:
         for run in runs:
             assert run.n_segments == N_SEGMENTS
             assert run.reexec_segments == 0
-            assert run.sequential_seconds > 0  # verify ran the oracle
+            assert run.sequential_seconds > 0  # verify ran its check
         assert plan_counts(snapshot) == {("sfa", "switched"): 3}
+        # the check is the chained walk, one lane per segment, and no
+        # serial oracle walk ran
+        oracles = [s["args"] for s in snapshot["spans"]
+                   if s["name"] == "software.oracle"]
+        assert oracles == [{"compiled": True, "chained": True,
+                            "lanes": N_SEGMENTS}] * 3
         spans = [s["args"] for s in snapshot["spans"]
                  if s["name"] == "software.scan"]
         assert spans[0]["grew"] is True
@@ -278,19 +284,90 @@ class TestReachesSfa:
         assert run.backend == "sfa" and run.final_state == dfa.run(other, 77)
 
 
+def tamper_boundary(sfa, at, shift):
+    """Make ``sfa.scan`` claim boundary ``at`` off by ``shift`` states."""
+    honest = sfa.scan
+
+    def scan(spans, state):
+        boundaries, grew = honest(spans, state)
+        boundaries = list(boundaries)
+        boundaries[at] = (boundaries[at] + shift) % sfa.num_states
+        return boundaries, grew
+
+    return scan
+
+
 @needs_native
 def test_a_diverging_sfa_fails_verify(dotstar, traffic, monkeypatch):
     cache = CompileCache()
     sfa = onto_sfa(dotstar, cache).sfa()
     want = dotstar.run(traffic)
     wrong = (want + 1) % dotstar.num_states
-    monkeypatch.setattr(sfa, "scan", lambda spans, state: (wrong, False))
-    with pytest.raises(AssertionError, match="sfa plan diverged"):
+    monkeypatch.setattr(sfa, "scan", tamper_boundary(sfa, -1, 1))
+    with pytest.raises(AssertionError, match=(
+            f"sfa plan diverged from the chained walk at segment "
+            f"{N_SEGMENTS - 1}$")):
         scan_with_cache(dotstar, traffic, cache=cache, n_segments=N_SEGMENTS)
-    # without the oracle the wrong state is what the plan reports
+    # without the check the wrong state is what the plan reports
     run = scan_with_cache(dotstar, traffic, cache=cache,
                           n_segments=N_SEGMENTS, verify=False)
     assert (run.backend, run.final_state) == ("sfa", wrong)
+
+
+@needs_native
+def test_a_wrong_interior_boundary_fails_verify(dotstar, traffic,
+                                                monkeypatch):
+    """Boundary 5 is wrong and the final state right: a check of the
+    final state alone passes, the chained check names segment 4, the
+    one that does not end on it."""
+    cache = CompileCache()
+    sfa = onto_sfa(dotstar, cache).sfa()
+    honest = sfa.scan
+    monkeypatch.setattr(sfa, "scan", tamper_boundary(sfa, 5, 1))
+    run = scan_with_cache(dotstar, traffic, cache=cache,
+                          n_segments=N_SEGMENTS, verify=False)
+    assert (run.backend, run.final_state) == ("sfa", dotstar.run(traffic))
+    with pytest.raises(AssertionError, match="chained walk at segment 4$"):
+        scan_with_cache(dotstar, traffic, cache=cache, n_segments=N_SEGMENTS)
+    # a boundary list of the wrong length fails too
+    monkeypatch.setattr(sfa, "scan", lambda spans, state: (
+        honest(spans, state)[0][:-1], False))
+    with pytest.raises(AssertionError, match="16 boundaries for 16 segments"):
+        scan_with_cache(dotstar, traffic, cache=cache, n_segments=N_SEGMENTS)
+
+
+@needs_native
+def test_threads_verify_one_sfa_plan_artifact(dotstar):
+    """Four threads scan one SFA-plan artifact with ``verify=True`` while
+    its SFA grows: each call checks the boundaries its own scan returned,
+    never another thread's."""
+    cache = CompileCache()
+    compiled = onto_sfa(dotstar, cache)
+    words = [[packets(200 + 10 * t + i, 1 << 16) for i in range(4)]
+             for t in range(4)]
+    results = [[] for _ in range(4)]
+    errors = []
+
+    def scan(t):
+        try:
+            for word in words[t]:
+                run = scan_with_cache(dotstar, word, cache=cache,
+                                      n_segments=N_SEGMENTS)
+                results[t].append((run.backend, run.final_state,
+                                   run.sequential_seconds > 0))
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=scan, args=(t,)) for t in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors
+    for t in range(4):
+        assert results[t] == [("sfa", dotstar.run(word), True)
+                              for word in words[t]]
+    assert verify_sfa(compiled.sfa(), dotstar) == []
 
 
 @needs_native
@@ -310,11 +387,23 @@ def test_sfa_stays_in_memory(dotstar, traffic, tmp_path):
     assert compiled.sfa().rows > 0
 
 
-def test_random64_never_tries_sfa(rng):
+def test_random64_never_tries_sfa(rng, monkeypatch):
+    """An artifact whose CSE plan stays cheapest never tries the SFA.
+
+    Timing-free: the artifact's plans hold fixed per-byte costs with CSE
+    cheapest (CSE 1, walk 3) and ignore the scans' own samples, so no
+    busy minute can tip the choice.  ``benchmarks/bench_kernels.py``'s
+    ``auto_plan`` gate holds the measured claim on the random64 configs.
+    """
     dfa = random_dfa(64, 16, np.random.default_rng(64))
     buffers = [rng.integers(0, 16, size=1 << 20, dtype=np.uint8)
                for _ in range(2)]
     cache = CompileCache()
+    plans = cache.get_or_compile(dfa).plans
+    for _ in range(PLAN_MIN_SAMPLES):
+        plans.record("cse", False, 1.0)
+        plans.record("walk", False, 3.0)
+    monkeypatch.setattr(plans, "record", lambda plan, pooled, cost: None)
     with obs.using() as registry:
         runs = [scan_with_cache(dfa, buffers[i % 2], cache=cache,
                                 verify=False)
@@ -322,6 +411,7 @@ def test_random64_never_tries_sfa(rng):
         snapshot = registry.snapshot()
     assert "sfa" not in {run.backend for run in runs}
     assert "sfa" not in {plan for plan, _reason in plan_counts(snapshot)}
+    assert plan_counts(snapshot) == {("cse", "walk-not-cheaper"): 20}
     # no scan paid for growth: the artifact never built its SFA
     assert cache.get_or_compile(dfa)._sfa is None
     assert all(run.final_state == dfa.run(buffers[i % 2])
@@ -480,7 +570,7 @@ def test_sfa_threads_share_growth(dotstar):
     def scan(i):
         word = words[i]
         spans = [word[a:a + 4096] for a in range(0, word.size, 4096)]
-        finals[i] = sfa.scan(spans, dotstar.start)[0]
+        finals[i] = sfa.scan(spans, dotstar.start)[0][-1]
 
     threads = [threading.Thread(target=scan, args=(i,)) for i in range(8)]
     for thread in threads:
