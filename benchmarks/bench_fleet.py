@@ -3,15 +3,21 @@
 Builds a 64-ruleset ExactMatch fleet (literal machines — the workload
 whose products compose additively, the case sharding is built for),
 packs it into product/union shards with :func:`repro.fleet.plan_shards`,
-and times one :meth:`FleetScanner.scan_wallclock` pass in both modes
-over the same input.  Demuxed final states must be bit-identical to the
-per-machine loop, and every machine's demuxed report events are checked
-against its own sequential :meth:`Dfa.run_reports` on a sample prefix.
+and times one cold :meth:`FleetScanner.scan_wallclock` pass in both
+modes over the same input.  Demuxed final states must be bit-identical
+to the per-machine loop, and every machine's demuxed report events are
+checked against its own sequential :meth:`Dfa.run_reports` on a sample
+prefix.  It also times the sharded fleet as deployed, on
+``backend="auto"`` (the literal prefilter on these machines) through a
+compilation cache, warm: the median of :data:`WARM_PASSES` passes after
+one warm-up pass, recorded ungated as ``auto_shard_seconds_median`` /
+``auto_shard_fleet_mb_per_s``.
 
 Gate (full mode only): **sharded fleet throughput >= 3x the per-machine
 loop** on the acceptance config — 64 machines, 1 MB of input, dense
-backend.  Results land in ``BENCH_fleet_sharding.json`` at the
-repository root with an environment-provenance stamp.
+backend, one cold pass each.  Results land in
+``BENCH_fleet_sharding.json`` at the repository root with an
+environment-provenance stamp.
 
 Run::
 
@@ -24,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import time
 from typing import Dict, List
@@ -33,6 +40,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from env_info import env_info  # noqa: E402 — benchmarks/ sibling module
 
+from repro.compilecache import CompileCache
 from repro.fleet import SHARD_MAX_STATES, plan_shards
 from repro.kernels import BACKENDS
 from repro.regex.compile import compile_ruleset
@@ -41,6 +49,8 @@ from repro.workloads import generate_ruleset
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ARTIFACT = ROOT / "BENCH_fleet_sharding.json"
+#: warm passes of the ``auto`` sharded fleet whose median is recorded
+WARM_PASSES = 15
 
 
 def build_fleet(n_machines: int, patterns: int, seed: int) -> List:
@@ -88,6 +98,19 @@ def bench_fleet(n_machines: int, patterns: int, n_symbols: int,
     if shard_run.final_states != per_run.final_states:
         raise AssertionError("sharded final states diverged from per-machine")
 
+    # the sharded fleet as deployed: auto backend, cached artifacts,
+    # warm, repeated
+    auto = FleetScanner(dfas, shard=plan, cache=CompileCache())
+    auto.scan_wallclock(word, verify=False)
+    warm = []
+    for _ in range(WARM_PASSES):
+        begin = time.perf_counter()
+        auto_run = auto.scan_wallclock(word, verify=False)
+        warm.append(time.perf_counter() - begin)
+        if auto_run.final_states != per_run.final_states:
+            raise AssertionError("auto sharded final states diverged")
+    auto_seconds = statistics.median(warm)
+
     fleet_bytes = n_symbols * n_machines
     return {
         "n_machines": n_machines,
@@ -104,6 +127,11 @@ def bench_fleet(n_machines: int, patterns: int, n_symbols: int,
         "per_machine_fleet_mb_per_s":
             fleet_bytes / max(per_seconds, 1e-12) / 1e6,
         "speedup": per_seconds / max(shard_seconds, 1e-12),
+        "auto_backends": sorted(set(auto.unit_backends)),
+        "auto_warm_passes": WARM_PASSES,
+        "auto_shard_seconds_median": auto_seconds,
+        "auto_shard_fleet_mb_per_s":
+            fleet_bytes / max(auto_seconds, 1e-12) / 1e6,
         "finals_bit_identical": True,
         "reports_bit_identical": True,
         "verify_symbols": verify_symbols,
@@ -143,7 +171,9 @@ def main(argv=None) -> int:
               f"shard(s) ({entry['product_states']} states)  "
               f"per-machine {entry['per_machine_seconds']:.3f}s  "
               f"sharded {entry['shard_seconds']:.3f}s  "
-              f"speedup {entry['speedup']:5.2f}x")
+              f"speedup {entry['speedup']:5.2f}x  "
+              f"auto warm {entry['auto_shard_seconds_median'] * 1e3:.2f}ms "
+              f"({'/'.join(entry['auto_backends'])})")
         if entry["acceptance_config"] and entry["speedup"] < 3.0:
             raise SystemExit(
                 f"acceptance gate failed: sharded fleet only "

@@ -414,8 +414,8 @@ def _software(args) -> int:
           f"convergence sets: {n_blocks}")
     print(f"input: {run.n_symbols} symbols in {run.n_segments} segments")
     print(f"final state: {run.final_state}")
-    # the verify check, which work speedup is measured against: the
-    # oracle's walk, or on the SFA plan the chained walk of its lanes
+    # the verify check: the oracle's walk, which work speedup is measured
+    # against, or on the SFA plan the chained walk of its lanes
     if run.backend == "sfa":
         label = "verify (chained lanes)"
     else:
@@ -425,8 +425,14 @@ def _software(args) -> int:
     print(f"{label}: {run.sequential_seconds * 1e3:.2f} ms")
     print(f"critical path: {run.critical_path_seconds * 1e3:.2f} ms")
     print(f"elapsed: {run.elapsed_seconds * 1e3:.2f} ms")
-    print(f"work speedup: {run.work_speedup:.2f}x of ideal {run.n_segments}x "
-          f"(re-executed {run.reexec_segments})")
+    speedup = run.work_speedup
+    if speedup is None:
+        # the sfa plan's chained check walks lanes, not one serial walk
+        print(f"work speedup: not measured (no serial walk on the "
+              f"{run.backend} plan; re-executed {run.reexec_segments})")
+    else:
+        print(f"work speedup: {speedup:.2f}x of ideal {run.n_segments}x "
+              f"(re-executed {run.reexec_segments})")
     if repeat > 1:
         for i, sec in enumerate(iteration_seconds):
             print(f"iteration {i + 1}: {sec * 1e3:.2f} ms")

@@ -13,7 +13,9 @@ speculation CSE bets on.  Two facts drive the prediction machinery:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -25,9 +27,12 @@ class StatePartition:
 
     Canonical form: blocks are frozensets ordered by their smallest
     element, which makes equality, hashing and census counting exact.
+    The array forms a scan reads (:meth:`labels`, :meth:`block_arrays`)
+    are built once, read-only, and left out of the pickled state: a
+    partition travels to pool workers with every task.
     """
 
-    __slots__ = ("blocks", "num_states", "_block_of")
+    __slots__ = ("blocks", "num_states", "_block_of", "_labels", "_arrays")
 
     def __init__(self, blocks: Iterable[Iterable[int]], num_states: int):
         normalized: List[FrozenSet[int]] = [
@@ -49,6 +54,19 @@ class StatePartition:
         for idx, block in enumerate(self.blocks):
             for q in block:
                 self._block_of[q] = idx
+        self._labels: Optional[np.ndarray] = None
+        self._arrays: Optional[Tuple[np.ndarray, ...]] = None
+
+    def __getstate__(self) -> Tuple[None, Dict[str, object]]:
+        # pickle's own layout for slotted objects, less the array cache
+        return None, {"blocks": self.blocks, "num_states": self.num_states,
+                      "_block_of": self._block_of}
+
+    def __setstate__(self, state: Tuple[None, Dict[str, object]]) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._labels = None
+        self._arrays = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -102,15 +120,28 @@ class StatePartition:
         ``CsOutcome.states`` array descends from these blocks, so keeping
         them int64 means :meth:`SegmentFunction.apply` never re-casts and
         flow-pool ``tobytes()`` keys are comparable across producers.
+        The arrays are built on the first call and read-only.
         """
-        return [np.asarray(sorted(b), dtype=np.int64) for b in self.blocks]
+        if self._arrays is None:
+            arrays = tuple(np.asarray(sorted(b), dtype=np.int64)
+                           for b in self.blocks)
+            for arr in arrays:
+                arr.flags.writeable = False
+            self._arrays = arrays
+        return list(self._arrays)
 
     def labels(self) -> np.ndarray:
-        """Block index per state, as an array of length ``num_states``."""
-        out = np.empty(self.num_states, dtype=np.int64)
-        for q, idx in self._block_of.items():
-            out[q] = idx
-        return out
+        """Block index per state, as a read-only array of ``num_states``.
+
+        Built on the first call.
+        """
+        if self._labels is None:
+            out = np.empty(self.num_states, dtype=np.int64)
+            for idx, arr in enumerate(self.block_arrays()):
+                out[arr] = idx
+            out.flags.writeable = False
+            self._labels = out
+        return self._labels
 
     def __iter__(self) -> Iterator[FrozenSet[int]]:
         return iter(self.blocks)

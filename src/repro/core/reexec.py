@@ -1,7 +1,9 @@
 """Global re-execution (Section IV-C): correctness when speculation fails.
 
 After all segments execute in parallel, the per-segment transition
-functions are composed left to right.  If the composition ends concrete the
+functions are composed left to right.  A concrete state composes by
+selection, one lookup of its convergence set's outcome; only a diverged
+set makes the composed value a set.  If the composition ends concrete the
 speculation succeeded.  Otherwise one of three policies repairs the run:
 
 - ``basic`` — re-execute segments 2..m sequentially from the concrete
@@ -23,7 +25,7 @@ engines keep the interpreted one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,25 +52,51 @@ class ReexecutionStats:
         return bool(self.reexecuted_segments)
 
 
-def _compose(
-    first_final: int,
-    functions: Sequence[SegmentFunction],
-) -> Tuple[List[np.ndarray], int]:
+#: a composed value: a concrete state, or the possible-state set of a
+#: diverged composition (sorted, unique, more than one state)
+Value = Union[int, np.ndarray]
+
+
+def _step(fn: SegmentFunction, value: Value) -> Value:
+    """Apply one segment function to a composed value.
+
+    A concrete state *selects* its convergence set's outcome, the
+    paper's composition rule: a converged set yields its state with one
+    lookup.  Only a diverged set, or a value that is already a set, takes
+    the set-valued :meth:`SegmentFunction.apply`; a one-state result of
+    it is concrete again.
+    """
+    if type(value) is int:
+        outcome = fn.outcomes[fn.cs_of_state[value]]
+        if outcome.converged:
+            return int(outcome.state)
+        value = np.asarray([value], dtype=np.int64)
+    out = fn.apply(value)
+    return int(out[0]) if out.size == 1 else out
+
+
+def _compose(first_final: int, functions: Sequence[SegmentFunction]
+             ) -> List[Value]:
     """Left-to-right composition of the segment transition functions.
 
-    Returns per-boundary possible-state sets (``values[i]`` is the value
-    after enumerative segment ``i``) and the index of the last concrete
-    point (-1 means only the first segment's output is concrete).
+    ``values[i]`` is the value after enumerative segment ``i``: an int
+    where the composition is concrete there, else the possible-state
+    set.
     """
-    values: List[np.ndarray] = []
-    current = np.asarray([first_final], dtype=np.int64)
-    last_concrete = -1
-    for i, fn in enumerate(functions):
-        current = fn.apply(current)
+    values: List[Value] = []
+    current: Value = int(first_final)
+    for fn in functions:
+        current = _step(fn, current)
         values.append(current)
-        if current.size == 1:
-            last_concrete = i
-    return values, last_concrete
+    return values
+
+
+def _last_concrete(values: Sequence[Value]) -> int:
+    """Index of the last concrete value (-1: only segment 1's output)."""
+    for i in range(len(values) - 1, -1, -1):
+        if type(values[i]) is int:
+            return i
+    return -1
 
 
 def compose_and_fix(
@@ -105,9 +133,9 @@ def compose_and_fix(
     if not functions:
         return int(first_final), stats
 
-    values, _ = _compose(first_final, functions)
-    if values[-1].size == 1:
-        return int(values[-1][0]), stats
+    values = _compose(first_final, functions)
+    if type(values[-1]) is int:
+        return values[-1], stats
 
     if policy == "basic":
         # Serially re-execute every enumerative segment.
@@ -120,12 +148,8 @@ def compose_and_fix(
 
     if policy == "last_concrete":
         # Backward search for the last concrete point, then serial re-run.
-        r = -1
-        for i in range(len(functions) - 1, -1, -1):
-            if values[i].size == 1:
-                r = i
-                break
-        state = int(values[r][0]) if r >= 0 else int(first_final)
+        r = _last_concrete(values)
+        state = int(values[r]) if r >= 0 else int(first_final)
         for i in range(r + 1, len(functions)):
             a, b = enum_bounds[i]
             state = run(syms[a:b], state)
@@ -134,28 +158,23 @@ def compose_and_fix(
         return state, stats
 
     # opportunistic: re-execute one segment, re-evaluate the rest, repeat.
-    while values[-1].size != 1:
-        r = -1
-        for i in range(len(functions) - 1, -1, -1):
-            if values[i].size == 1:
-                r = i
-                break
-        state = int(values[r][0]) if r >= 0 else int(first_final)
+    while type(values[-1]) is not int:
+        r = _last_concrete(values)
+        state = int(values[r]) if r >= 0 else int(first_final)
         target = r + 1
         a, b = enum_bounds[target]
         state = run(syms[a:b], state)
         stats.reexecuted_segments.append(target)
         stats.extra_cycles += (b - a) * config.symbol_cycles
-        values[target] = np.asarray([state], dtype=np.int64)
+        values[target] = current = int(state)
         # Function re-evaluation: propagate the now-concrete value through
         # the precomputed transition functions — cycles proportional to the
         # number of convergence sets touched, not to input length.
-        current = values[target]
         for i in range(target + 1, len(functions)):
-            current = functions[i].apply(current)
+            current = _step(functions[i], current)
             values[i] = current
             stats.extra_cycles += (
                 config.reeval_cycles_per_cs * len(functions[i].outcomes)
             )
         stats.reeval_passes += 1
-    return int(values[-1][0]), stats
+    return int(values[-1]), stats

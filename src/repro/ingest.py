@@ -24,13 +24,16 @@ from __future__ import annotations
 
 import mmap
 import os
-from typing import IO, Any, Iterable, Optional, Tuple, Union, cast
+from typing import (
+    IO, Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+    cast, overload,
+)
 
 import numpy as np
 
 __all__ = [
-    "InputError", "InputView", "admit", "as_symbols", "from_bytes",
-    "open_input",
+    "InputError", "InputView", "Segments", "admit", "as_symbols",
+    "from_bytes", "open_input",
 ]
 
 BufferLike = Union[bytes, bytearray, memoryview, mmap.mmap]
@@ -217,6 +220,7 @@ def from_bytes(data: Union[bytes, bytearray, memoryview]) -> InputView:
 
 
 _UINT8 = np.dtype(np.uint8)
+_INT64 = np.dtype(np.int64)
 
 
 def _array(data: object) -> np.ndarray:
@@ -232,6 +236,57 @@ def _array(data: object) -> np.ndarray:
     if hasattr(data, "__array__"):
         return np.asarray(data)
     return np.asarray(list(cast(Iterable[int], data)), dtype=np.int64)
+
+
+class Segments(Sequence[np.ndarray]):
+    """Admitted input cut at segment bounds: one buffer, many spans.
+
+    ``buffer`` is what :func:`admit` returned (one dimension, uint8 or
+    int64) and ``bounds`` are ``(start, stop)`` pairs inside it; item
+    ``i`` is the zero-copy slice ``buffer[start:stop]``.  A scan cuts its
+    admitted input this way once, and the batch it hands the kernels is
+    neither re-admitted nor looked up segment by segment: the C entry
+    points read every span from the buffer's base address plus the
+    bounds (:mod:`repro.kernels.native`).
+    """
+
+    __slots__ = ("buffer", "bounds")
+
+    def __init__(self, buffer: np.ndarray,
+                 bounds: Sequence[Tuple[int, int]]) -> None:
+        if buffer.ndim != 1 or buffer.dtype not in (_UINT8, _INT64):
+            raise ValueError(f"segments cut admitted input, not "
+                             f"{buffer.dtype} of {buffer.ndim} dimensions")
+        self.buffer = np.ascontiguousarray(buffer, dtype=buffer.dtype)
+        # a handful of pairs: plain ints check faster than arrays
+        self.bounds = [(int(a), int(b)) for a, b in bounds]
+        size = self.buffer.size
+        if not all(0 <= a <= b <= size for a, b in self.bounds):
+            raise ValueError("segment bounds outside the buffer")
+
+    def __len__(self) -> int:
+        return len(self.bounds)
+
+    @overload
+    def __getitem__(self, i: int) -> np.ndarray: ...
+
+    @overload
+    def __getitem__(self, i: slice) -> Sequence[np.ndarray]: ...
+
+    def __getitem__(self, i: Union[int, slice]) -> Any:
+        if isinstance(i, slice):
+            return [self.buffer[a:b] for a, b in self.bounds[i]]
+        a, b = self.bounds[i]
+        return self.buffer[a:b]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for a, b in self.bounds:
+            yield self.buffer[a:b]
+
+    @property
+    def lengths(self) -> List[int]:
+        """Each segment's length."""
+        return [b - a for a, b in self.bounds]
 
 
 def as_symbols(data: object) -> np.ndarray:

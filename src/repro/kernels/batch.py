@@ -29,7 +29,7 @@ from repro import obs
 from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.core.transition import SegmentFunction
-from repro.ingest import admit
+from repro.ingest import Segments, admit
 from repro.kernels.dense import DenseTables, run_segments_dense
 from repro.kernels.native import native_available, run_segments_native
 from repro.kernels.prefilter import (
@@ -198,6 +198,7 @@ def run_segments_batch(
     dense: Optional[DenseTables] = None,
     stride: Optional[int] = None,
     prefilter: Optional[PrefilterTables] = None,
+    start: Optional[int] = None,
 ) -> List[SegmentFunction]:
     """Execute every enumerative segment's set-flows in one batched pass.
 
@@ -212,7 +213,16 @@ def run_segments_batch(
     ``backend="prefilter"``; when the DFA is not literal-certifiable the
     call degrades to the native (or dense) kernel — correctness never
     depends on the prefilter heuristic — and records the fallback.
-    Every segment is admitted first (:func:`repro.ingest.admit`).
+    Every segment is admitted first (:func:`repro.ingest.admit`), except
+    a :class:`repro.ingest.Segments` batch, which is cut from input the
+    caller already admitted.
+
+    ``start`` rides a scan's concrete segment 0 along a prefilter batch:
+    ``segments[0]`` is then walked from ``start`` in the same C call, and
+    its function maps every set to the state it reached, the one image
+    the scan reads (``functions[0].concrete_for(start)``).  It needs a
+    certified machine, since only the prefilter kernel walks concrete
+    segments.
     """
     if backend not in KERNEL_BACKENDS:
         raise ValueError(f"batched execution needs one of {KERNEL_BACKENDS}")
@@ -222,6 +232,11 @@ def run_segments_batch(
         if pf_tables is None:
             obs.counter("kernels_prefilter_fallbacks_total").inc()
             backend = "native" if native_available() else "dense"
+    if start is not None:
+        if pf_tables is None:
+            raise ValueError("a concrete segment 0 rides only a certified "
+                             "prefilter batch")
+        admit(b"", dfa.alphabet_size, start, dfa.num_states)
     if backend == "native" and not native_available():
         # explicit call on a toolchain-less install: outcomes must not
         # depend on the optional compiled tier
@@ -229,7 +244,8 @@ def run_segments_batch(
         backend = "dense"
     # byte input stays a zero-copy uint8 view: the prefilter sweep and
     # the native core read it at that width
-    segments = [admit(s, dfa.alphabet_size) for s in segments]
+    if not isinstance(segments, Segments):
+        segments = [admit(s, dfa.alphabet_size) for s in segments]
     n_seg = len(segments)
     if n_seg == 0:
         return []
@@ -238,7 +254,8 @@ def run_segments_batch(
     if backend == "prefilter":
         assert pf_tables is not None
         grid, stats = run_segments_prefilter(
-            dfa, partition, segments, pf_tables, dense=dense, stride=stride
+            dfa, partition, segments, pf_tables, dense=dense, stride=stride,
+            start=start,
         )
     elif backend == "native":
         grid, stats = run_segments_native(

@@ -80,6 +80,20 @@ class DenseTables:
         self.dtype = dense_state_dtype(n)
         self.table = dfa.transitions.astype(self.dtype).ravel()
         self.offsets = np.arange(dfa.alphabet_size, dtype=np.int64) * n
+        #: the native tier's C view of ``table``, resolved on its first
+        #: call (:mod:`repro.kernels.native`); never pickled, since it
+        #: holds an address
+        self.native_args: Optional[
+            Tuple[np.ndarray, np.ndarray, int, int]] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["native_args"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self.native_args = None
 
     @property
     def nbytes(self) -> int:

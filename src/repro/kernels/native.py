@@ -77,7 +77,7 @@ import numpy as np
 from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.core.transition import CsOutcome
-from repro.ingest import admit
+from repro.ingest import Segments, admit
 from repro.kernels.dense import DenseTables
 
 if TYPE_CHECKING:
@@ -399,6 +399,87 @@ def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
 
 
+def _table_args(dfa: Dfa, tables: DenseTables) -> Optional[Tuple[int, int]]:
+    """``(address, kind)`` of the dense table as the C entry points read it.
+
+    Resolved once per :class:`DenseTables` (again only if its ``table``
+    is replaced).  ``None`` when the table's dtype has no C kind or the
+    tables do not describe ``dfa``: the caller's fallback answers there.
+    """
+    args = tables.native_args
+    if args is None or args[0] is not tables.table:
+        # the entry keeps the contiguous table its address points into
+        table = np.ascontiguousarray(tables.table, dtype=tables.table.dtype)
+        kind = _TABLE_KINDS.get(table.dtype, -1)
+        args = (tables.table, table, table.ctypes.data, kind)
+        tables.native_args = args
+    n_states = dfa.num_states
+    if args[3] < 0 or tables.num_states != n_states \
+            or int(tables.table.size) != dfa.alphabet_size * n_states:
+        return None
+    return args[2], args[3]
+
+
+def _lut_args(prefilter: "PrefilterTables") -> int:
+    """Address of the anchor LUT as bytes, resolved once per certificate."""
+    args = prefilter.native_args
+    if args is None or args[0] is not prefilter.anchor_lut:
+        lut = np.ascontiguousarray(prefilter.anchor_lut,
+                                   dtype=np.bool_).view(np.uint8)
+        args = (prefilter.anchor_lut, lut, lut.ctypes.data)
+        prefilter.native_args = args
+    return args[2]
+
+
+def _spans(segments: Sequence[np.ndarray]
+           ) -> Optional[Tuple[List[int], object]]:
+    """Segments as the C entry points read them: ``(args, keep)``.
+
+    ``args`` lists every segment's address, then every length, then
+    every symbol kind: the first three rows of the int64 array a call
+    passes.  ``keep`` holds the memory the addresses point into alive for
+    the call.  A :class:`repro.ingest.Segments` batch takes every address
+    from its buffer's base address plus the bounds; any other sequence
+    is read a segment at a time, contiguous copies made where needed.
+    ``None`` when a segment does not read as admitted input (uint8 or
+    int64, one dimension).
+    """
+    if isinstance(segments, Segments):
+        buf = segments.buffer
+        base, width = buf.ctypes.data, buf.itemsize
+        bounds = segments.bounds
+        return ([base + a * width for a, _ in bounds]
+                + [b - a for a, b in bounds]
+                + [_SYMBOL_KINDS[buf.dtype]] * len(bounds)), buf
+    # dtype deliberately inherited: an InputView reads as uint8
+    segs = [np.ascontiguousarray(seg) for seg in segments]  # repro: noqa(R101)
+    kinds = [_SYMBOL_KINDS.get(seg.dtype, -1) if seg.ndim == 1 else -1
+             for seg in segs]
+    if -1 in kinds:
+        return None
+    return ([seg.ctypes.data for seg in segs] + [seg.size for seg in segs]
+            + kinds), segs
+
+
+def _span_rows(spans: Sequence[np.ndarray], what: str
+               ) -> Tuple[np.ndarray, object]:
+    """:func:`_spans` as the ``(3, n)`` int64 array a call reads.
+
+    Raises ``ValueError`` naming the first span that is not admitted
+    input (``what`` says whose spans they are).
+    """
+    got = _spans(spans)
+    if got is None:
+        # dtype deliberately inherited: the message names the one read
+        arrays = [np.asarray(span) for span in spans]  # repro: noqa(R101)
+        bad = next(a for a in arrays
+                   if a.ndim != 1 or a.dtype not in _SYMBOL_KINDS)
+        raise ValueError(f"{what} spans are admitted input, not "
+                         f"{bad.dtype} of {bad.ndim} dimensions")
+    args, keep = got
+    return np.array(args, dtype=np.int64).reshape(3, len(spans)), keep
+
+
 def native_table_view(tables: DenseTables) -> np.ndarray:
     """The table exactly as the C library reads it, widened to int64.
 
@@ -474,15 +555,11 @@ def native_walk(
     if lib is None or cap < 1:
         return None
     tables = tables if tables is not None else DenseTables(dfa)
-    kind = _TABLE_KINDS.get(tables.table.dtype)
+    resolved = _table_args(dfa, tables)
     sym_kind = _SYMBOL_KINDS.get(syms.dtype)
-    if (
-        kind is None or sym_kind is None or syms.ndim != 1
-        or tables.num_states != n_states
-        or int(tables.table.size) != dfa.alphabet_size * n_states
-    ):
+    if resolved is None or sym_kind is None or syms.ndim != 1:
         return None
-    table = np.ascontiguousarray(tables.table, dtype=tables.table.dtype)
+    table, kind = resolved
     syms = np.ascontiguousarray(syms, dtype=syms.dtype)
     pos = ctypes.c_int64(0)
     cur = ctypes.c_int64(state)
@@ -497,7 +574,7 @@ def native_walk(
     out: List[Report] = []
     while True:
         rc = int(lib.cse_native_walk(
-            _ptr(table), kind, n_states, dfa.alphabet_size,
+            table, kind, n_states, dfa.alphabet_size,
             _ptr(syms), sym_kind, int(syms.size),
             ctypes.byref(pos), ctypes.byref(cur),
             None if accepting is None else _ptr(accepting),
@@ -536,37 +613,26 @@ def native_walks(
         raise RuntimeError(
             f"native tier unavailable: {native_unavailable_reason()}"
         )
-    n_states = dfa.num_states
     tables = tables if tables is not None else DenseTables(dfa)
-    kind = _TABLE_KINDS.get(tables.table.dtype)
-    if kind is None or tables.num_states != n_states \
-            or int(tables.table.size) != dfa.alphabet_size * n_states:
+    resolved = _table_args(dfa, tables)
+    if resolved is None:
         raise ValueError("walks need dense tables of this machine")
-    # keep every contiguous span alive for the call: the C side reads
-    # them through raw addresses
-    segs = [np.ascontiguousarray(s, dtype=s.dtype) for s in spans]
-    for seg in segs:
-        if seg.ndim != 1 or seg.dtype not in _SYMBOL_KINDS:
-            raise ValueError(f"walk spans are admitted input, not "
-                             f"{seg.dtype} of {seg.ndim} dimensions")
-    n_seg = len(segs)
+    table, kind = resolved
+    rows, _keep = _span_rows(spans, "walk")
+    n_seg = len(spans)
     out = np.array(states, dtype=np.int64).reshape(-1)
     if out.size != n_seg:
         raise ValueError(f"{n_seg} spans but {out.size} start states")
-    seg_ptrs = np.asarray([seg.ctypes.data for seg in segs], dtype=np.int64)
-    seg_lens = np.asarray([seg.size for seg in segs], dtype=np.int64)
-    seg_kinds = np.asarray([_SYMBOL_KINDS[seg.dtype] for seg in segs],
-                           dtype=np.int64)
-    table = np.ascontiguousarray(tables.table, dtype=tables.table.dtype)
     # the tail pass's start positions and pending span ids
     scratch = np.empty((2, max(n_seg, 1)), dtype=np.int64)
+    at = rows.ctypes.data
     rc = int(lib.cse_native_walks(
-        _ptr(table), kind, n_states, dfa.alphabet_size,
-        _ptr(seg_ptrs), _ptr(seg_lens), _ptr(seg_kinds), n_seg,
+        table, kind, dfa.num_states, dfa.alphabet_size,
+        at, at + 8 * n_seg, at + 16 * n_seg, n_seg,
         _ptr(out), _ptr(scratch[0]), _ptr(scratch[1]),
     ))
     if rc != _WALK_DONE:
-        _refuse(dfa, segs, [int(q) for q in states], rc)
+        _refuse(dfa, spans, [int(q) for q in states], rc)
     return out
 
 
@@ -596,43 +662,33 @@ def native_prefilter(
     lib = load_native()
     if lib is None:
         return None
-    n_states = dfa.num_states
     tables = tables if tables is not None else DenseTables(dfa)
-    kind = _TABLE_KINDS.get(tables.table.dtype)
-    n_seg = len(segments)
-    seg_kinds = np.empty(n_seg, dtype=np.int64)
-    for i, seg in enumerate(segments):
-        sym_kind = _SYMBOL_KINDS.get(seg.dtype)
-        if sym_kind is None or seg.ndim != 1:
-            return None
-        seg_kinds[i] = sym_kind
-    # the C side range-checks the start states (and home, skip_width)
-    start_arr = np.asarray(starts, dtype=np.int64)
-    lut = np.ascontiguousarray(prefilter.anchor_lut, dtype=np.bool_)
+    resolved = _table_args(dfa, tables)
+    seg_args = _spans(segments)
     if (
-        kind is None or tables.num_states != n_states
-        or int(tables.table.size) != dfa.alphabet_size * n_states
-        or lut.shape != (dfa.alphabet_size,)
-        or start_arr.shape != (n_seg,)
+        resolved is None or seg_args is None
+        or prefilter.anchor_lut.shape != (dfa.alphabet_size,)
     ):
         return None
-    # keep every contiguous segment alive for the call: the C side reads
-    # them through raw addresses
-    segs = [np.ascontiguousarray(seg, dtype=seg.dtype) for seg in segments]
-    seg_ptrs = np.asarray([seg.ctypes.data for seg in segs], dtype=np.int64)
-    seg_lens = np.asarray([seg.size for seg in segs], dtype=np.int64)
-    table = np.ascontiguousarray(tables.table, dtype=tables.table.dtype)
-    final = np.empty(n_seg, dtype=np.int64)
-    walk_from = np.empty(n_seg, dtype=np.int64)
+    table, kind = resolved
+    args, _keep = seg_args
+    n_seg = len(segments)
+    if len(starts) != n_seg:
+        return None
+    # one array for the call: the spans' three rows, the start states
+    # (the C side range-checks them, and home and skip_width), then the
+    # final states and walk starts it writes
+    io = np.array([*args, *starts, *[0] * (2 * n_seg)], dtype=np.int64)
+    at, row = io.ctypes.data, 8 * n_seg
     rc = int(lib.cse_native_prefilter(
-        _ptr(table), kind, n_states, dfa.alphabet_size,
-        _ptr(lut.view(np.uint8)), prefilter.home, prefilter.skip_width,
-        _ptr(seg_ptrs), _ptr(seg_lens), _ptr(seg_kinds), n_seg,
-        _ptr(start_arr), _ptr(final), _ptr(walk_from),
+        table, kind, dfa.num_states, dfa.alphabet_size,
+        _lut_args(prefilter), prefilter.home, prefilter.skip_width,
+        at, at + row, at + 2 * row, n_seg,
+        at + 3 * row, at + 4 * row, at + 5 * row,
     ))
     if rc != _WALK_DONE:
-        _refuse(dfa, segs, [s for s in starts if s != -1], rc)
-    return final, walk_from
+        _refuse(dfa, segments, [s for s in starts if s != -1], rc)
+    return io[4 * n_seg:5 * n_seg], io[5 * n_seg:]
 
 
 class Lanes:
@@ -649,17 +705,12 @@ class Lanes:
     """
 
     def __init__(self, spans: Sequence[np.ndarray], state: int) -> None:
-        self.spans = [np.ascontiguousarray(s, dtype=s.dtype) for s in spans]
-        n = len(self.spans)
-        for span in self.spans:
-            if span.ndim != 1 or span.dtype not in _SYMBOL_KINDS:
-                raise ValueError(f"lane spans are admitted input, not "
-                                 f"{span.dtype} of {span.ndim} dimensions")
-        self.ptrs = np.asarray([s.ctypes.data for s in self.spans],
-                               dtype=np.int64)
-        self.lens = np.asarray([s.size for s in self.spans], dtype=np.int64)
-        self.kinds = np.asarray([_SYMBOL_KINDS[s.dtype] for s in self.spans],
-                                dtype=np.int64)
+        # each lane's address, length and symbol kind, as the C call
+        # reads them
+        self._args, self._keep = _span_rows(spans, "lane")
+        self.spans = spans
+        self.lens = self._args[1]
+        n = len(spans)
         self.pos = np.zeros(n, dtype=np.int64)
         self.state = np.full(n, state, dtype=np.int64)
         self._order = np.empty(max(n, 1), dtype=np.int64)
@@ -693,10 +744,11 @@ def native_lanes(table: np.ndarray, lanes: Lanes) -> int:
             or not table.flags.c_contiguous:
         raise ValueError("lane table must be a C-contiguous 2-D int32 array")
     rows, alphabet = table.shape
+    at, n = lanes._args.ctypes.data, len(lanes.spans)
     rc = int(lib.cse_native_lanes(
         _ptr(table), rows, alphabet,
-        _ptr(lanes.ptrs), _ptr(lanes.lens), _ptr(lanes.kinds),
-        len(lanes.spans), int(not lanes.checked), _ptr(lanes.pos),
+        at, at + 8 * n, at + 16 * n,
+        n, int(not lanes.checked), _ptr(lanes.pos),
         _ptr(lanes.state), _ptr(lanes._order),
     ))
     if rc == _WALK_BAD_SYMBOL:
@@ -807,25 +859,17 @@ def run_segments_native(
             "degraded_segments": 0, "scalar_positions": 0,
             "frontier_steps": 0, "collapses": 0,
         }
-    # keep every contiguous segment alive for the call: the C side reads
-    # them through raw addresses; dtype deliberately inherited
-    segs = [np.ascontiguousarray(seg) for seg in segments]  # repro: noqa(R101)
-    kind = _TABLE_KINDS.get(tables.table.dtype)
-    n_states = int(tables.num_states)
-    if (
-        kind is None
-        or any(seg.ndim != 1 or seg.dtype not in _SYMBOL_KINDS for seg in segs)
-        or int(tables.table.size) != dfa.alphabet_size * n_states
-    ):
+    resolved = _table_args(dfa, tables)
+    seg_args = _spans(segments)
+    if resolved is None or seg_args is None:
         grid, dstats = run_segments_dense(
             dfa, partition, segments, tables=tables, stride=stride
         )
         return grid, _delegate_stats(dstats)
-    seg_ptrs = np.asarray([seg.ctypes.data for seg in segs], dtype=np.int64)
-    seg_lens = np.asarray([seg.size for seg in segs], dtype=np.int64)
-    seg_kinds = np.asarray(
-        [_SYMBOL_KINDS[seg.dtype] for seg in segs], dtype=np.int64
-    )
+    table, kind = resolved
+    args, _keep = seg_args
+    rows = np.array(args, dtype=np.int64).reshape(3, n_seg)
+    n_states = dfa.num_states
 
     blocks = partition.block_arrays()
     n_blocks = len(blocks)
@@ -844,7 +888,6 @@ def run_segments_native(
         np.cumsum(sizes[:-1], out=cs_starts[1:])
     cs_ends = cs_starts + sizes
 
-    table = np.ascontiguousarray(tables.table, dtype=tables.table.dtype)
     final_out = np.empty((n_seg, max(width, 1)), dtype=np.int64)
     collapsed_out = np.empty(n_seg, dtype=np.int64)
     stats_out = np.zeros(_STAT_SLOTS, dtype=np.int64)
@@ -854,9 +897,10 @@ def run_segments_native(
     # the pending segment ids (uint8 ones from the front, int64 from the
     # back)
     tails = np.empty((2, n_seg), dtype=np.int64)
+    at = rows.ctypes.data
     rc = int(lib.cse_native_scan(
-        _ptr(table), kind, n_states, dfa.alphabet_size,
-        _ptr(seg_ptrs), _ptr(seg_lens), _ptr(seg_kinds), n_seg,
+        table, kind, n_states, dfa.alphabet_size,
+        at, at + 8 * n_seg, at + 16 * n_seg, n_seg,
         _ptr(perm), width,
         _ptr(cs_starts), _ptr(sizes),
         n_blocks, 0 if stride is None else int(stride),
@@ -865,7 +909,7 @@ def run_segments_native(
         _ptr(stamp), _ptr(seen_scratch), _ptr(tails[0]), _ptr(tails[1]),
     ))
     if rc == _WALK_BAD_SYMBOL:
-        _refuse(dfa, segs, [], rc)
+        _refuse(dfa, segments, [], rc)
     if rc != _WALK_DONE:
         raise RuntimeError(
             f"native scan rejected the table (kind {kind}, rc {rc})"
@@ -896,7 +940,7 @@ def run_segments_native(
         grid.append(outcomes)
 
     stats = {
-        "positions": int(seg_lens.max()),
+        "positions": int(rows[1].max()),
         "native_positions": int(stats_out[_STAT_NATIVE_POSITIONS]),
         "stride_checks": int(stats_out[_STAT_STRIDE_CHECKS]),
         "degraded_segments": int(stats_out[_STAT_DEGRADED]),

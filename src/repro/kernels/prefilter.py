@@ -62,7 +62,7 @@ import numpy as np
 from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.core.transition import CsOutcome
-from repro.ingest import admit
+from repro.ingest import Segments, admit
 from repro.kernels.dense import DenseTables, run_segments_dense
 from repro.kernels.native import (
     native_available,
@@ -105,7 +105,8 @@ class PrefilterTables:
     :class:`repro.compilecache.CompiledDfa` so scans never re-derive it.
     """
 
-    __slots__ = ("home", "skip_width", "anchor_lut", "num_states", "alphabet_size")
+    __slots__ = ("home", "skip_width", "anchor_lut", "num_states",
+                 "alphabet_size", "native_args")
 
     def __init__(
         self,
@@ -120,6 +121,20 @@ class PrefilterTables:
         self.anchor_lut = np.asarray(anchor_lut, dtype=bool)
         self.num_states = int(num_states)
         self.alphabet_size = int(alphabet_size)
+        #: the native tier's C view of ``anchor_lut``, resolved on its
+        #: first call (:mod:`repro.kernels.native`); never pickled, since
+        #: it holds an address
+        self.native_args: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
+
+    def __getstate__(self) -> Tuple[None, Dict[str, object]]:
+        # pickle's own layout for slotted objects, less the C view
+        return None, {name: getattr(self, name) for name in self.__slots__
+                      if name != "native_args"}
+
+    def __setstate__(self, state: Tuple[None, Dict[str, object]]) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.native_args = None
 
     @property
     def anchors(self) -> np.ndarray:
@@ -329,19 +344,38 @@ def prefilter_scan_scalar(
     if done is not None:
         final, resume = done
         return int(final[0]), length - max(0, int(resume[0]))
+    state, walk_from = _sweep_and_walk(dfa, tables, seg, state, rows)
+    return state, length - walk_from
+
+
+def _sweep_and_walk(
+    dfa: Dfa,
+    tables: PrefilterTables,
+    seg: np.ndarray,
+    state: int,
+    rows: Optional[List[List[int]]],
+) -> Tuple[int, int]:
+    """The interpreted prefilter of one segment: ``(final, walk_from)``.
+
+    The anchor sweep finds the last proven reset; the tail after it is
+    walked from ``home``.  With no reset, a concrete ``state`` (``>= 0``)
+    is walked from position 0; an enumerative one (``-1``) returns
+    ``(-1, -1)`` for the frontier kernel to run.
+    """
+    length = int(seg.size)
     hits = np.flatnonzero(tables.anchor_lut[seg])
     proven, walk_from = _last_reset(hits, length, tables.skip_width)
     if proven:
         state = tables.home
+    elif state < 0:
+        return -1, -1
     else:
         walk_from = 0
-    if walk_from >= length:
-        return state, 0
-    if rows is None:
-        rows = [r.tolist() for r in dfa.transitions]
-    for sym in seg[walk_from:].tolist():
-        state = rows[sym][state]
-    return state, length - walk_from
+    if walk_from < length:
+        table = rows if rows is not None else dfa.transitions.tolist()
+        for sym in seg[walk_from:].tolist():
+            state = table[sym][state]
+    return state, walk_from
 
 
 def prefilter_walk(
@@ -363,6 +397,7 @@ def run_segments_prefilter(
     tables: PrefilterTables,
     dense: Optional[DenseTables] = None,
     stride: Optional[int] = None,
+    start: Optional[int] = None,
 ) -> Tuple[List[List[CsOutcome]], Dict[str, int]]:
     """Enumerative prefilter scan over a batch of segments.
 
@@ -377,6 +412,11 @@ def run_segments_prefilter(
     dense frontier kernel unchanged (``dense``/``stride`` are its optional
     precomputed tables and collapse-check stride).
 
+    ``start`` makes ``segments[0]`` a concrete segment walked from that
+    state in the same pass (a scan's segment 0): with no qualifying run
+    it is walked whole instead of enumerated, and its row of the grid
+    maps every set to the state it reached from ``start``.
+
     Returns ``(grid, stats)`` with the same grid contract as the dense
     kernel and stats keys ``positions, walked_positions, skipped_bytes,
     windows, fallback_segments, collapses``.
@@ -384,64 +424,62 @@ def run_segments_prefilter(
     if dense is None and native_available():
         # one build serves the compiled scan and the frontier fallback
         dense = DenseTables(dfa)
-    # dtype deliberately inherited: uint8 views stay uint8 (zero-copy)
-    segs = [np.asarray(segment) for segment in segments]  # repro: noqa(R101)
-    n_seg = len(segs)
+    if isinstance(segments, Segments):
+        lengths = segments.lengths
+    else:
+        # dtype deliberately inherited: uint8 views stay uint8 (zero-copy)
+        segments = [np.asarray(s) for s in segments]  # repro: noqa(R101)
+        lengths = [s.size for s in segments]
+    n_seg = len(segments)
     blocks = partition.block_arrays()
     n_blocks = len(blocks)
-    sizes = np.asarray([b.size for b in blocks], dtype=np.int64)
-    multi_count = int((sizes > 1).sum())
-    # identity outcomes for empty segments: each set maps to itself
-    identity: Optional[List[CsOutcome]] = None
+    multi_count = sum(1 for b in blocks if b.size > 1)
+    starts = [-1] * n_seg
+    if start is not None and n_seg:
+        starts[0] = int(start)
 
-    compiled = native_prefilter(dfa, tables, segs, [-1] * n_seg, dense)
+    compiled = native_prefilter(dfa, tables, segments, starts, dense)
+    if compiled is not None:
+        finals, resumes = compiled[0].tolist(), compiled[1].tolist()
     rows: Optional[List[List[int]]] = None
+    # collapsed segments that end on one state share its outcome row
+    collapsed: Dict[int, List[CsOutcome]] = {}
 
     grid: List[Optional[List[CsOutcome]]] = [None] * n_seg
     fallback_idx: List[int] = []
-    max_len = 0
     walked = 0
     skipped = 0
     windows = 0
     n_collapsed = 0
 
-    for i, seg in enumerate(segs):
-        length = int(seg.size)
-        max_len = max(max_len, length)
-        if length == 0:
-            if identity is None:
-                identity = [
-                    CsOutcome(
-                        b.size == 1,
-                        int(b[0]) if b.size == 1 else None,
-                        np.unique(b).astype(np.int64),
-                    )
-                    for b in blocks
-                ]
-            grid[i] = list(identity)
+    for i, length in enumerate(lengths):
+        if length == 0 and starts[i] < 0:
+            # each set maps to itself
+            grid[i] = [
+                CsOutcome(b.size == 1, int(b[0]) if b.size == 1 else None, b)
+                for b in blocks
+            ]
             continue
         if compiled is not None:
-            state, walk_from = int(compiled[0][i]), int(compiled[1][i])
-            if walk_from < 0:
-                fallback_idx.append(i)
-                continue
+            state, walk_from = finals[i], resumes[i]
         else:
-            hits = np.flatnonzero(tables.anchor_lut[seg])
-            proven, walk_from = _last_reset(hits, length, tables.skip_width)
-            if not proven:
-                fallback_idx.append(i)
-                continue
-            state = tables.home
             if rows is None:
                 rows = [r.tolist() for r in dfa.transitions]
-            for sym in seg[walk_from:].tolist():
-                state = rows[sym][state]
+            state, walk_from = _sweep_and_walk(
+                dfa, tables, segments[i], starts[i], rows)
+        if state < 0:
+            fallback_idx.append(i)
+            continue
+        walk_from = max(0, walk_from)
         if walk_from < length:
             walked += length - walk_from
             windows += 1
         skipped += walk_from
-        states = np.asarray([state], dtype=np.int64)
-        grid[i] = [CsOutcome(True, state, states)] * n_blocks
+        row = collapsed.get(state)
+        if row is None:
+            states = np.asarray([state], dtype=np.int64)
+            row = collapsed[state] = [CsOutcome(True, state, states)] * n_blocks
+        grid[i] = row
         n_collapsed += multi_count
 
     if fallback_idx:
@@ -454,7 +492,7 @@ def run_segments_prefilter(
         sub_grid, sub_stats = run_fallback(
             dfa,
             partition,
-            [segs[i] for i in fallback_idx],
+            [segments[i] for i in fallback_idx],
             tables=dense,
             stride=stride,
         )
@@ -464,7 +502,7 @@ def run_segments_prefilter(
         n_collapsed += sub_stats["collapses"]
 
     stats = {
-        "positions": max_len,
+        "positions": max(lengths, default=0),
         "walked_positions": walked,
         "skipped_bytes": skipped,
         "windows": windows,

@@ -65,8 +65,9 @@ boundary) and any other input as a pickled slice.
 
 Per-segment wall times are measured individually, so the result reports
 both the *work speedup* (total sequential seconds / critical-path
-seconds, what a perfectly parallel machine would achieve) and, when an
-executor with real parallelism is supplied, the elapsed speedup.  For
+seconds, what a perfectly parallel machine would achieve; only where the
+serial oracle ran) and, when an executor with real parallelism is
+supplied, the elapsed speedup.  For
 process pools, :func:`segment_pool` builds an executor whose workers
 receive the transition table **once** via the pool initializer instead of
 re-pickling the :class:`Dfa` into every submitted segment.
@@ -87,7 +88,7 @@ from repro.core.partition import StatePartition
 from repro.core.reexec import ReexecutionStats, compose_and_fix
 from repro.core.transition import CsOutcome, SegmentFunction
 from repro.engines.base import even_boundaries
-from repro.ingest import InputView, admit
+from repro.ingest import InputView, Segments, admit
 from repro.kernels import (
     BACKENDS,
     DenseTables,
@@ -386,16 +387,25 @@ class SoftwareRun:
         return peak + self.repair_seconds
 
     @property
-    def work_speedup(self) -> float:
-        """Speedup a machine with one core per segment would achieve."""
+    def work_speedup(self) -> Optional[float]:
+        """Speedup a machine with one core per segment would achieve.
+
+        The serial oracle walk's seconds over the critical path.  ``None``
+        where no serial walk was measured: with ``verify=False``, and on
+        ``sfa`` runs, whose check walks the segments as interleaved lanes
+        and whose segment times are even shares of one lane pass.
+        """
+        if self.backend == "sfa" or not self.sequential_seconds:
+            return None
         if self.critical_path_seconds <= 0:
             return float("inf")
         return self.sequential_seconds / self.critical_path_seconds
 
     @property
-    def work_efficiency(self) -> float:
+    def work_efficiency(self) -> Optional[float]:
         """work_speedup / n_segments: 1.0 means CSE added zero overhead."""
-        return self.work_speedup / self.n_segments
+        speedup = self.work_speedup
+        return None if speedup is None else speedup / self.n_segments
 
 
 def software_cse_scan(
@@ -568,26 +578,29 @@ def _software_cse_scan(
     scan_wall = time.time()
     begin_all = time.perf_counter()
 
-    # segment 1: concrete scan
+    # segment 1: concrete scan.  An unpooled prefilter scan walks it in
+    # its batch call instead (run_segments_batch's ``start``); a native
+    # scan keeps the separate walk, which samples the walk plan
     a0, b0 = bounds[0]
-    if backend == "prefilter":
+    rides = backend == "prefilter" and executor is None
+    first_final, first_seconds = start, 0.0
+    if not rides:
         begin0 = time.perf_counter()
-        first_final, _walked = prefilter_scan_scalar(
-            dfa, pf_tables, syms[a0:b0], start_state=start_state, rows=rows,
-            dense=dense,
-        )
-        first_seconds = time.perf_counter() - begin0
-    else:
-        begin0 = time.perf_counter()
-        first_final = concrete_walk(syms[a0:b0], start_state)
-        first_seconds = time.perf_counter() - begin0
-    if collect:
-        obs.record_span("software.segment", scan_wall, first_seconds,
-                        segment=0, kind="concrete")
         if backend == "prefilter":
-            obs.counter("kernels_prefilter_skipped_bytes_total").inc(
-                max(0, (b0 - a0) - _walked)
+            first_final, _walked = prefilter_scan_scalar(
+                dfa, pf_tables, syms[a0:b0], start_state=start_state,
+                rows=rows, dense=dense,
             )
+        else:
+            first_final = concrete_walk(syms[a0:b0], start_state)
+        first_seconds = time.perf_counter() - begin0
+        if collect:
+            obs.record_span("software.segment", scan_wall, first_seconds,
+                            segment=0, kind="concrete")
+            if backend == "prefilter":
+                obs.counter("kernels_prefilter_skipped_bytes_total").inc(
+                    max(0, (b0 - a0) - _walked)
+                )
 
     enum_bounds = bounds[1:]
     if executor is not None:
@@ -635,19 +648,25 @@ def _software_cse_scan(
         kernel_wall = time.time()
         kernel_begin = time.perf_counter()
         functions = run_segments_batch(
-            dfa, partition, [syms[a:b] for a, b in enum_bounds], backend=backend,
-            dense=dense,
-            prefilter=pf_tables,
+            dfa, partition, Segments(syms, bounds if rides else enum_bounds),
+            backend=backend, dense=dense, prefilter=pf_tables,
+            start=start if rides else None,
         )
         kernel_elapsed = time.perf_counter() - kernel_begin
-        enum_seconds = [kernel_elapsed / max(1, len(enum_bounds))] * len(enum_bounds)
+        # the batched kernel runs all segments in one pass: each gets an
+        # even share
+        share = kernel_elapsed / max(1, len(functions))
+        if rides:
+            first_final = functions.pop(0).concrete_for(start)
+            first_seconds = share
+        enum_seconds = [share] * len(enum_bounds)
         if collect:
-            # the batched kernel runs all segments in one pass; attribute
-            # an even share to each so the trace still shows one span per
+            # attributed shares, so the trace still shows one span per
             # segment (flagged as attributed, not individually measured)
-            for i, sec in enumerate(enum_seconds):
-                obs.record_span("software.segment", kernel_wall, sec,
-                                segment=i + 1, backend=backend,
+            first = 0 if rides else 1
+            for i in range(first, len(bounds)):
+                obs.record_span("software.segment", kernel_wall, share,
+                                segment=i, backend=backend,
                                 attributed=True)
     else:
         timed = []
@@ -807,7 +826,7 @@ def _sfa_plan(
     scan_wall = time.time()
     begin = time.perf_counter()
     bounds = even_boundaries(int(syms.size), n_segments)
-    spans = [syms[a:b] for a, b in bounds]
+    spans = Segments(syms, bounds)
     done = sfa.scan(spans, start)
     if done is None:
         obs.counter("kernels_plan_total", plan="walk",

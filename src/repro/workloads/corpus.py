@@ -7,6 +7,12 @@ for protein scanners.  Structured inputs matter for the evaluation: they
 exercise partial-match behaviour that uniform random profiling inputs do
 not, which is exactly what makes convergence-set *prediction* non-trivial
 (Figures 8 and 18 of the paper).
+
+Every corpus comes out through the input contract
+(:func:`repro.ingest.admit`) against the byte alphabet: the sentence
+text as a uint8 array, the packet and protein streams as int64, and a
+symbol outside ``[0, 256)`` (a packet delimiter of -1, say) raises
+:class:`repro.ingest.InputError` here instead of in a later scan.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.automata.dfa import as_symbols
+from repro.ingest import admit
 from repro.workloads.rulesets import _WORDS
+from repro.workloads.splitting import BYTE_ALPHABET
 
 __all__ = [
     "sentence_corpus",
@@ -56,7 +63,8 @@ def sentence_corpus(
             count += 2
             word_budget = 0
     text = " ".join(parts)[:length]
-    return as_symbols(text.encode("latin-1"))
+    # a writable byte buffer, so the array is too
+    return admit(bytearray(text, "latin-1"), BYTE_ALPHABET)
 
 
 def packet_corpus(
@@ -93,7 +101,7 @@ def packet_corpus(
         else:
             out.append(int(rng.integers(32, 127)))
             position_in_packet += 1
-    return np.asarray(out[:length], dtype=np.int64)
+    return admit(np.asarray(out[:length], dtype=np.int64), BYTE_ALPHABET)
 
 
 def protein_corpus(
@@ -112,7 +120,7 @@ def protein_corpus(
             out.extend(ord(c) for c in fragment)
         else:
             out.append(ord(amino[int(rng.integers(len(amino)))]))
-    return np.asarray(out[:length], dtype=np.int64)
+    return admit(np.asarray(out[:length], dtype=np.int64), BYTE_ALPHABET)
 
 
 def mixed_corpus(
@@ -129,4 +137,4 @@ def mixed_corpus(
         piece = pieces[int(rng.integers(len(pieces)))]
         out.append(piece)
         total += piece.size
-    return np.concatenate(out)[:length]
+    return admit(np.concatenate(out)[:length], BYTE_ALPHABET)

@@ -18,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.automata.dfa import as_symbols
 from repro.core.partition import StatePartition
-from repro.ingest import InputError, InputView, admit, from_bytes, open_input
+from repro.ingest import (
+    InputError, InputView, Segments, admit, from_bytes, open_input,
+)
 from repro.kernels import walk
 from repro.regex.compile import compile_ruleset
 from repro.software import segment_pool, software_cse_scan
@@ -143,6 +145,57 @@ class TestByteView:
         syms = as_symbols(view)
         assert syms.dtype == np.int64
         assert syms.tolist() == list(range(8))
+
+
+class TestSegments:
+    """Admitted input cut at bounds: what a scan hands the kernels."""
+
+    def test_slices_and_lengths(self):
+        buf = admit(b"abcdefgh", 256)
+        segs = Segments(buf, [(0, 3), (3, 3), (3, 8)])
+        assert len(segs) == 3
+        assert [bytes(s) for s in segs] == [b"abc", b"", b"defgh"]
+        assert bytes(segs[2]) == b"defgh" and bytes(segs[-1]) == b"defgh"
+        assert [bytes(s) for s in segs[1:]] == [b"", b"defgh"]
+        assert segs.lengths == [3, 0, 5]
+        assert np.shares_memory(segs[0], buf)
+
+    def test_refuses_what_admit_never_returns(self):
+        with pytest.raises(ValueError, match="admitted input"):
+            Segments(np.zeros(4, dtype=np.int32), [(0, 4)])
+        with pytest.raises(ValueError, match="admitted input"):
+            Segments(np.zeros((2, 2), dtype=np.uint8), [(0, 1)])
+        buf = admit(b"abcd", 256)
+        for bounds in ([(0, 5)], [(-1, 2)], [(3, 2)]):
+            with pytest.raises(ValueError, match="outside the buffer"):
+                Segments(buf, bounds)
+
+    @pytest.mark.parametrize("width", ["uint8", "int64"])
+    def test_kernels_read_segments_like_slices(self, width):
+        """Addresses from the base plus the bounds give every backend the
+        same functions as the slices themselves, at both widths."""
+        from repro.kernels import KERNEL_BACKENDS, run_segments_batch
+        from repro.kernels.native import native_walks, native_available
+
+        dfa = compile_ruleset(generate_ruleset("Dotstar06", 4, 3))
+        rng = np.random.default_rng(9)
+        word = rng.integers(97, 123, size=3000).astype(width)
+        bounds = [(0, 700), (700, 700), (700, 2100), (2100, 3000)]
+        segs = Segments(admit(word, dfa.alphabet_size), bounds)
+        slices = [word[a:b] for a, b in bounds]
+        partition = StatePartition.from_labels(
+            [q % 3 for q in range(dfa.num_states)])
+        for backend in KERNEL_BACKENDS:
+            got = run_segments_batch(dfa, partition, segs, backend=backend)
+            want = run_segments_batch(dfa, partition, slices, backend=backend)
+            assert [[(o.converged, o.state, o.states.tolist())
+                     for o in fn.outcomes] for fn in got] == \
+                [[(o.converged, o.state, o.states.tolist())
+                  for o in fn.outcomes] for fn in want]
+        if native_available():
+            starts = [dfa.start, 1, 2, 0]
+            assert native_walks(dfa, segs, starts).tolist() == [
+                dfa.run(s, q) for s, q in zip(slices, starts)]
 
 
 class TestScanEquivalence:

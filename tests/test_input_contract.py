@@ -224,3 +224,38 @@ def test_splitting_refuses_a_symbol_past_a_byte(name):
     call = {entry: fn for entry, _t, fn in splitting_entry_points()}[name]
     with pytest.raises(InputError, match=r"symbol 256 at position 2 .*\[0, 256\)"):
         call(np.asarray([1, 255, 256]), 0)
+
+
+class TestCorpora:
+    """The structured corpora come out through the contract too."""
+
+    def test_sentences_are_admitted_bytes(self, rng):
+        from repro.workloads.corpus import sentence_corpus
+
+        text = sentence_corpus(rng, 300)
+        assert text.dtype == np.uint8 and text.size == 300
+        assert text.flags.writeable
+        assert bytes(text).decode("latin-1").replace(".", " ").split()
+
+    @pytest.mark.parametrize("corpus", ["packet", "protein"])
+    def test_streams_are_admitted_int64(self, rng, corpus):
+        from repro.workloads import corpus as corpora
+
+        stream = getattr(corpora, f"{corpus}_corpus")(rng, 500)
+        assert stream.dtype == np.int64 and stream.size == 500
+        assert int(stream.min()) >= 0 and int(stream.max()) < 256
+
+    def test_a_symbol_past_a_byte_is_refused(self, rng):
+        from repro.workloads.corpus import (
+            mixed_corpus, packet_corpus, protein_corpus,
+        )
+
+        with pytest.raises(InputError, match="negative symbol -1"):
+            packet_corpus(rng, 50, delimiter=-1, packet_len=10)
+        with pytest.raises(InputError, match="symbol 300"):
+            packet_corpus(rng, 50, delimiter=300, packet_len=10)
+        with pytest.raises(InputError, match="symbol 8364"):
+            protein_corpus(rng, 200, motif_fragments=["€"],
+                           fragment_rate=1.0)
+        with pytest.raises(InputError, match="negative symbol -2"):
+            mixed_corpus(rng, 4, [np.asarray([1, -2, 3])])

@@ -696,3 +696,92 @@ class TestCompiledReplayK134:
             codes = {d.code for d in verify_prefilter(bad, literal_dfa)}
         assert "K134" not in codes
         assert "K131" in codes
+
+
+class TestSegmentZeroRidesTheBatch:
+    """A prefilter scan walks its concrete segment 0 in the batch call."""
+
+    @given(literal_machines(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_concrete_start_matches_the_walk(self, machine, data):
+        dfa, tables = machine
+        segments = data.draw(prefilter_segments(tables))
+        state = data.draw(st.integers(0, dfa.num_states - 1))
+        partition = StatePartition.from_labels(
+            [q % 2 for q in range(dfa.num_states)])
+        seen = []
+        for absent in (False, True):
+            with native_tier(absent):
+                grid, stats = run_segments_prefilter(
+                    dfa, partition, segments, tables, start=state)
+                rest, rest_stats = run_segments_prefilter(
+                    dfa, partition, segments[1:], tables)
+                first, walked = prefilter_scan_scalar(
+                    dfa, tables, segments[0], start_state=state)
+            assert first == dfa.run(segments[0], state)
+            assert [(o.converged, o.state) for o in grid[0]] == \
+                [(True, first)] * partition.num_blocks
+            assert grid_key(grid[1:]) == grid_key(rest)
+            assert stats["walked_positions"] == \
+                rest_stats["walked_positions"] + walked
+            seen.append(stats)
+        assert seen[0] == seen[1]
+
+    def test_start_needs_a_certified_batch(self, random_dfa_8, rng):
+        partition = StatePartition.trivial(8)
+        segs = [rng.integers(0, random_dfa_8.alphabet_size, 20)]
+        with pytest.raises(ValueError, match="certified prefilter"):
+            run_segments_batch(random_dfa_8, partition, segs,
+                               backend="prefilter", start=0)
+        with pytest.raises(ValueError, match="certified prefilter"):
+            run_segments_batch(random_dfa_8, partition, segs,
+                               backend="native", start=0)
+
+    def test_start_is_admitted(self, literal_dfa):
+        from repro.ingest import InputError
+
+        partition = _partition(literal_dfa)
+        with pytest.raises(InputError, match="start state"):
+            run_segments_batch(literal_dfa, partition, [b"abc"],
+                               backend="prefilter", start=-1)
+
+
+@pytest.mark.skipif(not native_available(), reason="counts C calls")
+class TestOneCallPerUnitScan:
+    """Every unpooled prefilter unit scan is one cse_native_prefilter call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.kernels.native import load_native
+
+        lib = load_native()
+        real = lib.cse_native_prefilter
+        seen = []
+        monkeypatch.setattr(lib, "cse_native_prefilter",
+                            lambda *args: seen.append(1) or real(*args))
+        return seen
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_software_scan(self, literal_dfa, calls, verify):
+        rng = np.random.default_rng(3)
+        word = rng.integers(97, 123, size=40_000, dtype=np.uint8)
+        run = software_cse_scan(
+            literal_dfa, word, _partition(literal_dfa), n_segments=16,
+            backend="prefilter", verify=verify)
+        assert run.backend == "prefilter"
+        assert run.final_state == literal_dfa.run(word)
+        assert run.reexec_segments == 0
+        assert calls == [1]
+
+    def test_fleet_units(self, calls):
+        from repro.stream import FleetScanner
+
+        dfas = [compile_ruleset(generate_ruleset("ExactMatch", 3, 40 + i))
+                for i in range(12)]
+        fleet = FleetScanner(dfas, shard=True)
+        assert set(fleet.unit_backends) == {"prefilter"}
+        text = np.random.default_rng(5).integers(
+            97, 123, size=60_000, dtype=np.uint8)
+        result = fleet.scan_wallclock(text, verify=False)
+        assert result.final_states == [d.run(text) for d in dfas]
+        assert len(calls) == fleet.n_units

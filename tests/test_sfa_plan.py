@@ -337,6 +337,28 @@ def test_a_wrong_interior_boundary_fails_verify(dotstar, traffic,
 
 
 @needs_native
+def test_sfa_runs_report_no_work_speedup(dotstar, traffic):
+    """The chained check walks the segments as interleaved lanes and the
+    lanes' times are even shares of one pass: no serial baseline, so an
+    sfa run reports no work speedup rather than one past the ideal."""
+    cache = CompileCache()
+    onto_sfa(dotstar, cache)
+    run = scan_with_cache(dotstar, traffic, cache=cache,
+                          n_segments=N_SEGMENTS)
+    assert run.backend == "sfa" and run.sequential_seconds > 0
+    assert run.work_speedup is None and run.work_efficiency is None
+    # the CSE plan still measures against its oracle walk
+    cse = scan_with_cache(dotstar, traffic, cache=CompileCache(),
+                          n_segments=N_SEGMENTS, backend="native")
+    assert cse.backend == "native" and cse.work_speedup > 0
+    assert cse.work_efficiency == cse.work_speedup / N_SEGMENTS
+    unverified = scan_with_cache(dotstar, traffic, cache=CompileCache(),
+                                 n_segments=N_SEGMENTS, backend="native",
+                                 verify=False)
+    assert unverified.work_speedup is None
+
+
+@needs_native
 def test_threads_verify_one_sfa_plan_artifact(dotstar):
     """Four threads scan one SFA-plan artifact with ``verify=True`` while
     its SFA grows: each call checks the boundaries its own scan returned,
