@@ -10,7 +10,7 @@ install:
 	$(PYTHON) setup.py develop
 
 # compile the optional native set-flow library into the per-user cache
-# (requires cc/gcc/clang; everything degrades to the dense kernel
+# (requires cc/gcc/clang; everything degrades to the interpreted loop
 # without it, so this target failing is informative, not fatal)
 native:
 	PYTHONPATH=src $(PYTHON) -m repro.kernels.native --rebuild
@@ -38,8 +38,8 @@ test-fast:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
-# smoke mode: seconds, skips the dense >=5x python acceptance gate and
-# the trivial-partition regression gate; drop --smoke for the real run
+# smoke mode: seconds, skips the trivial-partition regression gate and
+# the resolver and plan-choice gates; drop --smoke for the real run
 bench-kernels:
 	$(PYTHON) benchmarks/bench_kernels.py --smoke
 
@@ -53,13 +53,13 @@ bench-cache:
 bench-fleet:
 	$(PYTHON) benchmarks/bench_fleet.py --smoke
 
-# literal-prefilter fast path vs the dense kernel; smoke mode skips the
-# >=3x acceptance gate and the <=1.05x fallback gate
+# literal-prefilter fast path vs the native frontier; smoke mode skips
+# the >=3x acceptance gate and the <=1.05x fallback gate
 bench-prefilter:
 	$(PYTHON) benchmarks/bench_prefilter.py --smoke
 
-# compiled native tier vs the dense kernel; smoke mode skips the >=3x
-# acceptance gate and tolerates a toolchain-less host
+# compiled native tier vs the interpreted loop; smoke mode skips the
+# >=15x acceptance gate and tolerates a toolchain-less host
 bench-native:
 	$(PYTHON) benchmarks/bench_native.py --smoke
 

@@ -14,8 +14,9 @@ one warm-up pass, recorded ungated as ``auto_shard_seconds_median`` /
 ``auto_shard_fleet_mb_per_s``.
 
 Gate (full mode only): **sharded fleet throughput >= 3x the per-machine
-loop** on the acceptance config — 64 machines, 1 MB of input, dense
-backend, one cold pass each.  Results land in
+loop** on the acceptance config — 64 machines, 1 MB of input, the
+``--backend`` each scan unit resolves (``auto`` by default: the
+prefilter on these literal machines), one cold pass each.  Results land in
 ``BENCH_fleet_sharding.json`` at the repository root with an
 environment-provenance stamp.
 
@@ -148,7 +149,7 @@ def main(argv=None) -> int:
                         help="fleet size for the acceptance config")
     parser.add_argument("--patterns", type=int, default=3,
                         help="literal patterns per machine")
-    parser.add_argument("--backend", default="dense",
+    parser.add_argument("--backend", default="auto",
                         choices=("auto",) + BACKENDS)
     parser.add_argument("--seed", type=int, default=20180623)
     args = parser.parse_args(argv)

@@ -1,21 +1,21 @@
-"""Microbenchmark: the literal-prefilter fast path vs the dense kernel.
+"""Microbenchmark: the literal-prefilter fast path vs the native frontier.
 
-Times ``backend="prefilter"`` against ``backend="dense"`` (and the
-interpreted reference) on literal-heavy payloads across match densities,
-plus the two cases the fast path must *not* regress: an adversarially
-anchor-dense payload (every segment falls back inside the kernel) and an
-uncertifiable machine (``run_segments_batch`` degrades the request to
-dense up front).  Asserts bit-identical outcomes everywhere — including
+Times ``backend="prefilter"`` against ``backend="native"`` on
+literal-heavy payloads across match densities, plus the two cases the
+fast path must *not* regress: an adversarially anchor-dense payload
+(every segment falls back inside the kernel) and an uncertifiable
+machine (``run_segments_batch`` degrades the request to the native
+frontier up front).  Asserts bit-identical outcomes everywhere — including
 mmap vs in-memory ingestion — and writes ``BENCH_prefilter.json`` at the
 repository root.
 
 Gates (full mode only):
 
-- **prefilter >= 3x dense** on the acceptance config — LiteralHeavy
+- **prefilter >= 3x native** on the acceptance config — LiteralHeavy
   ruleset, 4 MB payload at sparse match density, 16 segments;
-- **fallback <= 1.05x dense** on the uncertifiable config: a degraded
+- **fallback <= 1.05x native** on the uncertifiable config: a degraded
   ``backend="prefilter"`` request must cost no more than asking for
-  dense directly (certification is memoized, so the retry is O(1)).
+  native directly (certification is memoized, so the retry is O(1)).
 
 Run::
 
@@ -114,10 +114,10 @@ def bench_config(config: Dict, n_segments: int, repeat: int) -> Dict:
         "certified": certified,
         "acceptance_config": config["acceptance"],
         "fallback_config": config["fallback_gate"],
-        "auto_backend": resolve_backend(dfa, None, partition, n_segments),
+        "auto_backend": resolve_backend(dfa),
     }
     reference = None
-    for backend in ("dense", "prefilter"):
+    for backend in ("native", "prefilter"):
         best = float("inf")
         for _ in range(repeat):
             begin = time.perf_counter()
@@ -130,11 +130,11 @@ def bench_config(config: Dict, n_segments: int, repeat: int) -> Dict:
         elif not all(functions_equal(r, f)
                      for r, f in zip(reference, functions)):
             raise AssertionError(
-                f"{config['name']}/{backend} diverged from dense"
+                f"{config['name']}/{backend} diverged from native"
             )
         entry[f"{backend}_seconds"] = best
-    entry["prefilter_vs_dense"] = (
-        entry["dense_seconds"] / entry["prefilter_seconds"]
+    entry["prefilter_vs_native"] = (
+        entry["native_seconds"] / entry["prefilter_seconds"]
         if entry["prefilter_seconds"] else 0.0
     )
     entry["bit_identical"] = True
@@ -186,23 +186,23 @@ def main(argv=None) -> int:
     for config in configs:
         entry = bench_config(config, args.segments, max(1, args.repeat))
         results.append(entry)
-        print(f"{entry['config']:<24} dense {entry['dense_seconds']:.3f}s  "
+        print(f"{entry['config']:<24} native {entry['native_seconds']:.3f}s  "
               f"prefilter {entry['prefilter_seconds']:.3f}s  "
-              f"ratio {entry['prefilter_vs_dense']:5.2f}x  "
+              f"ratio {entry['prefilter_vs_native']:5.2f}x  "
               f"certified={entry['certified']}  "
               f"auto={entry['auto_backend']}")
         if entry["acceptance_config"] and not args.smoke \
-                and entry["prefilter_vs_dense"] < 3.0:
+                and entry["prefilter_vs_native"] < 3.0:
             raise SystemExit(
                 f"acceptance gate failed: prefilter only "
-                f"{entry['prefilter_vs_dense']:.2f}x over dense (< 3x)"
+                f"{entry['prefilter_vs_native']:.2f}x over native (< 3x)"
             )
         if entry["fallback_config"] and not args.smoke \
-                and entry["prefilter_seconds"] > entry["dense_seconds"] * 1.05:
+                and entry["prefilter_seconds"] > entry["native_seconds"] * 1.05:
             raise SystemExit(
                 f"fallback gate failed: degraded prefilter request costs "
-                f"{entry['prefilter_seconds'] / entry['dense_seconds']:.3f}x "
-                "dense (> 1.05x)"
+                f"{entry['prefilter_seconds'] / entry['native_seconds']:.3f}x "
+                "native (> 1.05x)"
             )
     # certified configs only: mmap ingestion equivalence + timing
     mmap_entry = bench_mmap(configs[1], args.segments)
@@ -212,10 +212,10 @@ def main(argv=None) -> int:
 
     ARTIFACT.write_text(json.dumps(
         {
-            "benchmark": "literal prefilter vs dense frontier kernel",
+            "benchmark": "literal prefilter vs native frontier",
             "smoke": bool(args.smoke),
-            "acceptance_gate": "prefilter >= 3x dense on literal/sparse; "
-                               "uncertifiable fallback <= 1.05x dense",
+            "acceptance_gate": "prefilter >= 3x native on literal/sparse; "
+                               "uncertifiable fallback <= 1.05x native",
             "env": env_info(),
             "results": results,
         },

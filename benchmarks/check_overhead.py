@@ -63,7 +63,9 @@ def main(argv=None) -> int:
     parser.add_argument("--size", type=int, default=200_000,
                         help="input symbols (bench smoke scale)")
     parser.add_argument("--segments", type=int, default=16)
-    parser.add_argument("--backend", default="dense")
+    parser.add_argument("--backend", default="auto",
+                        help="scan backend (default: auto, what scans "
+                             "resolve to)")
     parser.add_argument("--repeats", type=int, default=15,
                         help="interleaved rounds of the three cases")
     parser.add_argument("--budget", type=float, default=0.10,

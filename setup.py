@@ -8,7 +8,7 @@ The optional native set-flow tier (src/repro/kernels/_native.c) is
 compiled here when a C toolchain is present, and skipped — never failed —
 when it is not: `pip install -e .` on a compiler-less host yields a
 pure-python install with the native tier off (every caller degrades to
-the dense kernel, see DESIGN.md §17).
+the interpreted set-flow loop, see DESIGN.md §17).
 """
 
 import sys

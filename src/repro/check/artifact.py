@@ -72,12 +72,11 @@ K107 = register_code("K107", "merge coverage does not re-derive from the census"
 K108 = register_code("K108", "census entry is not a valid state partition")
 K109 = register_code("K109", "artifact file format version mismatch")
 K110 = register_code("K110", "artifact file envelope is malformed")
-K111 = register_code("K111", "dense kernel table disagrees with the transition table")
-K112 = register_code("K112", "dense column offsets do not re-derive")
+K111 = register_code("K111", "dense table disagrees with the transition table")
 K114 = register_code("K114", "native table view disagrees with the dense tables")
 K115 = register_code("K115", "native single-step replay disagrees with the transition table")
 K116 = register_code("K116", "native report walk disagrees with Dfa.run_reports")
-K117 = register_code("K117", "native multi-position frontier replay disagrees with the dense kernel")
+K117 = register_code("K117", "native multi-position frontier replay disagrees with Dfa.run_all_states")
 K118 = register_code("K118", "grown SFA row does not re-derive from the transition table")
 K119 = register_code("K119", "native interleaved span walks disagree with Dfa.run")
 K120 = register_code("K120", "shard key does not re-derive from member fingerprints")
@@ -298,7 +297,7 @@ def verify_compiled(compiled: "object", deep: bool = True,
             "(the interpreted walk would follow different transitions)",
             f"{location}.rows"))
 
-    # dense tables =~ dtype-narrowed raveled table + arange offsets
+    # dense tables =~ dtype-narrowed raveled table
     dense = getattr(compiled, "_dense", None)
     if dense is not None:
         from repro.kernels import dense_state_dtype
@@ -312,25 +311,15 @@ def verify_compiled(compiled: "object", deep: bool = True,
                 or not bool(np.array_equal(dense_table, expect_dense)):
             out.append(_err(
                 K111,
-                f"dense kernel table is not the transition table narrowed "
-                f"to {expect_dtype} (the one-gather-per-position step "
-                "would follow different transitions)",
+                f"dense table is not the transition table narrowed "
+                f"to {expect_dtype} (the compiled kernels would follow "
+                "different transitions)",
                 f"{location}.dense.table"))
-        offsets = getattr(dense, "offsets", None)
-        expect_off = np.arange(table.shape[0], dtype=np.int64) * dfa.num_states
-        if not isinstance(offsets, np.ndarray) or offsets.dtype != np.int64 \
-                or offsets.shape != expect_off.shape \
-                or not bool(np.array_equal(offsets, expect_off)):
-            out.append(_err(
-                K112,
-                "dense column offsets are not "
-                "arange(alphabet) * num_states (gathers would read the "
-                "wrong table columns)",
-                f"{location}.dense.offsets"))
 
     # native tier: the compiled library must read the exact table bytes
     # the Python tier built (absence of the library is not a defect —
-    # the system degrades to dense — so an unavailable tier adds nothing)
+    # the system degrades to the interpreted loop — so an unavailable
+    # tier adds nothing)
     out.extend(verify_native(dfa, dense=dense, deep=deep,
                              location=f"{location}.native",
                              partition=getattr(compiled, "partition", None)))
@@ -398,8 +387,8 @@ def verify_compiled(compiled: "object", deep: bool = True,
             f"are not drawn from {BACKENDS}",
             f"{location}.backend"))
     elif requested != "auto" and resolved != requested and not (
-            requested == "native" and resolved == "dense"):
-        # native -> dense is the documented degradation when no compiled
+            requested == "native" and resolved == "python"):
+        # native -> python is the documented degradation when no compiled
         # library is loadable at compile time; every other divergence
         # from an explicit request is a contradiction
         out.append(_err(
@@ -543,11 +532,12 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
     artifact's own; the discrete partition when it is not given or not
     over this machine's states), whole, split in four and split in 17
     (twice the C core's eight tail lanes plus one, so the tail pass runs
-    full rounds, refills and a partial round), must give
-    ``run_segments_dense``'s outcomes over tables re-derived from the
-    transition matrix, at uint8 and int64 width (``deep=False`` skips
-    the four replays; very large tables cap them).  An unavailable native tier yields no diagnostics —
-    degradation to dense is the documented contract, not a defect.
+    full rounds, refills and a partial round), must give each set's
+    ``np.unique`` of :meth:`Dfa.run_all_states`, which reads neither
+    kernel, at uint8 and int64 width (``deep=False`` skips the four
+    replays; very large tables cap them).  An unavailable native tier
+    yields no diagnostics — degradation to the interpreted loop is the
+    documented contract, not a defect.
     """
     from repro.kernels import DenseTables
     from repro.kernels.native import (
@@ -682,11 +672,11 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
     # one symbol per distinct table row: uniform bytes would mostly reset
     # a regex machine to its home state, where every tail ends alike.
     # Long tails forget where they started, so the random tail is also
-    # cut into pieces of STRIDE_MIN and STRIDE_MIN + 3 symbols: a
-    # frontier that collapses at the first collapse check leaves a tail
-    # of 0 or 3 symbols, whose end state still shows a wrong tail start
-    # state or a skipped symbol
-    from repro.kernels.dense import STRIDE_MIN, run_segments_dense
+    # cut into pieces of NATIVE_STRIDE_MIN and NATIVE_STRIDE_MIN + 3
+    # symbols: a frontier that collapses at the first collapse check
+    # leaves a tail of 0 or 3 symbols, whose end state still shows a
+    # wrong tail start state or a skipped symbol
+    from repro.kernels.native import NATIVE_STRIDE_MIN
 
     part = partition if isinstance(partition, StatePartition) \
         and partition.num_states == n_states \
@@ -698,16 +688,17 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
         probe[a:b] for n in (4, 17) for a, b in even_boundaries(probe.size, n)
     ]
     segments += [
-        mixed[a:a + size] for size in (STRIDE_MIN, STRIDE_MIN + 3)
+        mixed[a:a + size]
+        for size in (NATIVE_STRIDE_MIN, NATIVE_STRIDE_MIN + 3)
         for a in range(0, mixed.size - size + 1, size)
     ]
     segments.append(probe)
-    # the reference runs on tables re-derived from the transition matrix,
-    # so a defect in the artifact's own dense tables (K111/K112) stays
-    # theirs
-    want, _stats = run_segments_dense(
-        dfa, part, segments, tables=DenseTables(dfa),  # type: ignore[arg-type]
-    )
+    # the reference reads only the transition matrix, so a defect in the
+    # artifact's own dense tables (K111) stays theirs
+    blocks = part.block_arrays()
+    want = [[np.unique(finals[block]) for block in blocks]
+            for finals in (dfa.run_all_states(seg)  # type: ignore[attr-defined]
+                           for seg in segments)]
     batches = [segments] + (
         [[seg.astype(np.uint8) for seg in segments]] if alphabet <= 256
         else []
@@ -720,15 +711,16 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
         )
         for i, (row_got, row_want) in enumerate(zip(got, want)):
             same = len(row_got) == len(row_want) and all(
-                a.converged == b.converged and a.state == b.state
-                and np.array_equal(a.states, b.states)
+                a.converged == (b.size == 1)
+                and a.state == (int(b[0]) if b.size == 1 else None)
+                and np.array_equal(a.states, b)
                 for a, b in zip(row_got, row_want)
             )
             if not same:
                 out.append(_err(
                     K117,
                     f"native frontier replay of probe segment {i} over "
-                    f"the {dtype} probe disagrees with the dense kernel "
+                    f"the {dtype} probe disagrees with Dfa.run_all_states "
                     "(the compiled frontier would speculate different "
                     "segment functions)",
                     f"{location}.frontier[{dtype}][{i}]"))
@@ -1107,7 +1099,9 @@ def verify_shard(shard: "object",
 #: them (see ``repro.compilecache.store.FORMAT_VERSION`` history)
 _ENVELOPE_FIELDS: List[Tuple[int, str]] = [(2, "dense_dtype"), (3, "prefilter")]
 #: artifact fields by the format version that dropped them
-_DROPPED_FIELDS: List[Tuple[int, str]] = [(4, "flat_table"), (4, "_bitset")]
+_DROPPED_FIELDS: List[Tuple[int, str]] = [
+    (4, "flat_table"), (4, "_bitset"), (5, "_dense.offsets"),
+]
 
 
 def verify_artifact_file(path: Union[str, Path],

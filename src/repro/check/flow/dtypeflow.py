@@ -1,6 +1,6 @@
 """R3xx — abstract interpretation of numpy dtype and value-range flow.
 
-The runtime K111/K112 artifact checks prove *one compiled artifact's*
+The runtime K111 artifact check proves *one compiled artifact's*
 table fits its narrowed dtype; these rules prove the same property of
 the *code*, for every artifact it could ever produce.  Each function is
 interpreted over the lattice of abstract values
@@ -19,9 +19,9 @@ via ``np.result_type``.  Loops converge by interval widening (see
 R301  arithmetic whose *result* dtype is a narrow integer (``uint8``,
       ``uint16``, ``int8``, ``int16``) and whose interval provably
       exceeds that dtype's bounds — the add silently wraps.  Routing
-      the result into a wide ``out=`` array (the dense kernel's
-      ``np.add(row[:, None], frontier, out=idx)`` with int64 ``idx``)
-      is the sanctioned fix and verifies clean.
+      the result into a wide ``out=`` array (``np.add(row[:, None],
+      frontier, out=idx)`` with int64 ``idx``) is the sanctioned fix and
+      verifies clean.
 R302  ``astype``/constructor narrowing where the source interval lies
       provably outside the target dtype's range on every path.
 R303  implicit int→float upcast inside a hot path (``HOT_PATHS``): a

@@ -14,7 +14,7 @@ Mirrors the paper's deployment workflow:
 - ``repro plan``     — pick the best half-core allocation for a ruleset
   using the closed-form performance model;
 - ``repro software`` — measured wall-clock software CSE scan with a
-  selectable execution kernel (python/dense/native/prefilter);
+  selectable execution kernel (python/native/prefilter);
 - ``repro stats``    — pretty-print a metrics snapshot emitted by
   ``--metrics-out``;
 - ``repro check``    — static soundness verification (:mod:`repro.check`):

@@ -7,14 +7,14 @@ matrix:
 
 - the scalar table rows the interpreted walk indexes
   (``repro.software._table_rows``),
-- the dense kernel's dtype-narrowed table + per-symbol column offsets
+- the dtype-narrowed dense table the compiled kernels read
   (:class:`repro.kernels.DenseTables`, built eagerly when the resolved
-  backend is ``"dense"`` or ``"native"``, lazily otherwise),
+  backend is ``"native"``, lazily otherwise),
 - the literal-prefilter certificate — anchor LUT, home state and proven
   skip width (:class:`repro.kernels.PrefilterTables`, built eagerly when
   the resolved backend is ``"prefilter"``; ``None`` when the machine is
   not literal-certifiable),
-- the resolved kernel backend hint for the artifact's segment count,
+- the resolved kernel backend (:func:`repro.kernels.resolve_backend`),
 - for an ``auto`` artifact, the measured per-byte costs of its scan
   plans (:class:`PlanCosts`) and its lazily grown SFA
   (:class:`repro.kernels.sfa.LazySfa`): kept in memory only, never
@@ -222,7 +222,7 @@ class CompiledDfa:
         return self.partition.num_blocks
 
     def dense_tables(self) -> DenseTables:
-        """Dtype-narrowed dense table + column offsets, built on first use."""
+        """The dtype-narrowed dense table, built on first use."""
         if self._dense is None:
             self._dense = DenseTables(self.dfa)
         return self._dense
@@ -244,7 +244,8 @@ class CompiledDfa:
         """Literal-skip certificate, derived on first use.
 
         ``None`` means the machine is not literal-certifiable — scans
-        requesting ``backend="prefilter"`` degrade to the dense kernel.
+        requesting ``backend="prefilter"`` degrade to the native frontier
+        (the interpreted loop without the library).
         """
         if not self._prefilter_built:
             self._prefilter = certify_prefilter(self.dfa)
@@ -283,7 +284,7 @@ def compile_dfa(
     census = profile_partitions(dfa, profiling)
     merge = merge_to_cutoff(census, cutoff=cutoff, max_blocks=max_blocks)
     requested = "auto" if backend in (None, "auto") else str(backend)
-    resolved = resolve_backend(dfa, backend, merge.partition, n_segments)
+    resolved = resolve_backend(dfa, backend)
     compiled = CompiledDfa(
         dfa=dfa,
         fingerprint=dfa.fingerprint,
@@ -300,9 +301,7 @@ def compile_dfa(
         backend=resolved,
         n_segments=int(n_segments),
     )
-    if resolved in ("dense", "native"):
-        # the native tier reads the dense tables as-is: one artifact
-        # serves both, and a toolchain-less load still scans with dense
+    if resolved == "native":
         compiled.dense_tables()
     elif resolved == "prefilter":
         compiled.prefilter_tables()

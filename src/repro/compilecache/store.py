@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 # version 2: the envelope records ``dense_dtype`` — the state dtype the
-# dense-frontier kernel narrows to for this machine — so a loader can
+# dense tables narrow to for this machine — so a loader can
 # cross-check any stored DenseTables against the DFA's state count
 # without unpickling them first
 # version 3: the envelope records ``prefilter`` — the literal-skip
@@ -44,7 +44,9 @@ __all__ = [
 # tampered certificate can never steer a scan into skipping live bytes
 # version 4: the artifact drops ``flat_table`` and ``_bitset``, the tables
 # of two retired kernels
-FORMAT_VERSION = 4
+# version 5: the stored DenseTables drop ``offsets``, the per-symbol
+# column offsets only the retired numpy dense-frontier kernel read
+FORMAT_VERSION = 5
 _SUFFIX = ".cdfa"
 
 

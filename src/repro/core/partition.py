@@ -14,12 +14,23 @@ speculation CSE bets on.  Two facts drive the prediction machinery:
 from __future__ import annotations
 
 from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 import numpy as np
 
-__all__ = ["StatePartition"]
+__all__ = ["FrontierLayout", "StatePartition"]
+
+
+class FrontierLayout(NamedTuple):
+    """:meth:`StatePartition.frontier_layout`: lanes grouped by set."""
+
+    perm: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    ends: np.ndarray
+    multi: int
 
 
 class StatePartition:
@@ -27,12 +38,14 @@ class StatePartition:
 
     Canonical form: blocks are frozensets ordered by their smallest
     element, which makes equality, hashing and census counting exact.
-    The array forms a scan reads (:meth:`labels`, :meth:`block_arrays`)
-    are built once, read-only, and left out of the pickled state: a
-    partition travels to pool workers with every task.
+    The array forms a scan reads (:meth:`labels`, :meth:`block_arrays`,
+    :meth:`frontier_layout`) are built once, read-only, and left out of
+    the pickled state: a partition travels to pool workers with every
+    task.
     """
 
-    __slots__ = ("blocks", "num_states", "_block_of", "_labels", "_arrays")
+    __slots__ = ("blocks", "num_states", "_block_of", "_labels", "_arrays",
+                 "_layout")
 
     def __init__(self, blocks: Iterable[Iterable[int]], num_states: int):
         normalized: List[FrozenSet[int]] = [
@@ -56,6 +69,7 @@ class StatePartition:
                 self._block_of[q] = idx
         self._labels: Optional[np.ndarray] = None
         self._arrays: Optional[Tuple[np.ndarray, ...]] = None
+        self._layout: Optional[FrontierLayout] = None
 
     def __getstate__(self) -> Tuple[None, Dict[str, object]]:
         # pickle's own layout for slotted objects, less the array cache
@@ -67,6 +81,7 @@ class StatePartition:
             setattr(self, name, value)
         self._labels = None
         self._arrays = None
+        self._layout = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -142,6 +157,29 @@ class StatePartition:
             out.flags.writeable = False
             self._labels = out
         return self._labels
+
+    def frontier_layout(self) -> "FrontierLayout":
+        """The frontier's lanes grouped by convergence set, built once.
+
+        Lane ``j`` starts at state ``perm[j]``; block ``b`` owns lanes
+        ``starts[b]:ends[b]`` (``sizes[b]`` of them), so a per-set read
+        of a final frontier is one contiguous slice.  ``multi`` counts
+        the blocks of more than one state, the sets that can collapse.
+        The arrays are int64 and read-only.
+        """
+        if self._layout is None:
+            blocks = self.block_arrays()
+            sizes = np.asarray([b.size for b in blocks], dtype=np.int64)
+            perm = (np.concatenate(blocks) if blocks
+                    else np.empty(0, dtype=np.int64))
+            starts = np.zeros(len(blocks), dtype=np.int64)
+            np.cumsum(sizes[:-1], out=starts[1:])
+            ends = starts + sizes
+            for arr in (perm, starts, sizes, ends):
+                arr.flags.writeable = False
+            self._layout = FrontierLayout(perm, starts, sizes, ends,
+                                          int((sizes > 1).sum()))
+        return self._layout
 
     def __iter__(self) -> Iterator[FrozenSet[int]]:
         return iter(self.blocks)

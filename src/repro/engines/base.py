@@ -29,7 +29,6 @@ __all__ = [
     "RunResult",
     "SegmentTrace",
     "even_boundaries",
-    "stack_segments",
 ]
 
 
@@ -51,23 +50,6 @@ def even_boundaries(n_symbols: int, n_segments: int) -> List[Tuple[int, int]]:
         bounds.append((pos, pos + length))
         pos += length
     return bounds
-
-
-def stack_segments(segments: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Stack ragged segments into an ``(n, max_len)`` int64 symbol matrix.
-
-    Returns ``(matrix, lengths)``.  Rows shorter than ``max_len`` are padded
-    with symbol 0; the batched kernels never read padded cells because they
-    mask stepping by ``lengths > position``.  ``even_boundaries`` produces
-    lengths that differ by at most one, so in practice only the final
-    position is ragged.
-    """
-    lengths = np.asarray([int(len(s)) for s in segments], dtype=np.int64)
-    max_len = int(lengths.max()) if lengths.size else 0
-    matrix = np.zeros((len(segments), max_len), dtype=np.int64)
-    for i, seg in enumerate(segments):
-        matrix[i, : lengths[i]] = seg
-    return matrix, lengths
 
 
 @dataclass

@@ -1,20 +1,22 @@
-"""Vectorized execution kernels for the software CSE path.
+"""Execution kernels for the software CSE path.
 
 The interpreted reference path (:func:`repro.software.run_segment` with
-``backend="python"``) pays Python bytecode per state transition; these
-kernels pay it per *symbol position of the whole scan*:
+``backend="python"``) pays Python bytecode per state transition; the
+kernels here pay it per scan:
 
-- :mod:`repro.kernels.dense` — the dense-frontier kernel: all N states of
-  every segment advance with exactly one flat gather per symbol position
-  (dtype-narrowed table, strided collapse checks); the NumPy fallback
-  whenever the compiled tier is not loadable.
-- :mod:`repro.kernels.native` — the compiled set-flow tier: the dense
-  kernel's whole frontier advanced over the whole symbol buffer in one C
-  call (ctypes-loaded, zero runtime deps); strictly optional — every
-  caller degrades to dense when no toolchain or prebuilt library exists.
-  Its :func:`walk` runs a scan's concrete walks (segment 0,
-  re-execution, stream reports) as one compiled table walk, falling back
-  to the interpreted list walk with identical results.
+- :mod:`repro.kernels.setflow` — the interpreted set-flow loop, the
+  ``python`` backend's body and the frontier wherever the native library
+  does not load;
+- :mod:`repro.kernels.dense` — the dtype-narrowed transition table
+  (:class:`DenseTables`) every compiled kernel reads;
+- :mod:`repro.kernels.native` — the compiled set-flow tier: every
+  segment's frontier of distinct live states advanced over the whole
+  symbol buffer in one C call (ctypes-loaded, zero runtime deps);
+  strictly optional — every caller degrades to the interpreted loop when
+  no toolchain or prebuilt library exists.  Its :func:`walk` runs a
+  scan's concrete walks (segment 0, re-execution, stream reports) as one
+  compiled table walk, falling back to the interpreted list walk with
+  identical results.
 - :mod:`repro.kernels.prefilter` — the literal-prefilter fast path:
   compile-time anchor/skip-width certification plus a scan kernel that
   finds the last proven reset run and walks only the tail after it,
@@ -25,8 +27,10 @@ kernels pay it per *symbol position of the whole scan*:
   enumerative segment through one batched pass and the shared
   ``resolve_backend`` default-resolution helper.
 
-The four backends are ``"python"`` (the interpreted oracle in
-:mod:`repro.software`), ``"dense"``, ``"native"`` and ``"prefilter"``.
+The three backends are ``"python"`` (the interpreted oracle),
+``"native"`` and ``"prefilter"``.  ``"auto"`` resolves by one rule: a
+literal-certified machine takes ``prefilter``, any other ``native`` when
+the library loads and ``python`` when it does not.
 """
 
 from repro.kernels.batch import (

@@ -1,17 +1,15 @@
 /* Native set-flow tier: the enumeration frontier as one compiled call,
  * plus the concrete walk every serial step of a scan runs on.
  *
- * The dense kernel (dense.py) already reduced a symbol position to one
- * offset-add + one flat gather, but each position still pays a Python
- * dispatch and full-generality numpy machinery.  cse_native_scan advances
- * a whole batch of segments' enumeration frontiers in one C call, each
- * segment read at its own width (uint8 or int64) through its own pointer.
+ * cse_native_scan advances a whole batch of segments' enumeration
+ * frontiers in one C call, each segment read at its own width (uint8 or
+ * int64) through its own pointer.
  * A segment's frontier is its *distinct live states*, not one lane per
  * start state: active[0..m) holds the states, and each lane (a start
  * state, grouped by convergence set) holds a slot into active.  Per
  * position only the m live states are gathered.  A strided collapse
- * check every K positions (adaptive K, same STRIDE_MIN/STRIDE_MAX ladder
- * as dense.py -- correctness is stride-independent because the outcomes
+ * check every K positions (adaptive K, the NATIVE_STRIDE_MIN/MAX ladder
+ * below -- correctness is stride-independent because the outcomes
  * are derived from the final frontier) dedups active in O(m), remaps the
  * slots only when states merged, and reads a convergence set as
  * collapsed when all its lanes share one slot.  Once m == 1 the segment
@@ -54,8 +52,8 @@
  * Deliberately plain C with a flat pointer ABI: no Python.h, no numpy
  * headers.  The Python side (native.py) loads it through ctypes, passes
  * preallocated numpy buffers (every scratch buffer too: nothing here
- * allocates), and reuses dense.py's epilogue verbatim so outcomes stay
- * bit-identical to every other backend.
+ * allocates), and derives each convergence set's outcome from the final
+ * frontier, so outcomes stay bit-identical to every other backend.
  */
 
 #include <stdint.h>
@@ -64,7 +62,8 @@
  * a library whose cse_native_abi() disagrees */
 #define CSE_NATIVE_ABI 7
 
-/* same adaptive collapse-check ladder as dense.py */
+/* the adaptive collapse-check ladder: start at MIN, double toward MAX
+ * while checks find nothing new (native.py mirrors NATIVE_STRIDE_MIN) */
 #define NATIVE_STRIDE_MIN 8
 #define NATIVE_STRIDE_MAX 512
 
@@ -161,7 +160,7 @@ frontier_check(struct frontier *f)
 
 /* One segment's frontier, per (table kind, symbol kind).  Per position
  * only the m live states are gathered; every K positions (adaptive K, the
- * same STRIDE_MIN/STRIDE_MAX ladder as dense.py) a collapse check dedups
+ * NATIVE_STRIDE_MIN/MAX ladder) a collapse check dedups
  * them, and once m == 1 the segment stops with a scalar tail left to
  * walk.  Writes the tail's start position to *tail_pos and its start
  * state to *tail_state (-1 when the frontier never became one state) and

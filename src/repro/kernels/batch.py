@@ -1,19 +1,18 @@
 """Batched segment execution: one kernel pass for the whole scan.
 
 :func:`run_segments_batch` is the software kernel entry point.  It hands
-every enumerative segment to one of three kernels in a single call:
+every enumerative segment to one of two kernels in a single call:
 
-- ``"dense"`` — :func:`repro.kernels.dense.run_segments_dense`, one flat
-  NumPy gather per symbol position over every segment's all-state
-  frontier;
-- ``"native"`` — :func:`repro.kernels.native.run_segments_native`, the
-  same frontier advanced over the whole buffer in one C call;
+- ``"native"`` — :func:`repro.kernels.native.run_segments_native`, every
+  segment's frontier advanced over the whole buffer in one C call;
 - ``"prefilter"`` — :func:`repro.kernels.prefilter.run_segments_prefilter`,
   the literal-skip sweep for certified machines.
 
-Whatever the kernel, the pass ends in one shared epilogue (span, batch
-histogram, shared counters plus the kernel's own counters), and outcomes
-are bit-identical to :func:`repro.software.run_segment`'s
+Without the native library both degrade to the interpreted set-flow
+loop (:mod:`repro.kernels.setflow`) wherever they would run the
+frontier.  Whatever the kernel, the pass ends in one shared epilogue
+(span, batch histogram, shared counters plus the kernel's own counters),
+and outcomes are bit-identical to :func:`repro.software.run_segment`'s
 ``backend="python"`` path: converged sets yield the same concrete state,
 diverged sets the same sorted-unique int64 state array.
 """
@@ -30,13 +29,14 @@ from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.core.transition import SegmentFunction
 from repro.ingest import Segments, admit
-from repro.kernels.dense import DenseTables, run_segments_dense
+from repro.kernels.dense import DenseTables
 from repro.kernels.native import native_available, run_segments_native
 from repro.kernels.prefilter import (
     PrefilterTables,
     certify_prefilter,
     run_segments_prefilter,
 )
+from repro.kernels.setflow import run_segments_setflow
 
 __all__ = [
     "BACKENDS",
@@ -46,9 +46,9 @@ __all__ = [
 ]
 
 #: every executable backend of the software CSE path
-BACKENDS = ("python", "dense", "native", "prefilter")
-#: the vectorized kernels (everything but the interpreted reference path)
-KERNEL_BACKENDS = ("dense", "native", "prefilter")
+BACKENDS = ("python", "native", "prefilter")
+#: the batched kernels (everything but the interpreted reference path)
+KERNEL_BACKENDS = ("native", "prefilter")
 #: per-metric histogram ladder for batched kernel passes: 100us..25s —
 #: a batch is never sub-100us at bench scale, so the generic
 #: DEFAULT_BUCKETS would waste its bottom two decades here
@@ -72,76 +72,46 @@ def _record_decision(requested: str, chosen: str, reason: str) -> None:
                         requested=requested, backend=chosen, reason=reason)
 
 
-def resolve_backend(
-    dfa: Dfa,
-    backend: Optional[str] = None,
-    partition: Optional[StatePartition] = None,
-    n_segments: int = 16,
-) -> str:
+def resolve_backend(dfa: Dfa, backend: Optional[str] = None) -> str:
     """Shared default-resolution for the software kernel backend.
 
-    Explicit names pass through (after validation); ``None``/``"auto"``
-    picks from the DFA + partition profile — the single place the
-    "partition-friendly profile" heuristic lives, shared by
-    :func:`repro.software.software_cse_scan`, ``stream.StreamScanner`` and
-    ``stream.FleetScanner``.
+    Explicit names pass through (after validation).  ``None``/``"auto"``
+    resolves by one rule, the same for
+    :func:`repro.software.software_cse_scan`, ``stream.StreamScanner``,
+    ``stream.FleetScanner`` and the compilation cache:
 
-    The measured trade-off (``benchmarks/bench_kernels.py``): a
-    *trivial* partition (one block, or none supplied) gives the kernels
-    nothing to batch — every segment is one speculative frontier with no
-    scalar flows to amortize.  The compiled tier still wins there (7.8x
-    the interpreter on ``random64/trivial``, 308x on ``cycle128/trivial``),
-    so a trivial partition resolves to ``native`` when the library loads;
-    without it the pick is the interpreted path, since the numpy dense
-    kernel is slower than the interpreter there (0.81x on
-    ``random64/trivial``).  With a real partition, batching pays as soon
-    as there is enough work per symbol position — many scalar flows
-    (``n_blocks * segments``) or wide convergence sets — and the pick is
-    the compiled native tier (:mod:`repro.kernels.native`) at any state
-    count: the dense tables it reads narrow to uint16 up to 65536 states.
-    Without a toolchain the pick (and any explicit ``"native"`` request)
-    degrades to ``"dense"`` — same tables, same outcomes, recorded as
-    ``native-unavailable`` for explicit requests.
+    - a literal-certified machine takes ``"prefilter"`` (reason
+      ``literal-certified``): it skips the frontier between anchor hits;
+    - otherwise ``"native"`` when the library loads
+      (``native-available``): the compiled frontier beats the
+      interpreted loop on every measured config
+      (``benchmarks/bench_kernels.py``);
+    - otherwise ``"python"`` (``native-unavailable``).
+
+    An explicit ``"native"`` on a host without the library resolves to
+    ``"python"`` the same way (reason ``native-unavailable``): the
+    compiled tier is strictly optional, and the outcomes are
+    bit-identical.  Every other explicit name is recorded as
+    ``explicit``.
     """
-    if backend is not None and backend != "auto":
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; pick one of {BACKENDS + ('auto',)}"
-            )
-        if backend == "native" and not native_available():
-            # the compiled tier is strictly optional: an explicit request
-            # on a toolchain-less install degrades to the dense kernel
-            # (bit-identical outcomes) instead of erroring
-            _record_decision(backend, "dense", "native-unavailable")
-            return "dense"
-        _record_decision(backend, backend, "explicit")
-        return backend
-    # literal-certified machines skip the frontier between anchor hits
-    # regardless of partition shape — the sweep needs nothing to batch
-    if certify_prefilter(dfa) is not None:
-        _record_decision("auto", "prefilter", "literal-certified")
-        return "prefilter"
-    if partition is None:
-        n_blocks, max_block = 1, dfa.num_states
-    else:
-        sizes = [len(b) for b in partition.blocks]
-        n_blocks, max_block = len(sizes), max(sizes)
-    enum_segments = max(1, n_segments - 1)
-    chosen, reason = "python", "small-workload"
-    if n_blocks <= 1:
-        chosen, reason = (
-            ("native", "trivial-native") if native_available()
-            else ("python", "trivial-partition")
-        )
-    elif max_block > 8 or n_blocks * enum_segments >= 48:
-        # the compiled tier when the library loads; same tables, same
-        # outcomes as dense, no numpy dispatch per position
-        if native_available():
-            chosen, reason = "native", "native-fit"
+    if backend is None or backend == "auto":
+        if certify_prefilter(dfa) is not None:
+            chosen, reason = "prefilter", "literal-certified"
+        elif native_available():
+            chosen, reason = "native", "native-available"
         else:
-            chosen, reason = "dense", "dense-fit"
-    _record_decision("auto", chosen, reason)
-    return chosen
+            chosen, reason = "python", "native-unavailable"
+        _record_decision("auto", chosen, reason)
+        return chosen
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; pick one of {BACKENDS + ('auto',)}"
+        )
+    if backend == "native" and not native_available():
+        _record_decision(backend, "python", "native-unavailable")
+        return "python"
+    _record_decision(backend, backend, "explicit")
+    return backend
 
 
 #: each kernel's own counters, fed from its stats: (metric, stats key)
@@ -159,11 +129,7 @@ _KERNEL_COUNTERS: Dict[str, Tuple[Tuple[str, str], ...]] = {
         ("kernels_native_degraded_segments_total", "degraded_segments"),
         ("kernels_native_scalar_positions_total", "scalar_positions"),
     ),
-    "dense": (
-        ("kernels_dense_positions_total", "dense_positions"),
-        ("kernels_dense_stride_checks_total", "stride_checks"),
-        ("kernels_dense_degraded_segments_total", "degraded_segments"),
-    ),
+    "python": (),
 }
 
 
@@ -194,7 +160,7 @@ def run_segments_batch(
     dfa: Dfa,
     partition: StatePartition,
     segments: Sequence[np.ndarray],
-    backend: str = "dense",
+    backend: str = "native",
     dense: Optional[DenseTables] = None,
     stride: Optional[int] = None,
     prefilter: Optional[PrefilterTables] = None,
@@ -206,15 +172,17 @@ def run_segments_batch(
     bit-identical to running :func:`repro.software.run_segment` per
     segment.  ``dense`` optionally reuses precomputed
     :class:`DenseTables` across calls (streaming, or a cached
-    :class:`repro.compilecache.CompiledDfa` artifact; the native tier
-    consumes the same dense tables — no separate artifact format).
-    ``stride`` pins the frontier kernels' collapse-check gap (tests; the
-    default adapts).  ``prefilter`` reuses a precomputed certificate for
-    ``backend="prefilter"``; when the DFA is not literal-certifiable the
-    call degrades to the native (or dense) kernel — correctness never
-    depends on the prefilter heuristic — and records the fallback.
-    Every segment is admitted first (:func:`repro.ingest.admit`), except
-    a :class:`repro.ingest.Segments` batch, which is cut from input the
+    :class:`repro.compilecache.CompiledDfa` artifact).  ``stride`` pins
+    the native frontier's collapse-check gap (tests; the default adapts)
+    and must be >= 1 on every path.  ``prefilter`` reuses a precomputed
+    certificate for ``backend="prefilter"``; when the DFA is not
+    literal-certifiable the call degrades to the native frontier —
+    correctness never depends on the prefilter heuristic — and records
+    the fallback.  Without the native library the frontier is the
+    interpreted set-flow loop (:mod:`repro.kernels.setflow`), recorded
+    as a native fallback and labelled ``python``.  Every segment is
+    admitted first (:func:`repro.ingest.admit`), except a
+    :class:`repro.ingest.Segments` batch, which is cut from input the
     caller already admitted.
 
     ``start`` rides a scan's concrete segment 0 along a prefilter batch:
@@ -226,12 +194,14 @@ def run_segments_batch(
     """
     if backend not in KERNEL_BACKENDS:
         raise ValueError(f"batched execution needs one of {KERNEL_BACKENDS}")
+    if stride is not None and int(stride) < 1:
+        raise ValueError("stride must be >= 1")
     pf_tables: Optional[PrefilterTables] = None
     if backend == "prefilter":
         pf_tables = prefilter if prefilter is not None else certify_prefilter(dfa)
         if pf_tables is None:
             obs.counter("kernels_prefilter_fallbacks_total").inc()
-            backend = "native" if native_available() else "dense"
+            backend = "native"
     if start is not None:
         if pf_tables is None:
             raise ValueError("a concrete segment 0 rides only a certified "
@@ -241,7 +211,7 @@ def run_segments_batch(
         # explicit call on a toolchain-less install: outcomes must not
         # depend on the optional compiled tier
         obs.counter("kernels_native_fallbacks_total").inc()
-        backend = "dense"
+        backend = "python"
     # byte input stays a zero-copy uint8 view: the prefilter sweep and
     # the native core read it at that width
     if not isinstance(segments, Segments):
@@ -262,9 +232,7 @@ def run_segments_batch(
             dfa, partition, segments, tables=dense, stride=stride
         )
     else:
-        grid, stats = run_segments_dense(
-            dfa, partition, segments, tables=dense, stride=stride
-        )
+        grid, stats = run_segments_setflow(dfa, partition, segments)
     if obs.is_enabled():
         _observe_batch(backend, n_seg, batch_wall, batch_begin, stats)
     labels = partition.labels()

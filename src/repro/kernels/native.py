@@ -1,17 +1,16 @@
 """Compiled native set-flow tier: the enumeration frontier as one C call.
 
-The dense kernel already pays just one offset-add + flat gather per
-symbol position, but each position is still a Python-level dispatch with
-numpy's full-generality machinery behind it.  This module loads
-``_native.c`` — a dependency-free C library (no ``Python.h``, no numpy
-headers) — through :mod:`ctypes` and advances **every** segment's
-enumeration frontier over its **whole** symbol buffer in a single native
-call (ABI 7).  Each segment is passed by pointer, length and symbol kind
-and read at its own width: byte input as uint8, anything else as int64,
-with no widening or concatenation here.  The frontier is a segment's
-*distinct live states*: each lane (a start state) points at one of them,
-per position only those are gathered, and the strided collapse checks
-(the same adaptive-K ladder as ``dense.py`` — stride only moves *when*
+This module loads ``_native.c`` — a dependency-free C library (no
+``Python.h``, no numpy headers) — through :mod:`ctypes` and advances
+**every** segment's enumeration frontier over its **whole** symbol
+buffer in a single native call (ABI 7), over the dtype-narrowed
+:class:`repro.kernels.dense.DenseTables`.  Each segment is passed by
+pointer, length and symbol kind and read at its own width: byte input as
+uint8, anything else as int64, with no widening or concatenation here.
+The frontier is a segment's *distinct live states*: each lane (a start
+state) points at one of them, per position only those are gathered, and
+strided collapse checks (every K positions, K adaptive from
+:data:`NATIVE_STRIDE_MIN` unless pinned — stride only moves *when*
 degradation is noticed, never the outcome) dedup them and merge lanes.
 Once every lane shares one state the segment leaves a scalar tail from
 that state, and after every frontier has run one pass walks all the
@@ -29,8 +28,8 @@ Availability is best-effort and never load-bearing:
   ``setup.py``), then in a per-user cache keyed by the source digest,
   then lazily compiled with ``cc``/``gcc``/``clang`` if a toolchain is
   present — all failures are memoized into
-  :func:`native_unavailable_reason` and every caller degrades to the
-  dense kernel.
+  :func:`native_unavailable_reason`, and every caller degrades to the
+  interpreted set-flow loop (:mod:`repro.kernels.setflow`).
 
 The same library also runs the scan's concrete walks — segment 0, global
 re-execution and a matcher's report pass — through :func:`walk`: one
@@ -48,13 +47,14 @@ range checks only guard memory reads: a refused call raises the input
 contract's error (:func:`repro.ingest.admit`), never a replay.
 
 Outcomes are bit-identical to every other backend: the C core returns
-raw final frontiers and this module reuses ``dense.py``'s epilogue
-(per-CS ``np.unique``) verbatim.  ``repro check`` certifies the
-compiled library reads the exact table bytes the Python tier built
-(K114/K115), replays a report walk against :meth:`Dfa.run_reports`
-(K116) and a multi-position frontier against the dense kernel (K117);
-``benchmarks/bench_native.py`` gates the speedup
-(native >= 3x dense on the 64-state/1 MB/16-segment acceptance config).
+raw final frontiers, and the per-set outcomes are their ``np.unique``
+over the partition's :meth:`~repro.core.partition.StatePartition.
+frontier_layout`.  ``repro check`` certifies the compiled library reads
+the exact table bytes the Python tier built (K114/K115), replays a
+report walk against :meth:`Dfa.run_reports` (K116) and a multi-position
+frontier against :meth:`Dfa.run_all_states` (K117);
+``benchmarks/bench_native.py`` gates the speedup (native >= 15x the
+interpreted loop on the 64-state/1 MB/16-segment acceptance config).
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Lanes",
     "NATIVE_ABI",
+    "NATIVE_STRIDE_MIN",
     "WALK_REPORT_CAP",
     "NativeBuildError",
     "build_native",
@@ -106,6 +107,9 @@ __all__ = [
 
 #: expected ``cse_native_abi()`` of a loadable library
 NATIVE_ABI = 7
+#: first gap between the frontier's strided collapse checks in adaptive
+#: mode (must match NATIVE_STRIDE_MIN in _native.c)
+NATIVE_STRIDE_MIN = 8
 #: set to ``0``/``off``/``false`` to disable the native tier entirely
 ENV_DISABLE = "REPRO_NATIVE"
 #: overrides the per-user build cache directory
@@ -404,7 +408,7 @@ def _table_args(dfa: Dfa, tables: DenseTables) -> Optional[Tuple[int, int]]:
 
     Resolved once per :class:`DenseTables` (again only if its ``table``
     is replaced).  ``None`` when the table's dtype has no C kind or the
-    tables do not describe ``dfa``: the caller's fallback answers there.
+    tables do not describe ``dfa``: the caller falls back or refuses.
     """
     args = tables.native_args
     if args is None or args[0] is not tables.table:
@@ -794,19 +798,6 @@ def _walk_list(
     return int(state), out
 
 
-def _delegate_stats(dense_stats: Dict[str, int]) -> Dict[str, int]:
-    """Map dense-kernel stats onto the native stat vocabulary."""
-    return {
-        "positions": dense_stats["positions"],
-        "native_positions": 0,
-        "stride_checks": dense_stats["stride_checks"],
-        "degraded_segments": dense_stats["degraded_segments"],
-        "scalar_positions": 0,
-        "frontier_steps": 0,
-        "collapses": dense_stats["collapses"],
-    }
-
-
 def _frontier_scratch(
     width: int, n_states: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -830,20 +821,21 @@ def run_segments_native(
 ) -> Tuple[List[List[CsOutcome]], Dict[str, int]]:
     """Execute every segment's enumeration frontier in one compiled call.
 
-    Same contract and bit-identical outcomes as
-    :func:`repro.kernels.dense.run_segments_dense`; ``stats`` carries the
+    Returns ``(grid, stats)``: ``grid[seg][block]`` is the
+    :class:`CsOutcome` of convergence set ``block`` in segment ``seg``,
+    bit-identical to the interpreted set-flow loop
+    (:func:`repro.kernels.setflow.setflows`), and ``stats`` carries the
     native tier's own telemetry (``native_positions``, ``frontier_steps``,
     ``stride_checks``, ``degraded_segments``, ``scalar_positions``,
-    ``collapses``).  Segments are read at their own width, as uint8 or
-    int64 arrays (what :func:`repro.ingest.admit` returns; an
-    :class:`repro.ingest.InputView` reads as uint8).  Inputs the C core
-    cannot take verbatim (another symbol dtype, an unsupported table
-    dtype, a table not shaped alphabet x states) delegate to the dense
-    kernel — never a crash, never a different answer.  A symbol outside
-    ``[0, alphabet)`` raises :class:`repro.ingest.InputError`.
+    ``collapses``).  ``stride`` pins the gap between collapse checks;
+    ``None`` adapts it.  Segments are admitted input, read at their own
+    width as uint8 or int64 arrays (what :func:`repro.ingest.admit`
+    returns; an :class:`repro.ingest.InputView` reads as uint8).
+    ``tables`` not of this machine, or a segment that is not admitted
+    input, raise ``ValueError``; a symbol outside ``[0, alphabet)``
+    raises :class:`repro.ingest.InputError`.  Requires the native
+    library.
     """
-    from repro.kernels.dense import run_segments_dense
-
     lib = load_native()
     if lib is None:
         raise RuntimeError(
@@ -852,6 +844,9 @@ def run_segments_native(
     if stride is not None and int(stride) < 1:
         raise ValueError("stride must be >= 1")
     tables = tables or DenseTables(dfa)
+    resolved = _table_args(dfa, tables)
+    if resolved is None:
+        raise ValueError("the frontier needs dense tables of this machine")
     n_seg = len(segments)
     if n_seg == 0:
         return [], {
@@ -859,34 +854,12 @@ def run_segments_native(
             "degraded_segments": 0, "scalar_positions": 0,
             "frontier_steps": 0, "collapses": 0,
         }
-    resolved = _table_args(dfa, tables)
-    seg_args = _spans(segments)
-    if resolved is None or seg_args is None:
-        grid, dstats = run_segments_dense(
-            dfa, partition, segments, tables=tables, stride=stride
-        )
-        return grid, _delegate_stats(dstats)
     table, kind = resolved
-    args, _keep = seg_args
-    rows = np.array(args, dtype=np.int64).reshape(3, n_seg)
+    rows, _keep = _span_rows(segments, "frontier")
     n_states = dfa.num_states
-
-    blocks = partition.block_arrays()
-    n_blocks = len(blocks)
-    sizes = np.ascontiguousarray(
-        [b.size for b in blocks], dtype=np.int64
-    )
-    multi_count = int((sizes > 1).sum())
-    # frontier lanes grouped by convergence set, same layout as dense.py
-    perm = (
-        np.concatenate(blocks).astype(np.int64) if n_blocks else
-        np.empty(0, dtype=np.int64)
-    )
-    width = int(perm.size)
-    cs_starts = np.zeros(n_blocks, dtype=np.int64)
-    if n_blocks > 1:
-        np.cumsum(sizes[:-1], out=cs_starts[1:])
-    cs_ends = cs_starts + sizes
+    layout = partition.frontier_layout()
+    n_blocks = int(layout.sizes.size)
+    width = int(layout.perm.size)
 
     final_out = np.empty((n_seg, max(width, 1)), dtype=np.int64)
     collapsed_out = np.empty(n_seg, dtype=np.int64)
@@ -901,8 +874,8 @@ def run_segments_native(
     rc = int(lib.cse_native_scan(
         table, kind, n_states, dfa.alphabet_size,
         at, at + 8 * n_seg, at + 16 * n_seg, n_seg,
-        _ptr(perm), width,
-        _ptr(cs_starts), _ptr(sizes),
+        _ptr(layout.perm), width,
+        _ptr(layout.starts), _ptr(layout.sizes),
         n_blocks, 0 if stride is None else int(stride),
         _ptr(final_out), _ptr(collapsed_out), _ptr(stats_out),
         _ptr(lanes[0]), _ptr(lanes[1]), _ptr(lanes[2]),
@@ -915,9 +888,11 @@ def run_segments_native(
             f"native scan rejected the table (kind {kind}, rc {rc})"
         )
 
-    # epilogue identical to dense.py: outcomes derive from the final
-    # frontier (or the collapsed scalar), so stride placement and the C
-    # realization cannot change them
+    # outcomes derive from the final frontier (or the collapsed scalar),
+    # so stride placement and the C realization cannot change them
+    starts = layout.starts.tolist()
+    ends = layout.ends.tolist()
+    multi = [size > 1 for size in layout.sizes.tolist()]
     n_collapsed = 0
     grid: List[List[CsOutcome]] = []
     for seg_i in range(n_seg):
@@ -925,16 +900,15 @@ def run_segments_native(
         if scalar >= 0:
             states = np.asarray([scalar], dtype=np.int64)
             grid.append([CsOutcome(True, scalar, states)] * n_blocks)
-            n_collapsed += multi_count
+            n_collapsed += layout.multi
             continue
         fr = final_out[seg_i]
         outcomes: List[CsOutcome] = []
         for b in range(n_blocks):
-            uniq = np.unique(fr[int(cs_starts[b]):int(cs_ends[b])])
+            uniq = np.unique(fr[starts[b]:ends[b]])
             if uniq.size == 1:
                 outcomes.append(CsOutcome(True, int(uniq[0]), uniq))
-                if int(sizes[b]) > 1:
-                    n_collapsed += 1
+                n_collapsed += multi[b]
             else:
                 outcomes.append(CsOutcome(False, None, uniq))
         grid.append(outcomes)

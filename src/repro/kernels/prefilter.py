@@ -42,13 +42,14 @@ sweep (``np.flatnonzero(lut[segment])``), finds the last qualifying run
 (:func:`_last_reset`) and walks the tail with the interpreted table;
 both read admitted input (:func:`repro.ingest.admit`).  Segments
 with no qualifying run (adversarially dense matches, or shorter than the
-skip width) fall back to the native or dense frontier kernel, batched in
-one call, so correctness never depends on the prefilter being profitable.
+skip width) fall back to the native frontier, batched in one call, or to
+the interpreted set-flow loop without the library, so correctness never
+depends on the prefilter being profitable.
 
-Outcomes are bit-identical to :func:`repro.kernels.dense.run_segments_dense`
-and therefore to the interpreted reference: a proven reset collapses every
-convergence set to the one surviving path, exactly the dense kernel's
-whole-frontier-collapse outcome.
+Outcomes are bit-identical to the interpreted reference
+(:mod:`repro.kernels.setflow`): a proven reset collapses every
+convergence set to the one surviving path, exactly the outcome of a
+whole frontier that collapsed.
 """
 
 from __future__ import annotations
@@ -63,12 +64,13 @@ from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.core.transition import CsOutcome
 from repro.ingest import Segments, admit
-from repro.kernels.dense import DenseTables, run_segments_dense
+from repro.kernels.dense import DenseTables
 from repro.kernels.native import (
     native_available,
     native_prefilter,
     run_segments_native,
 )
+from repro.kernels.setflow import run_segments_setflow
 
 __all__ = [
     "MAX_ANCHOR_FRACTION",
@@ -408,17 +410,18 @@ def run_segments_prefilter(
     With the native library this is one ``cse_native_prefilter`` call for
     the batch over ``dense`` (built from ``dfa`` when not given); without
     it, an anchor sweep per segment and an interpreted tail walk.
-    Segments with no qualifying run are batched through the native or
-    dense frontier kernel unchanged (``dense``/``stride`` are its optional
-    precomputed tables and collapse-check stride).
+    Segments with no qualifying run are batched through the native
+    frontier unchanged (``dense``/``stride`` are its optional precomputed
+    tables and collapse-check stride), or through the interpreted
+    set-flow loop without the library.
 
     ``start`` makes ``segments[0]`` a concrete segment walked from that
     state in the same pass (a scan's segment 0): with no qualifying run
     it is walked whole instead of enumerated, and its row of the grid
     maps every set to the state it reached from ``start``.
 
-    Returns ``(grid, stats)`` with the same grid contract as the dense
-    kernel and stats keys ``positions, walked_positions, skipped_bytes,
+    Returns ``(grid, stats)`` with the same grid contract as the native
+    frontier and stats keys ``positions, walked_positions, skipped_bytes,
     windows, fallback_segments, collapses``.
     """
     if dense is None and native_available():
@@ -483,19 +486,16 @@ def run_segments_prefilter(
         n_collapsed += multi_count
 
     if fallback_idx:
-        # unproven segments take the strongest full-frontier kernel
-        # available: the compiled native tier when its library loads,
-        # else the dense kernel (identical outcomes either way)
-        run_fallback = (
-            run_segments_native if native_available() else run_segments_dense
-        )
-        sub_grid, sub_stats = run_fallback(
-            dfa,
-            partition,
-            [segments[i] for i in fallback_idx],
-            tables=dense,
-            stride=stride,
-        )
+        # unproven segments run the whole frontier: the compiled native
+        # tier when its library loads, else the interpreted set-flow loop
+        # (identical outcomes either way)
+        unproven = [segments[i] for i in fallback_idx]
+        if native_available():
+            sub_grid, sub_stats = run_segments_native(
+                dfa, partition, unproven, tables=dense, stride=stride)
+        else:
+            sub_grid, sub_stats = run_segments_setflow(
+                dfa, partition, unproven, rows)
         for j, i in enumerate(fallback_idx):
             grid[i] = sub_grid[j]
         walked += sub_stats["positions"] * len(fallback_idx)

@@ -114,7 +114,8 @@ METRIC_HELP: Dict[str, str] = {
         "Distinct live states the native core gathered, summed over its "
         "frontier positions (divided by positions: the mean effective M).",
     "kernels_prefilter_fallbacks_total":
-        "Prefilter requests degraded to dense (machine not certifiable).",
+        "Prefilter requests degraded to the native frontier (machine not "
+        "certifiable).",
     "kernels_prefilter_windows_total":
         "Segments the prefilter proved reset and scanned as tail windows.",
     "kernels_prefilter_skipped_bytes_total":
@@ -122,7 +123,7 @@ METRIC_HELP: Dict[str, str] = {
     "kernels_prefilter_walked_positions_total":
         "Positions the prefilter walked scalar after the last reset run.",
     "kernels_prefilter_fallback_segments_total":
-        "Segments with no provable reset run, run through dense.",
+        "Segments with no provable reset run, run through the frontier.",
     "software_mmap_scans_total":
         "Pooled scans dispatched by (path, offset, length) mmap coordinates.",
     "software_mmap_bytes_total":

@@ -20,34 +20,34 @@ The design mirrors the hardware engine but measures real seconds:
 - each segment runs one set-flow per convergence set; while a set has
   more than one member the step is a vectorized gather+unique, and the
   moment it collapses the flow *degrades to the scalar table-walk* — the
-  software analogue of "M = 1 computes all paths at the cost of one";
+  software analogue of "M = 1 computes all paths at the cost of one"
+  (:mod:`repro.kernels.setflow`);
 - composition and re-execution reuse the exact machinery of
   :mod:`repro.core.reexec`.
 
-Four execution backends are available (``backend=``):
+Three execution backends are available (``backend=``):
 
 - ``"python"`` — the per-segment interpreted reference path above, and
   the oracle every other backend is bit-identical to;
-- ``"dense"`` — all enumerative segments advanced in one batched pass:
-  every segment keeps one dense frontier of all N states and advances it
-  with exactly one flat gather per symbol position (dtype-narrowed table,
-  strided collapse checks; :mod:`repro.kernels.dense`);
 - ``"native"`` — the compiled set-flow tier: every segment's frontier of
   distinct live states advanced over its whole symbol buffer in one C
   call, collapsed segments' tails walked eight at a time
   (:mod:`repro.kernels.native`); an explicit ``"native"`` resolves to
-  ``"dense"`` when no compiled library is loadable;
+  ``"python"`` when no compiled library is loadable;
 - ``"prefilter"`` — the literal-prefilter fast path for certified
   literal-heavy machines: a backward scan to each segment's last proven
   reset and a walk of only the tail after it, one C call per batch with
   the library (:mod:`repro.kernels.prefilter`); an uncertifiable machine
-  runs the native or dense frontier instead.
+  runs the native frontier instead (the interpreted loop without the
+  library).
 
 ``backend="auto"`` picks via :func:`repro.kernels.resolve_backend`, the
-same helper the streaming layer uses.  A scan through an ``auto``
-artifact (``compiled=``) then chooses among three plans by measured
-cost (:class:`repro.compilecache.artifact.PlanCosts`): the artifact's
-CSE plan; the walk plan, one walk of the whole input (``backend="walk"``,
+same helper the streaming layer uses: ``prefilter`` for a
+literal-certified machine, else ``native`` when the library loads, else
+``python``.  A scan through an ``auto`` artifact (``compiled=``) then
+chooses among three plans by measured cost
+(:class:`repro.compilecache.artifact.PlanCosts`): the artifact's CSE
+plan; the walk plan, one walk of the whole input (``backend="walk"``,
 one segment), once that measured 1.2x cheaper per byte than the CSE
 plan; and, after the walk plan and with the native library, the SFA
 plan (``backend="sfa"``): each segment walked as one compiled lane over
@@ -86,7 +86,7 @@ from repro import obs
 from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.core.reexec import ReexecutionStats, compose_and_fix
-from repro.core.transition import CsOutcome, SegmentFunction
+from repro.core.transition import SegmentFunction
 from repro.engines.base import even_boundaries
 from repro.ingest import InputView, Segments, admit
 from repro.kernels import (
@@ -100,6 +100,7 @@ from repro.kernels import (
     run_segments_batch,
 )
 from repro.kernels.native import _walk_list, native_walk, native_walks
+from repro.kernels.setflow import collapses, setflows
 
 __all__ = [
     "SoftwareRun",
@@ -195,9 +196,10 @@ def run_segment(
     """One segment's set-flows, with the converged-flow fast path.
 
     Returns the segment transition function and the measured seconds.
-    ``backend`` selects the interpreted reference path (``"python"``) or a
-    batched kernel (``"dense"`` / ``"native"`` / ``"prefilter"``) —
-    results are bit-identical.  A ``segment_list`` is taken as admitted.
+    ``backend`` selects the interpreted reference path (``"python"``,
+    :func:`repro.kernels.setflow.setflows`) or a batched kernel
+    (``"native"`` / ``"prefilter"``) — results are bit-identical.  A
+    ``segment_list`` is taken as admitted.
     """
     if backend != "python":
         begin = time.perf_counter()
@@ -206,40 +208,15 @@ def run_segment(
     if rows is None:
         rows = _table_rows(dfa)
     table = dfa.transitions.astype(np.int64)
-    blocks = partition.block_arrays()
     if segment_list is None:
         segment_list = admit(segment, dfa.alphabet_size).tolist()
     begin = time.perf_counter()
-    outcomes: List[CsOutcome] = []
-    for block in blocks:
-        current = block
-        scalar: Optional[int] = int(current[0]) if current.size == 1 else None
-        for idx, sym in enumerate(segment_list):
-            if scalar is not None:
-                # degraded to a single path: same cost as sequential
-                scalar = rows[sym][scalar]
-                continue
-            current = np.unique(table[sym].take(current))
-            if current.size == 1:
-                scalar = int(current[0])
-                # walk the remaining symbols scalar-fashion
-                for tail_sym in segment_list[idx + 1:]:
-                    scalar = rows[tail_sym][scalar]
-                break
-        if scalar is not None:
-            outcomes.append(
-                CsOutcome(True, int(scalar),
-                          np.asarray([scalar], dtype=np.int64))
-            )
-        else:
-            outcomes.append(CsOutcome(False, None, current))
+    outcomes = setflows(dfa, partition, segment_list, rows, table)
     elapsed = time.perf_counter() - begin
     if obs.is_enabled():
-        collapses = sum(
-            1 for blk, out in zip(blocks, outcomes)
-            if blk.size > 1 and out.converged
+        obs.counter("kernels_collapses_total", backend="python").inc(
+            collapses(partition, outcomes)
         )
-        obs.counter("kernels_collapses_total", backend="python").inc(collapses)
         obs.counter("kernels_positions_total", backend="python").inc(
             len(segment_list)
         )
@@ -510,11 +487,11 @@ def _software_cse_scan(
             # walk instead of its CSE plan
             plans = compiled.plans
         backend = compiled.backend if backend in (None, "auto") else backend
-        backend = resolve_backend(dfa, backend, partition, n_segments)
+        backend = resolve_backend(dfa, backend)
         rows = compiled.rows
     else:
         requested = "auto" if backend in (None, "auto") else str(backend)
-        backend = resolve_backend(dfa, backend, partition, n_segments)
+        backend = resolve_backend(dfa, backend)
         rows = _table_rows(dfa)
     pf_tables = None
     if backend == "prefilter":
@@ -524,21 +501,21 @@ def _software_cse_scan(
         )
         if pf_tables is None:
             # explicit request on an uncertifiable machine: the scan must
-            # still be exact, so degrade to the dense frontier (the
+            # still be exact, so degrade to the frontier (the
             # resolve_backend auto path never lands here — it only picks
             # prefilter when certification succeeded)
             obs.counter("kernels_prefilter_fallbacks_total").inc()
-            backend = "native" if native_available() else "dense"
+            backend = "native" if native_available() else "python"
     # byte input stays a uint8 view for every kernel, walk and pickled
-    # slice; the dense kernel widens per segment
+    # slice
     syms = admit(symbols, dfa.alphabet_size, start_state, dfa.num_states)
-    # the dense tables serve the dense/native kernels, the prefilter (and
-    # its frontier fallback) and the compiled concrete walks (segment 0,
+    # the dense tables serve the native frontier, the prefilter (and its
+    # frontier fallback) and the compiled concrete walks (segment 0,
     # re-execution); an artifact builds them once
     dense: Optional[DenseTables] = None
     if compiled is not None:
         dense = compiled.dense_tables()
-    elif backend in ("dense", "native") or native_available():
+    elif native_available():
         dense = DenseTables(dfa)
 
     start = dfa.start if start_state is None else int(start_state)

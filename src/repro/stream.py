@@ -75,15 +75,14 @@ class StreamScanner:
         interpreted list walk otherwise, with identical results.
         ``None``/``"auto"`` resolves through
         :func:`repro.kernels.resolve_backend` (the helper
-        :class:`FleetScanner` uses) and names like ``"dense"`` or
-        ``"native"`` are validated the same way; the resolved name is
-        kept in :attr:`backend`.
+        :class:`FleetScanner` uses) and names like ``"native"`` are
+        validated the same way; the resolved name is kept in
+        :attr:`backend`.
     partition:
         Convergence partition recorded for the resolved backend; defaults
         to the trivial single-set partition.
     n_segments:
-        Segment count the backend is resolved (and a cached artifact
-        compiled) for.
+        Segment count a cached artifact is compiled for.
     cache:
         Optional :class:`repro.compilecache.CompileCache`.  When given
         (and no explicit ``partition``), the scanner serves its partition
@@ -114,9 +113,7 @@ class StreamScanner:
             self.backend = self.compiled.backend
         else:
             self.partition = partition or StatePartition.trivial(dfa.num_states)
-            self.backend = resolve_backend(
-                dfa, backend, self.partition, n_segments
-            )
+            self.backend = resolve_backend(dfa, backend)
         # the walk's tables: the artifact's when cached, else built once
         self._tables: Optional[DenseTables] = None
         self._rows = None
@@ -345,7 +342,7 @@ class FleetScanner:
             self.unit_backends.append(
                 compiled.backend
                 if compiled is not None
-                else resolve_backend(dfa, backend, partition, self.n_segments)
+                else resolve_backend(dfa, backend)
             )
             self.unit_engines.append(
                 CseEngine(

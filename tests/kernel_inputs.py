@@ -9,8 +9,10 @@ symbol ever merges two components.
 :func:`lane_schedule` is the native core's collapse-check schedule
 computed the long way, one lane per start state: it is what the core's
 counters must read however the core stores its frontier.
-:func:`symbols_of` gives a word at each symbol width the kernels read,
-and :func:`outcome` captures a call's value or exception type.
+:func:`python_grid` is the interpreted reference every kernel's grid
+must equal, and :func:`grid_collapses` the collapse count read off a
+grid.  :func:`symbols_of` gives a word at each symbol width the kernels
+read, and :func:`outcome` captures a call's value or exception type.
 :func:`native_tier` runs a body with the native tier loaded or forced
 absent.
 """
@@ -27,6 +29,7 @@ from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 from repro.ingest import from_bytes
 from repro.kernels.native import ENV_DISABLE, reset_native
+from repro.software import run_segment
 
 #: the native core's adaptive collapse-check ladder
 STRIDE_MIN = 8
@@ -123,6 +126,18 @@ def lane_schedule(
             and np.unique(lanes[bounds[b]:bounds[b + 1]]).size == 1
         )
     return stats
+
+
+def python_grid(dfa: Dfa, partition: StatePartition, segments) -> list:
+    """Each segment's outcomes from the interpreted ``run_segment``."""
+    return [run_segment(dfa, partition, seg)[0].outcomes for seg in segments]
+
+
+def grid_collapses(partition: StatePartition, grid) -> int:
+    """Convergence sets of more than one state that converged, per grid."""
+    sizes = [block.size for block in partition.block_arrays()]
+    return sum(1 for row in grid for size, out in zip(sizes, row)
+               if size > 1 and out.converged)
 
 
 def symbols_of(word, kind):

@@ -197,8 +197,9 @@ class TestDiskTier:
 
     def test_dense_tables_survive_round_trip(self, tmp_path):
         dfa = _random_dfa()
-        compiled = compile_dfa(dfa, profiling=FAST, backend="dense")
-        assert compiled._dense is not None  # eager for resolved "dense"
+        compiled = compile_dfa(dfa, profiling=FAST, backend="native")
+        # eager for a resolved "native"; built on first use otherwise
+        compiled.dense_tables()
         save_artifact(compiled, tmp_path)
         loaded = load_artifact(tmp_path, compiled.key, dfa.fingerprint)
         assert loaded._dense is not None
@@ -206,9 +207,7 @@ class TestDiskTier:
         np.testing.assert_array_equal(
             loaded._dense.table, compiled._dense.table
         )
-        np.testing.assert_array_equal(
-            loaded._dense.offsets, compiled._dense.offsets
-        )
+        assert not hasattr(loaded._dense, "offsets")
 
     def test_fingerprint_mismatch_raises(self, tmp_path):
         compiled = compile_dfa(_random_dfa(), profiling=FAST)
@@ -264,7 +263,7 @@ def _functional(run):
 
 
 class TestScanEquivalence:
-    @pytest.mark.parametrize("backend", ["python", "dense", "native", "prefilter", "auto"])
+    @pytest.mark.parametrize("backend", ["python", "native", "prefilter", "auto"])
     def test_cold_warm_disk_bit_identical(self, backend, tmp_path):
         dfa = _random_dfa(seed=21, n_states=24, n_symbols=12)
         syms = _symbols(dfa, n=6000)
@@ -299,7 +298,7 @@ class TestScanEquivalence:
         assert _functional(run) == _functional(reference)
 
     @given(seed=st.integers(0, 2**16), backend=st.sampled_from(
-        ["python", "dense", "native", "prefilter"]))
+        ["python", "native", "prefilter"]))
     @settings(max_examples=12, deadline=None)
     def test_property_cold_warm_disk_identical(self, seed, backend, tmp_path_factory):
         dfa = _random_dfa(seed=seed, n_states=10, n_symbols=5)

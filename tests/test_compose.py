@@ -217,6 +217,13 @@ class TestCachedPartitionArrays:
         assert p.labels() is first_labels
         again = p.block_arrays()
         assert all(a is b for a, b in zip(again, first_blocks))
+        layout = p.frontier_layout()
+        assert layout.perm.tolist() == [0, 3, 1, 2, 4, 5]
+        assert layout.starts.tolist() == [0, 2, 3]
+        assert layout.sizes.tolist() == [2, 1, 3]
+        assert layout.ends.tolist() == [2, 3, 6]
+        assert layout.multi == 2
+        assert p.frontier_layout() is layout
 
     def test_read_only(self):
         p = self.partition()
@@ -224,6 +231,9 @@ class TestCachedPartitionArrays:
             p.labels()[0] = 1
         with pytest.raises(ValueError):
             p.block_arrays()[0][0] = 1
+        for arr in p.frontier_layout()[:4]:
+            with pytest.raises(ValueError):
+                arr[0] = 1
         # the list itself is the caller's
         blocks = p.block_arrays()
         blocks.pop()
@@ -232,11 +242,12 @@ class TestCachedPartitionArrays:
     def test_pickle_carries_no_cache(self):
         p = self.partition()
         cold = pickle.dumps(p)
-        p.labels(), p.block_arrays()
+        p.labels(), p.block_arrays(), p.frontier_layout()
         warm = pickle.dumps(p)
         assert warm == cold
         back = pickle.loads(warm)
         assert back == p
         assert back._labels is None and back._arrays is None
+        assert back._layout is None
         assert back.labels().tolist() == p.labels().tolist()
         assert back.block_of(4) == 2

@@ -200,7 +200,7 @@ class TestSegments:
 
 class TestScanEquivalence:
     @pytest.mark.parametrize(
-        "backend", ["python", "dense", "native", "prefilter", "auto"]
+        "backend", ["python", "native", "prefilter", "auto"]
     )
     def test_mmap_equals_bytes(self, payload_file, literal_dfa, backend):
         path, data = payload_file
@@ -220,7 +220,7 @@ class TestScanEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_hypothesis_bytes_vs_view(self, literal_dfa, data, n_segments):
         partition = StatePartition.trivial(literal_dfa.num_states)
-        for backend in ("dense", "prefilter"):
+        for backend in ("native", "prefilter"):
             want = software_cse_scan(
                 literal_dfa, data, partition,
                 n_segments=n_segments, backend=backend,
@@ -239,14 +239,14 @@ class TestPooledMmapDispatch:
         path, data = payload_file
         partition = StatePartition.trivial(literal_dfa.num_states)
         want = software_cse_scan(
-            literal_dfa, data, partition, n_segments=4, backend="dense"
+            literal_dfa, data, partition, n_segments=4, backend="native"
         ).final_state
         with obs.using() as registry:
             with segment_pool(literal_dfa, max_workers=2) as pool:
                 with open_input(path) as view:
                     run = software_cse_scan(
                         literal_dfa, view, partition, n_segments=4,
-                        backend="dense", executor=pool,
+                        backend="native", executor=pool,
                     )
             snapshot = registry.snapshot()
         assert run.final_state == want
@@ -264,13 +264,13 @@ class TestPooledMmapDispatch:
             with segment_pool(literal_dfa, max_workers=2) as pool:
                 run = software_cse_scan(
                     literal_dfa, data, partition, n_segments=4,
-                    backend="dense", executor=pool,
+                    backend="native", executor=pool,
                 )
             snapshot = registry.snapshot()
         names = {m["name"]: m for m in snapshot["metrics"]}
         assert "software_mmap_scans_total" not in names
         assert run.final_state == software_cse_scan(
-            literal_dfa, data, partition, n_segments=4, backend="dense"
+            literal_dfa, data, partition, n_segments=4, backend="native"
         ).final_state
 
     def test_file_is_not_widened_in_the_parent(self, tmp_path, literal_dfa):
@@ -290,7 +290,7 @@ class TestPooledMmapDispatch:
                 try:
                     run = software_cse_scan(
                         literal_dfa, view, partition, n_segments=16,
-                        backend="dense", executor=pool, verify=False,
+                        backend="native", executor=pool, verify=False,
                     )
                     _size, peak = tracemalloc.get_traced_memory()
                 finally:
@@ -307,7 +307,7 @@ class TestPooledMmapDispatch:
         path.write_bytes(data[:size])
         partition = StatePartition.trivial(literal_dfa.num_states)
         with segment_pool(literal_dfa, max_workers=2) as pool:
-            for backend in ("python", "dense", "native"):
+            for backend in ("python", "native"):
                 with open_input(path) as view:
                     assert (view.coords() is None) == (size == 0)
                     run = software_cse_scan(

@@ -6,10 +6,11 @@ import pytest
 from repro.automata.builders import cycle_dfa, random_dfa
 from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
-from repro.engines.base import even_boundaries, stack_segments
+from repro.engines.base import even_boundaries
 from repro.kernels import (
     BACKENDS,
     KERNEL_BACKENDS,
+    native_available,
     resolve_backend,
     run_segments_batch,
 )
@@ -62,7 +63,7 @@ class TestBatchEquivalence:
         dfa = cycle_dfa(7)
         segments = [rng.integers(0, 2, size=40) for _ in range(3)]
         partition = StatePartition.trivial(7)
-        functions = run_segments_batch(dfa, partition, segments, "dense")
+        functions = run_segments_batch(dfa, partition, segments, "native")
         assert all(not fn.outcomes[0].converged for fn in functions)
         check_backends_match_python(dfa, partition, segments)
 
@@ -89,7 +90,7 @@ class TestBatchEquivalence:
 
     def test_no_segments(self, random_dfa_8):
         partition = StatePartition.trivial(8)
-        assert run_segments_batch(random_dfa_8, partition, [], "dense") == []
+        assert run_segments_batch(random_dfa_8, partition, [], "native") == []
 
     def test_rejects_python_backend(self, random_dfa_8):
         with pytest.raises(ValueError):
@@ -98,7 +99,13 @@ class TestBatchEquivalence:
             )
 
 
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="reads the native frontier's stats")
+
+
 class TestDenseKernel:
+    """The dense tables and the native frontier kernel that reads them."""
+
     def test_state_dtype_narrowing(self):
         from repro.kernels import dense_state_dtype
 
@@ -109,6 +116,8 @@ class TestDenseKernel:
         assert dense_state_dtype((1 << 16) + 1) == np.int64
 
     def test_tables_narrow_and_roundtrip(self, random_dfa_8):
+        import pickle
+
         from repro.kernels import DenseTables
 
         tables = DenseTables(random_dfa_8)
@@ -118,8 +127,10 @@ class TestDenseKernel:
             tables.table.astype(np.int64),
             random_dfa_8.transitions.astype(np.int64).ravel(),
         )
-        assert tables.offsets.dtype == np.int64
-        assert tables.nbytes == tables.table.nbytes + tables.offsets.nbytes
+        assert tables.nbytes == tables.table.nbytes
+        loaded = pickle.loads(pickle.dumps(tables))
+        assert np.array_equal(loaded.table, tables.table)
+        assert loaded.native_args is None
 
     @pytest.mark.parametrize("stride", [1, 7, 64, None])
     def test_stride_never_changes_outcomes(self, random_dfa_8, rng, stride):
@@ -128,123 +139,134 @@ class TestDenseKernel:
         reference = [run_segment(random_dfa_8, partition, s)[0]
                      for s in segments]
         functions = run_segments_batch(
-            random_dfa_8, partition, segments, backend="dense", stride=stride
+            random_dfa_8, partition, segments, backend="native", stride=stride
         )
         for ref, fn in zip(reference, functions):
             assert_functions_equal(ref, fn)
 
     def test_invalid_stride_rejected(self, random_dfa_8):
-        from repro.kernels.dense import run_segments_dense
+        # refused the same way whether or not the library loads
+        for backend in KERNEL_BACKENDS:
+            with pytest.raises(ValueError, match="stride"):
+                run_segments_batch(
+                    random_dfa_8, StatePartition.trivial(8),
+                    [np.array([0])], backend, stride=0,
+                )
 
-        with pytest.raises(ValueError):
-            run_segments_dense(
-                random_dfa_8, StatePartition.trivial(8),
-                [np.array([0])], stride=0,
-            )
-
+    @needs_native
     def test_uniform_segment_degrades(self):
         # symbol 1 is absorbing: the whole frontier collapses to the sink,
-        # after which the segment leaves the dense gather
-        from repro.kernels.dense import run_segments_dense
+        # after which the segment leaves the frontier for a scalar tail
+        from repro.kernels.native import run_segments_native
 
         table = np.array([[1, 2, 0], [2, 2, 2]], dtype=np.int32)
         dfa = Dfa(table, 0, [1])
         partition = StatePartition.from_labels([0, 0, 1])
         segment = np.array([1] + [0] * 200, dtype=np.int64)
-        grid, stats = run_segments_dense(
+        grid, stats = run_segments_native(
             dfa, partition, [segment], stride=1
         )
         assert stats["degraded_segments"] == 1
-        assert stats["dense_positions"] < segment.size
+        assert stats["native_positions"] < segment.size
         assert all(o.converged for o in grid[0])
         want, _ = run_segment(dfa, partition, segment)
         for got, ref in zip(grid[0], want.outcomes):
             assert got.state == ref.state
             assert np.array_equal(got.states, ref.states)
 
+    @needs_native
     def test_adaptive_stride_checks_less_than_every_position(self, rng):
-        from repro.kernels.dense import run_segments_dense
+        from repro.kernels.native import run_segments_native
 
         dfa = cycle_dfa(7)  # permutation: never converges, stride grows
         segments = [rng.integers(0, 2, size=4000)]
-        _, stats = run_segments_dense(
+        _, stats = run_segments_native(
             dfa, StatePartition.trivial(7), segments
         )
         assert stats["stride_checks"] < stats["positions"] // 8
 
 
-class TestStackSegments:
-    def test_ragged_padding(self):
-        matrix, lengths = stack_segments(
-            [np.array([1, 2, 3]), np.array([4, 5]), np.array([], dtype=np.int64)]
-        )
-        assert matrix.shape == (3, 3)
-        assert lengths.tolist() == [3, 2, 0]
-        assert matrix[0].tolist() == [1, 2, 3]
-        assert matrix[1].tolist() == [4, 5, 0]
-
-    def test_empty(self):
-        matrix, lengths = stack_segments([])
-        assert matrix.shape == (0, 0)
-        assert lengths.size == 0
-
-
 class TestResolveBackend:
     def test_explicit_passthrough(self, random_dfa_8):
-        from repro.kernels import native_available
-
         for backend in BACKENDS:
             expected = backend
             if backend == "native" and not native_available():
                 # the compiled tier is optional: an explicit request on a
-                # toolchain-less host degrades to the dense kernel
-                expected = "dense"
+                # toolchain-less host degrades to the interpreted loop
+                expected = "python"
             assert resolve_backend(random_dfa_8, backend) == expected
 
     def test_unknown_rejected(self, random_dfa_8):
         with pytest.raises(ValueError):
             resolve_backend(random_dfa_8, "simd")
 
-    @pytest.mark.parametrize("backend", ["lockstep", "bitset"])
+    @pytest.mark.parametrize("backend", ["lockstep", "bitset", "dense"])
     def test_retired_backends_rejected(self, random_dfa_8, backend):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend(random_dfa_8, backend)
-        with pytest.raises(ValueError):
-            run_segments_batch(random_dfa_8, StatePartition.trivial(8),
-                               [np.array([0])], backend)
+        from repro.compilecache import compile_dfa
+        from tests.kernel_inputs import native_tier
+
+        partition = StatePartition.trivial(8)
+        # no fallback, with or without the library
+        for absent in (False, True):
+            with native_tier(absent):
+                with pytest.raises(ValueError, match="unknown backend"):
+                    resolve_backend(random_dfa_8, backend)
+                with pytest.raises(ValueError):
+                    run_segments_batch(random_dfa_8, partition,
+                                       [np.array([0])], backend)
+                with pytest.raises(ValueError, match="unknown backend"):
+                    software_cse_scan(random_dfa_8, np.array([0, 1, 2]),
+                                      partition, n_segments=2,
+                                      backend=backend)
+                with pytest.raises(ValueError, match="unknown backend"):
+                    compile_dfa(random_dfa_8, backend=backend)
 
     def test_trivial_partition_resolves_native_or_interpreted(self, rng):
-        # pinned by BENCH_software_kernels.json: with one block the numpy
-        # dense kernel runs at 0.81x the interpreter on random64, while
-        # the compiled tier runs at 7.8x (308x on cycle128).  So trivial
-        # (and absent) partitions resolve to "native" when the library
-        # loads and to "python" when it does not.
-        from repro.kernels import native_available
-
+        # one rule whatever the partition: an uncertifiable machine takes
+        # "native" when the library loads and "python" when it does not
         dfa = random_dfa(64, 8, rng)
-        trivial = StatePartition.trivial(64)
         expected = "native" if native_available() else "python"
-        assert resolve_backend(dfa, None, trivial, 16) == expected
-        assert resolve_backend(dfa, "auto", trivial, 16) == expected
-        assert resolve_backend(dfa, "auto", None, 16) == expected
+        assert resolve_backend(dfa) == expected
+        assert resolve_backend(dfa, None) == expected
+        assert resolve_backend(dfa, "auto") == expected
 
-    def test_wide_sets_pick_dense_below_crossover(self, rng):
-        from repro.kernels import native_available
-
-        dfa = random_dfa(64, 8, rng)
-        partition = StatePartition.from_labels([i % 2 for i in range(64)])
-        expected = "native" if native_available() else "dense"
-        assert resolve_backend(dfa, None, partition, 16) == expected
+    def test_auto_never_resolves_to_a_slower_backend(self, rng):
+        """The configs the retired partition-shape heuristic kept on
+        ``python`` with the library loaded (8 states / 4 blocks / 2
+        segments, 16 / 4 / 4, 32 / 8 / 4) resolve to ``native`` and scan
+        bit-identically to ``python``."""
+        for n, blocks, n_segments in ((8, 4, 2), (16, 4, 4), (32, 8, 4)):
+            dfa = random_dfa(n, 4, rng)
+            partition = StatePartition.from_labels(
+                [q % blocks for q in range(n)])
+            want = "native" if native_available() else "python"
+            assert resolve_backend(dfa, "auto") == want
+            word = rng.integers(0, 4, size=256)
+            runs = {
+                backend: software_cse_scan(dfa, word, partition,
+                                           n_segments=n_segments,
+                                           backend=backend, verify=False)
+                for backend in ("python", "auto")
+            }
+            assert runs["auto"].backend == want
+            assert runs["auto"].final_state == runs["python"].final_state \
+                == dfa.run(word)
+            bounds = even_boundaries(word.size, n_segments)[1:]
+            segments = [word[a:b] for a, b in bounds]
+            functions = run_segments_batch(dfa, partition, segments, "native")
+            for segment, fn in zip(segments, functions):
+                assert_functions_equal(
+                    run_segment(dfa, partition, segment)[0], fn)
 
     @pytest.mark.parametrize("n", [1024, 4096])
     def test_large_machines_resolve_to_native(self, rng, n):
-        """No state-count cap: wide machines take native/dense at uint16."""
-        from repro.kernels import DenseTables, native_available
+        """No state-count cap: wide machines take native at uint16."""
+        from repro.kernels import DenseTables
 
         dfa = random_dfa(n, 4, rng)
         partition = StatePartition.from_labels([i % 2 for i in range(n)])
-        expected = "native" if native_available() else "dense"
-        assert resolve_backend(dfa, None, partition, 16) == expected
+        expected = "native" if native_available() else "python"
+        assert resolve_backend(dfa) == expected
         # a permutation keeps all n flows alive, so every position
         # gathers the full uint16 frontier
         wide = cycle_dfa(n, 4)
@@ -253,29 +275,16 @@ class TestResolveBackend:
             segments = [rng.integers(0, 4, size=m) for m in (60, 59, 0)]
             reference = [run_segment(machine, partition, s)[0]
                          for s in segments]
-            for backend in ("dense", "native"):
-                functions = run_segments_batch(
-                    machine, partition, segments, backend=backend
-                )
-                for segment, ref, fn in zip(segments, reference, functions):
-                    assert_functions_equal(ref, fn)
-                    finals = machine.run_all_states(segment)
-                    for block, outcome in zip(partition.block_arrays(),
-                                              fn.outcomes):
-                        assert np.array_equal(outcome.states,
-                                              np.unique(finals[block]))
-
-    def test_many_flows_pick_dense(self, rng):
-        from repro.kernels import native_available
-
-        dfa = random_dfa(16, 4, rng)
-        partition = StatePartition.discrete(16)
-        expected = "native" if native_available() else "dense"
-        assert resolve_backend(dfa, None, partition, 16) == expected
-
-    def test_tiny_workload_stays_python(self, random_dfa_8):
-        partition = StatePartition.from_labels([0, 0, 1, 1, 2, 2, 3, 3])
-        assert resolve_backend(random_dfa_8, None, partition, 2) == "python"
+            functions = run_segments_batch(
+                machine, partition, segments, backend="native"
+            )
+            for segment, ref, fn in zip(segments, reference, functions):
+                assert_functions_equal(ref, fn)
+                finals = machine.run_all_states(segment)
+                for block, outcome in zip(partition.block_arrays(),
+                                          fn.outcomes):
+                    assert np.array_equal(outcome.states,
+                                          np.unique(finals[block]))
 
 
 class TestDtypeUnification:
@@ -324,7 +333,7 @@ class TestScanBackends:
         partition = StatePartition.trivial(small_ruleset_dfa.num_states)
         run = software_cse_scan(
             small_ruleset_dfa, word, partition,
-            n_segments=4, backend="dense", start_state=2,
+            n_segments=4, backend="native", start_state=2,
         )
         assert run.final_state == small_ruleset_dfa.run(word, state=2)
 
@@ -333,7 +342,7 @@ class TestScanBackends:
         partition = StatePartition.trivial(small_ruleset_dfa.num_states)
         run = software_cse_scan(
             small_ruleset_dfa, word, partition,
-            n_segments=4, backend="dense", verify=False,
+            n_segments=4, backend="native", verify=False,
         )
         assert run.sequential_seconds == 0.0
         assert run.final_state == small_ruleset_dfa.run(word)
@@ -383,7 +392,7 @@ class TestSegmentPool:
         with ThreadPoolExecutor(2) as executor:
             run = software_cse_scan(
                 dfa, word, StatePartition.trivial(6),
-                n_segments=4, executor=executor, backend="dense",
+                n_segments=4, executor=executor, backend="native",
             )
         assert run.final_state == dfa.run(word)
 
@@ -397,24 +406,3 @@ class TestSegmentPool:
                 n_segments=4, executor=executor, backend="native",
             )
         assert run.final_state == dfa.run(word)
-
-
-class TestKernelSpeed:
-    @pytest.mark.slow
-    def test_dense_beats_python_on_enumerative_load(self, rng):
-        """A miniature version of the BENCH acceptance configuration."""
-        import time
-
-        dfa = random_dfa(64, 16, rng)
-        word = rng.integers(0, 16, size=200_000)
-        bounds = even_boundaries(word.size, 16)[1:]
-        segments = [word[a:b] for a, b in bounds]
-        partition = StatePartition.discrete(64)
-        begin = time.perf_counter()
-        for segment in segments:
-            run_segment(dfa, partition, segment)
-        python_seconds = time.perf_counter() - begin
-        begin = time.perf_counter()
-        run_segments_batch(dfa, partition, segments, "dense")
-        kernel_seconds = time.perf_counter() - begin
-        assert kernel_seconds * 2 < python_seconds

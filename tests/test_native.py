@@ -27,7 +27,6 @@ from repro.kernels import (
     run_segments_batch,
     walk,
 )
-from repro.kernels.dense import run_segments_dense
 from repro.kernels.native import (
     ENV_DISABLE,
     WALK_REPORT_CAP,
@@ -43,7 +42,10 @@ from repro.software import run_segment, software_cse_scan
 from tests.kernel_inputs import (
     component_partition,
     disjoint_union_dfa,
+    grid_collapses,
     lane_schedule,
+    native_tier,
+    python_grid,
     symbols_of,
 )
 
@@ -100,11 +102,12 @@ class TestEquivalence:
         segments = [
             rng.integers(0, alphabet, size=k) for k in (0, 3, 500, 1, 250)
         ]
-        g1, s1 = run_segments_dense(dfa, partition, segments, stride=stride)
-        g2, s2 = run_segments_native(dfa, partition, segments, stride=stride)
-        grids_equal(g1, g2)
-        assert s1["collapses"] == s2["collapses"]
-        assert s1["positions"] == s2["positions"]
+        want = python_grid(dfa, partition, segments)
+        got, stats = run_segments_native(dfa, partition, segments,
+                                         stride=stride)
+        grids_equal(got, want)
+        assert stats["collapses"] == grid_collapses(partition, want)
+        assert stats["positions"] == 500
 
     @needs_native
     def test_matches_interpreter_on_coarse_partition(self, rng):
@@ -136,6 +139,19 @@ class TestEquivalence:
         assert run.backend == "native"
         assert run.requested_backend == "native"
         assert run.final_state == dfa.run(word)
+
+    @needs_native
+    def test_refuses_foreign_tables_and_unadmitted_segments(self, rng):
+        dfa = random_dfa(8, 3, rng)
+        partition = StatePartition.discrete(8)
+        good = np.asarray([0, 1, 2], dtype=np.int64)
+        with pytest.raises(ValueError, match="admitted input"):
+            run_segments_native(dfa, partition, [good.astype(np.int32)])
+        with pytest.raises(ValueError, match="dense tables of this machine"):
+            run_segments_native(dfa, partition, [good],
+                                tables=DenseTables(random_dfa(9, 3, rng)))
+        with pytest.raises(InputError, match="symbol 3"):
+            run_segments_native(dfa, partition, [np.asarray([3], np.uint8)])
 
     @needs_native
     def test_reuses_compiled_dense_tables(self, rng):
@@ -188,11 +204,9 @@ class TestPartiallyConvergedFrontier:
         got, stats = run_segments_native(
             dfa, partition, segments, stride=stride
         )
-        want, dense_stats = run_segments_dense(
-            dfa, partition, words, stride=stride
-        )
+        want = python_grid(dfa, partition, words)
         grids_equal(got, want)
-        assert stats["collapses"] == dense_stats["collapses"]
+        assert stats["collapses"] == grid_collapses(partition, want)
         for word, row in zip(words, got):
             finals = dfa.run_all_states(word)
             for block, out in zip(partition.block_arrays(), row):
@@ -279,8 +293,7 @@ class TestTailLanes:
         got, stats = run_segments_native(
             dfa, partition, segments, tables=tables
         )
-        want, _stats = run_segments_dense(dfa, partition, words)
-        grids_equal(got, want)
+        grids_equal(got, python_grid(dfa, partition, words))
         assert {key: stats[key] for key in SCHEDULE_KEYS} == lane_schedule(
             dfa, partition, words
         )
@@ -462,7 +475,7 @@ class TestReexecution:
         bounds = even_boundaries(word.size, 6)
         functions = run_segments_batch(
             dfa, partition, [word[a:b] for a, b in bounds[1:]],
-            backend="dense",
+            backend="native",
         )
         first = dfa.run(word[:bounds[0][1]])
         want, want_stats = compose_and_fix(
@@ -478,7 +491,7 @@ class TestReexecution:
         assert got_stats.reexecuted_segments == want_stats.reexecuted_segments
         assert got_stats.reeval_passes == want_stats.reeval_passes
 
-    @pytest.mark.parametrize("backend", ["python", "dense", "native"])
+    @pytest.mark.parametrize("backend", ["python", "native"])
     def test_scan_reexecutes_on_the_walk(self, rng, tier, backend):
         dfa = permutation_dfa(rng, 24, 6)
         word = rng.integers(0, 6, size=3000).astype(np.uint8)
@@ -495,17 +508,22 @@ class TestDegradation:
         dfa = random_dfa(64, 8, rng)
         partition = StatePartition.discrete(64)
         with obs.using() as registry:
-            assert resolve_backend(dfa, "native", partition, 16) == "dense"
+            assert resolve_backend(dfa, "native") == "python"
         counter = registry.get(
             "kernels_backend_resolved_total",
-            requested="native", backend="dense", reason="native-unavailable",
+            requested="native", backend="python", reason="native-unavailable",
         )
         assert counter is not None and counter.value == 1
 
     def test_auto_never_picks_native_when_absent(self, rng, no_native):
         dfa = random_dfa(64, 8, rng)
-        partition = StatePartition.discrete(64)
-        assert resolve_backend(dfa, None, partition, 16) == "dense"
+        with obs.using() as registry:
+            assert resolve_backend(dfa, None) == "python"
+        counter = registry.get(
+            "kernels_backend_resolved_total",
+            requested="auto", backend="python", reason="native-unavailable",
+        )
+        assert counter is not None and counter.value == 1
 
     def test_unavailable_reason_is_reported(self, no_native):
         assert not native_available()
@@ -520,16 +538,57 @@ class TestDegradation:
             got = run_segments_batch(
                 dfa, partition, segments, backend="native"
             )
-        want = run_segments_batch(dfa, partition, segments, backend="dense")
-        for a, b in zip(want, got):
-            for oa, ob in zip(a.outcomes, b.outcomes):
-                assert oa.converged == ob.converged
-                assert oa.state == ob.state
-                assert np.array_equal(oa.states, ob.states)
+        grids_equal(python_grid(dfa, partition, segments),
+                    [fn.outcomes for fn in got])
+        for segment, fn in zip(segments, got):
+            finals = dfa.run_all_states(segment)
+            for block, out in zip(partition.block_arrays(), fn.outcomes):
+                assert np.array_equal(out.states, np.unique(finals[block]))
         fallbacks = registry.get("kernels_native_fallbacks_total")
         assert fallbacks is not None and fallbacks.value == 1
-        # the work ran (and was recorded) as the dense kernel
-        assert registry.get("kernels_positions_total", backend="dense")
+        # the work ran (and was recorded) as the interpreted loop
+        assert registry.get("kernels_positions_total", backend="python")
+
+    def test_absent_tier_runs_every_frontier_interpreted(self, rng):
+        """With the tier absent, an explicit ``native`` batch and the
+        prefilter's unproven segments both run the interpreted loop, and
+        each set's outcome is its states' images under
+        :meth:`Dfa.run_all_states`."""
+        from repro.kernels import certify_prefilter
+        from repro.regex.compile import compile_ruleset
+
+        def assert_images(dfa, partition, segments, functions):
+            for segment, fn in zip(segments, functions):
+                finals = dfa.run_all_states(segment)
+                for block, out in zip(partition.block_arrays(),
+                                      fn.outcomes):
+                    want = np.unique(finals[block])
+                    assert out.converged == (want.size == 1)
+                    assert np.array_equal(out.states, want)
+
+        machine = random_dfa(24, 4, rng)
+        partition = StatePartition.from_labels([q % 5 for q in range(24)])
+        segments = [rng.integers(0, 4, size=n) for n in (0, 1, 9, 300)]
+        literal = compile_ruleset(["cat", "dog"])
+        lit_partition = StatePartition.discrete(literal.num_states)
+        # anchors only: no run of non-anchor symbols proves a reset
+        unproven = [np.frombuffer(text, dtype=np.uint8)
+                    for text in (b"catdogcat", b"dodo", b"ca")]
+        with native_tier(absent=True), obs.using() as registry:
+            assert resolve_backend(machine, "native") == "python"
+            got = run_segments_batch(machine, partition, segments, "native")
+            assert_images(machine, partition, segments, got)
+            assert certify_prefilter(literal) is not None
+            got = run_segments_batch(literal, lit_partition, unproven,
+                                     "prefilter")
+            assert_images(literal, lit_partition, unproven, got)
+        unavailable = registry.get(
+            "kernels_backend_resolved_total",
+            requested="native", backend="python", reason="native-unavailable",
+        )
+        assert unavailable is not None and unavailable.value == 1
+        assert registry.get(
+            "kernels_prefilter_fallback_segments_total").value == 3
 
     def test_scan_explicit_native_degrades(self, rng, no_native):
         dfa = random_dfa(32, 8, rng)
@@ -538,7 +597,7 @@ class TestDegradation:
         run = software_cse_scan(
             dfa, word, partition, n_segments=4, backend="native"
         )
-        assert run.backend == "dense"
+        assert run.backend == "python"
         assert run.requested_backend == "native"
         assert run.final_state == dfa.run(word)
 
@@ -636,14 +695,14 @@ class TestCertification:
         compiled = compile_dfa(dfa, backend="native", n_segments=8)
         assert verify_compiled(compiled) == []
 
-    def test_native_to_dense_not_a_k106_contradiction(self, rng, no_native):
+    def test_native_to_python_not_a_k106_contradiction(self, rng, no_native):
         from repro.check import verify_compiled
         from repro.compilecache import compile_dfa
 
         dfa = random_dfa(16, 4, rng)
         compiled = compile_dfa(dfa, backend="native", n_segments=8)
         assert compiled.requested_backend == "native"
-        assert compiled.backend == "dense"
+        assert compiled.backend == "python"
         assert not [
             d for d in verify_compiled(compiled) if d.code == "K106"
         ]

@@ -331,7 +331,7 @@ class TestFlightRecorder:
         target = tmp_path / "post.json"
         with obs.using():
             obs.enable_flight()
-            obs.record_scan(kind="software", backend="dense")
+            obs.record_scan(kind="software", backend="native")
             previous = obs.install_excepthook(path=target)
             try:
                 hook = sys.excepthook
@@ -340,7 +340,7 @@ class TestFlightRecorder:
                 sys.excepthook = previous
         payload = json.loads(target.read_text())
         assert payload["reason"] == "ValueError: boom"
-        assert payload["scans"][0]["backend"] == "dense"
+        assert payload["scans"][0]["backend"] == "native"
 
     def test_flight_served_when_armed(self):
         with obs.using() as registry:
@@ -399,7 +399,7 @@ class TestTop:
             registry = MetricRegistry()
             registry.counter("software_symbols_total").inc(symbols)
             registry.counter("kernels_positions_total",
-                             backend="dense").inc(symbols)
+                             backend="native").inc(symbols)
             registry.gauge("fleet_shard_throughput", shard=0).set(1e6)
             h = registry.histogram("stream_chunk_seconds")
             h.observe(0.002)
@@ -413,7 +413,7 @@ class TestTop:
         assert rendered == 3
         text = out.getvalue()
         assert "repro top" in text
-        assert "positions by backend" in text and "dense" in text
+        assert "positions by backend" in text and "native" in text
         assert "fleet shards:" in text and "shard 0" in text
         assert "chunk latency" in text
         # second frame sees the 1M-symbol delta
@@ -424,8 +424,8 @@ class TestTop:
         registry = MetricRegistry()
         registry.counter("kernels_backend_resolved_total", requested="auto",
                          backend="prefilter", reason="literal-certified").inc(3)
-        registry.counter("kernels_backend_resolved_total", requested="dense",
-                         backend="dense", reason="explicit").inc()
+        registry.counter("kernels_backend_resolved_total", requested="native",
+                         backend="native", reason="explicit").inc()
         registry.counter("kernels_prefilter_skipped_bytes_total").inc(4096)
         registry.counter("kernels_prefilter_windows_total").inc(4)
         registry.counter("kernels_prefilter_fallbacks_total").inc(1)
@@ -433,7 +433,7 @@ class TestTop:
         assert "backend decisions:" in frame
         assert "resolve auto->prefilter" in frame
         assert "x3" in frame and "(literal-certified)" in frame
-        assert "resolve dense->dense" in frame and "(explicit)" in frame
+        assert "resolve native->native" in frame and "(explicit)" in frame
         assert "prefilter" in frame and "fallbacks 1" in frame
 
     def test_file_source(self, tmp_path):
@@ -503,7 +503,7 @@ class TestBucketOverrides:
 
 _names = st.sampled_from(["a_total", "b_total", "lat_seconds"])
 _labels = st.fixed_dictionaries({}, optional={
-    "backend": st.sampled_from(["python", "dense"]),
+    "backend": st.sampled_from(["python", "native"]),
 })
 
 # integer-valued increments/observations keep every sum exact, so the
@@ -597,7 +597,7 @@ class TestCliLive:
         folded = tmp_path / "scan.folded"
         code = main([
             "software", rules_file, input_file,
-            "--backend", "dense", "--segments", "4", "--trivial",
+            "--backend", "native", "--segments", "4", "--trivial",
             "--metrics-port", "0", "--profile-out", str(folded),
         ])
         assert code == 0
@@ -610,11 +610,11 @@ class TestCliLive:
 
     def test_obs_tail_reads_dump(self, tmp_path, capsys):
         flight = FlightRecorder()
-        flight.record_scan(kind="software", backend="dense")
+        flight.record_scan(kind="software", backend="native")
         dump = flight.dump(tmp_path / "flight.json")
         assert main(["obs", "tail", str(dump)]) == 0
         out = capsys.readouterr().out
-        assert "kind=software" in out and "backend=dense" in out
+        assert "kind=software" in out and "backend=native" in out
 
     def test_top_iterations(self, tmp_path, capsys):
         registry = MetricRegistry()

@@ -85,7 +85,7 @@ class TestDotstarSwitchesToWalk:
                         for _ in range(scans)]
             snapshot = registry.snapshot()
         assert all(run.final_state == want for run in runs)
-        cse = "native" if native_available() else "dense"
+        cse = "native" if native_available() else "python"
         assert [run.backend for run in runs] == (
             [cse] * PLAN_MIN_SAMPLES + ["walk"] * 3)
         for run in runs[PLAN_MIN_SAMPLES:]:
@@ -178,7 +178,7 @@ def test_explicit_native_keeps_the_pool(dotstar, packets, tmp_path):
     assert names["software_mmap_scans_total"] == scans
     assert "kernels_plan_total" not in names
     assert {run.backend for run in runs} == {
-        "native" if native_available() else "dense"}
+        "native" if native_available() else "python"}
     assert {run.final_state for run in runs} == {dotstar.run(packets)}
 
 

@@ -3,9 +3,9 @@
 The prefilter is the one kernel licensed to *skip input bytes*, so its
 tests are adversarial: every claim (home invariance, skip-width
 soundness, anchor soundness) is probed with tampered certificates, and
-scan outcomes are diffed bit-for-bit against the dense kernel and the
-sequential oracle across match densities from zero to adversarially
-dense — including payloads built entirely from anchor bytes, where the
+scan outcomes are diffed bit-for-bit against the interpreted set-flow
+reference and the sequential oracle across match densities from zero to
+adversarially dense — including payloads built entirely from anchor bytes, where the
 prefilter must fall back rather than skip.
 """
 
@@ -31,13 +31,12 @@ from repro.kernels import (
     prefilter_scan_scalar,
     run_segments_batch,
 )
-from repro.kernels.dense import run_segments_dense
 from repro.kernels.native import native_prefilter
 from repro.kernels.prefilter import _last_reset, run_segments_prefilter
 from repro.regex.compile import compile_ruleset
 from repro.software import software_cse_scan
 from repro.workloads import generate_ruleset, literal_payload
-from tests.kernel_inputs import native_tier
+from tests.kernel_inputs import grid_collapses, native_tier, python_grid
 
 
 @pytest.fixture(scope="module")
@@ -154,10 +153,8 @@ class TestScanEquivalence:
         grid, stats = run_segments_prefilter(
             literal_dfa, partition, segments, tables
         )
-        want_grid, want_stats = run_segments_dense(
-            literal_dfa, partition, [s.astype(np.int64) for s in segments]
-        )
-        assert stats["collapses"] == want_stats["collapses"]
+        want_grid = python_grid(literal_dfa, partition, segments)
+        assert stats["collapses"] == grid_collapses(partition, want_grid)
         for got_fn, want_fn in zip(grid, want_grid):
             for got, want in zip(got_fn, want_fn):
                 assert got.converged == want.converged
@@ -193,11 +190,11 @@ class TestScanEquivalence:
         pre = software_cse_scan(
             literal_dfa, payload, partition, n_segments=6, backend="prefilter"
         )
-        den = software_cse_scan(
-            literal_dfa, payload, partition, n_segments=6, backend="dense"
+        ref = software_cse_scan(
+            literal_dfa, payload, partition, n_segments=6, backend="python"
         )
         assert pre.backend == "prefilter"
-        assert pre.final_state == den.final_state == literal_dfa.run(
+        assert pre.final_state == ref.final_state == literal_dfa.run(
             np.frombuffer(payload, dtype=np.uint8)
         )
 
@@ -217,7 +214,7 @@ class TestScanEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_hypothesis_density_sweep(self, seed, density, adversarial,
                                       n_segments):
-        """prefilter == dense == native == python across densities."""
+        """prefilter == native == python across densities."""
         patterns = generate_ruleset("LiteralHeavy", 4, 17)
         dfa = compile_ruleset(patterns)
         payload = literal_payload(
@@ -230,23 +227,22 @@ class TestScanEquivalence:
                 dfa, payload, partition, n_segments=n_segments,
                 backend=backend,
             ).final_state
-            for backend in ("python", "dense", "native", "prefilter")
+            for backend in ("python", "native", "prefilter")
         }
         want = dfa.run(np.frombuffer(payload, dtype=np.uint8))
         assert set(finals.values()) == {want}
 
 
 class TestFallback:
-    def test_uncertifiable_request_degrades_to_dense(self, random_dfa_8, rng):
+    def test_uncertifiable_request_degrades_to_the_frontier(
+            self, random_dfa_8, rng):
         assert certify_prefilter(random_dfa_8) is None
         word = rng.integers(0, 4, 3000)
         partition = StatePartition.trivial(random_dfa_8.num_states)
         run = software_cse_scan(
             random_dfa_8, word, partition, n_segments=4, backend="prefilter"
         )
-        from repro.kernels import native_available
-
-        expected = "native" if native_available() else "dense"
+        expected = "native" if native_available() else "python"
         assert run.backend == expected
         assert run.final_state == random_dfa_8.run(word)
 
@@ -257,11 +253,9 @@ class TestFallback:
         got = run_segments_batch(
             random_dfa_8, partition, segments, backend="prefilter"
         )
-        want = run_segments_batch(
-            random_dfa_8, partition, segments, backend="dense"
-        )
+        want = python_grid(random_dfa_8, partition, segments)
         for g_fn, w_fn in zip(got, want):
-            for g, w in zip(g_fn.outcomes, w_fn.outcomes):
+            for g, w in zip(g_fn.outcomes, w_fn):
                 assert g.state == w.state
                 assert np.array_equal(g.states, w.states)
 
@@ -269,7 +263,7 @@ class TestFallback:
         self, literal_dfa, literal_patterns_fixture
     ):
         """A payload of pure anchor bytes has no skippable run: every
-        segment must route through dense and still be exact."""
+        segment must route through the frontier and still be exact."""
         tables = derive_prefilter(literal_dfa)
         anchors = tables.anchors.astype(np.uint8)
         rng = np.random.default_rng(2)
@@ -281,9 +275,7 @@ class TestFallback:
         )
         assert stats["fallback_segments"] == len(segments)
         assert stats["skipped_bytes"] == 0
-        want, _ = run_segments_dense(
-            literal_dfa, partition, [s.astype(np.int64) for s in segments]
-        )
+        want = python_grid(literal_dfa, partition, segments)
         for got_fn, want_fn in zip(grid, want):
             for g, w in zip(got_fn, want_fn):
                 assert g.state == w.state
@@ -405,7 +397,7 @@ class TestArtifactEnvelope:
 # the compiled prefilter (cse_native_prefilter) against the reference
 # ----------------------------------------------------------------------
 def grid_key(grid):
-    """A prefilter/dense grid as plain comparable tuples."""
+    """A kernel's grid as plain comparable tuples."""
     return [
         [(o.converged, o.state, tuple(o.states.tolist())) for o in row]
         for row in grid
@@ -519,7 +511,7 @@ class TestCompiledPrefilter:
                                     max_size=dfa.num_states))
         partition = StatePartition.from_labels(labels)
         state = data.draw(st.integers(0, dfa.num_states - 1))
-        want_grid, want_stats = run_segments_dense(dfa, partition, segments)
+        want_grid = python_grid(dfa, partition, segments)
         seen = []
         for absent in (False, True):
             with native_tier(absent):
@@ -532,7 +524,7 @@ class TestCompiledPrefilter:
                     for s in syms
                 ]
             assert grid_key(grid) == grid_key(want_grid)
-            assert stats["collapses"] == want_stats["collapses"]
+            assert stats["collapses"] == grid_collapses(partition, want_grid)
             assert [f for f, _ in scalar] == [dfa.run(s, state) for s in segments]
             seen.append((stats, scalar))
         assert seen[0] == seen[1]
@@ -577,8 +569,8 @@ class TestCompiledPrefilter:
         with native_tier(absent):
             grid, stats = run_segments_prefilter(
                 literal_dfa, partition, segs, tables)
-        want, _ = run_segments_dense(literal_dfa, partition, segs)
-        assert grid_key(grid) == grid_key(want)
+        assert grid_key(grid) == grid_key(
+            python_grid(literal_dfa, partition, segs))
         # start/end/interior prove a reset; one-short and short do not;
         # the empty segment is the identity
         assert stats["fallback_segments"] == 2
@@ -624,7 +616,7 @@ class TestPrefilterReexecution:
         partition = StatePartition.from_labels([0, 0, 0, 1, 1, 1])
         functions = run_segments_batch(
             dfa, partition, [word[a:b] for a, b in bounds[1:]],
-            backend="dense",
+            backend="native",
         )
         want, want_stats = compose_and_fix(
             dfa, word, bounds[1:], functions, dfa.run(word[:bounds[0][1]]),

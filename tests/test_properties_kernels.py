@@ -33,6 +33,7 @@ from tests.kernel_inputs import (
     disjoint_union_dfa,
     lane_schedule,
     native_tier,
+    python_grid,
     symbols_of,
 )
 
@@ -92,7 +93,7 @@ class TestBackendEquivalence:
     def test_scan_matches_oracle_all_backends(self, dwp, n_segments):
         dfa, word, partition = dwp
         want = dfa.run(word)
-        for backend in ("python", "dense", "native", "prefilter", "auto"):
+        for backend in ("python", "native", "prefilter", "auto"):
             run = software_cse_scan(
                 dfa, word, partition, n_segments=n_segments, backend=backend
             )
@@ -139,7 +140,8 @@ class TestBackendEquivalence:
 
 
 class TestDenseEquivalence:
-    """The dense-frontier kernel is exact for every stride and dtype."""
+    """The native frontier over the dense tables is exact for every
+    stride and table dtype (the interpreted loop without the library)."""
 
     @given(dfa_word_partition(), st.integers(1, 5),
            st.sampled_from([1, 7, 64]))
@@ -149,14 +151,13 @@ class TestDenseEquivalence:
         bounds = even_boundaries(word.size, n_segments)
         segments = [word[a:b] for a, b in bounds]
         reference = [run_segment(dfa, partition, s)[0] for s in segments]
-        # the native tier shares the dense contract: every stride places
-        # collapse checks differently yet the outcomes never move
-        for backend in ("dense", "native"):
-            functions = run_segments_batch(
-                dfa, partition, segments, backend, stride=stride
-            )
-            for ref, fn in zip(reference, functions):
-                assert_functions_equal(ref, fn)
+        # every stride places collapse checks differently yet the
+        # outcomes never move
+        functions = run_segments_batch(
+            dfa, partition, segments, "native", stride=stride
+        )
+        for ref, fn in zip(reference, functions):
+            assert_functions_equal(ref, fn)
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 4),
            st.sampled_from([1, 7, 64]))
@@ -178,12 +179,11 @@ class TestDenseEquivalence:
         bounds = even_boundaries(word.size, n_segments)
         segments = [word[a:b] for a, b in bounds]
         reference = [run_segment(dfa, partition, s)[0] for s in segments]
-        for backend in ("dense", "native"):
-            functions = run_segments_batch(
-                dfa, partition, segments, backend, stride=stride
-            )
-            for ref, fn in zip(reference, functions):
-                assert_functions_equal(ref, fn)
+        functions = run_segments_batch(
+            dfa, partition, segments, "native", stride=stride
+        )
+        for ref, fn in zip(reference, functions):
+            assert_functions_equal(ref, fn)
 
     @given(dfa_word_partition(), st.integers(2, 4))
     @settings(max_examples=25, deadline=None)
@@ -199,7 +199,7 @@ class TestDenseEquivalence:
         segments = [word[a:b] for a, b in bounds]
         from repro.kernels import native_available
 
-        backends = ["python", "dense"]
+        backends = ["python"]
         if native_available():
             backends.append("native")
         counts = {}
@@ -242,7 +242,7 @@ def union_machines(draw):
 class TestNativeFrontierEquivalence:
     """The native core's distinct-state frontier on partly converged sets.
 
-    Grids must equal the dense kernel's and :meth:`Dfa.run_all_states`,
+    Grids must equal the interpreted loop's and :meth:`Dfa.run_all_states`,
     and the core's counters the one-lane-per-start-state schedule, at
     every segment length, segment count, stride and symbol width.
     """
@@ -251,7 +251,6 @@ class TestNativeFrontierEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_union_frontiers_match_dense_and_run_all_states(self, mp, data):
         from repro.kernels import native_available
-        from repro.kernels.dense import run_segments_dense
         from repro.kernels.native import run_segments_native
 
         if not native_available():
@@ -278,7 +277,7 @@ class TestNativeFrontierEquivalence:
             dfa, partition, [symbols_of(w, kind) for w in words],
             stride=stride,
         )
-        want, _stats = run_segments_dense(dfa, partition, words, stride=stride)
+        want = python_grid(dfa, partition, words)
         for row_got, row_want, word in zip(got, want, words):
             finals = dfa.run_all_states(word)
             for a, b, block in zip(row_got, row_want,

@@ -402,7 +402,7 @@ def test_sfa_stays_in_memory(dotstar, traffic, tmp_path):
     assert compiled.sfa().rows > 0
     assert b"LazySfa" not in pickle.dumps(compiled)
     save_artifact(compiled, tmp_path)
-    assert FORMAT_VERSION == 4
+    assert FORMAT_VERSION == 5
     loaded = load_artifact(tmp_path, compiled.key, dotstar.fingerprint)
     assert loaded._sfa is None and not loaded.sfa_abandoned
     # the grown SFA is still the one the artifact scans with

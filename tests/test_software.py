@@ -114,8 +114,7 @@ class TestSoftwareCseScan:
         assert all(s >= 0 for s in run.segment_seconds)
         assert run.critical_path_seconds >= max(run.segment_seconds)
 
-    @pytest.mark.parametrize("backend",
-                             ["python", "dense", "native", "prefilter"])
+    @pytest.mark.parametrize("backend", ["python", "native", "prefilter"])
     def test_negative_symbol_raises(self, dfa, backend):
         # a negative symbol used to wrap around to the top of the alphabet
         word = np.array([97, 98, -1, 99] * 100)
@@ -130,26 +129,36 @@ class TestSoftwareCseScan:
 class TestOracleCatchesKernelFaults:
     """A wrong kernel outcome that speculation trusts reaches the oracle."""
 
-    @pytest.mark.parametrize("backend", ["dense", "native", "prefilter"])
+    @pytest.mark.parametrize("backend", ["python", "native", "prefilter"])
     def test_corrupted_outcome_raises(self, dfa, word, backend, monkeypatch):
         import repro.software as software
 
         data = word.astype(np.uint8)
         wrong = (int(dfa.run(data)) + 1) % dfa.num_states
-        real = software.run_segments_batch
 
-        def corrupt(*args, **kwargs):
-            functions = real(*args, **kwargs)
-            last = functions[-1]
+        def corrupted(function):
             # a converged outcome: composition takes it without re-running
-            assert last.outcomes[0].converged
-            functions[-1] = SegmentFunction(
+            return SegmentFunction(
                 [CsOutcome(True, wrong, np.asarray([wrong], dtype=np.int64))],
-                last.cs_of_state,
+                function.cs_of_state,
             )
+
+        real_batch = software.run_segments_batch
+        real_segment = software.run_segment
+
+        def corrupt_batch(*args, **kwargs):
+            functions = real_batch(*args, **kwargs)
+            functions[-1] = corrupted(functions[-1])
             return functions
 
-        monkeypatch.setattr(software, "run_segments_batch", corrupt)
+        def corrupt_segment(*args, **kwargs):
+            # the interpreted path (also ``native`` without the library)
+            # runs one segment a call: every one lands on ``wrong``
+            function, seconds = real_segment(*args, **kwargs)
+            return corrupted(function), seconds
+
+        monkeypatch.setattr(software, "run_segments_batch", corrupt_batch)
+        monkeypatch.setattr(software, "run_segment", corrupt_segment)
         partition = StatePartition.trivial(dfa.num_states)
         # without the oracle the corruption goes through unnoticed
         run = software_cse_scan(dfa, data, partition, n_segments=8,
@@ -214,7 +223,7 @@ class TestPoolTransport:
             # for the pool to notice (else a scan the survivor finishes
             # first races the death)
             software_cse_scan(dfa, symbols, partition, n_segments=4,
-                              backend="dense", executor=pool)
+                              backend="native", executor=pool)
             os.kill(next(iter(pool._processes)), signal.SIGKILL)
             deadline = time.monotonic() + 60
             while not pool._broken and time.monotonic() < deadline:
@@ -224,7 +233,7 @@ class TestPoolTransport:
             def scan():
                 try:
                     software_cse_scan(dfa, symbols, partition, n_segments=4,
-                                      backend="dense", executor=pool)
+                                      backend="native", executor=pool)
                 except BrokenProcessPool as exc:
                     raised.append(exc)
 

@@ -130,7 +130,7 @@ class TestFleetScanner:
 
 
 class TestStreamScannerBackends:
-    @pytest.mark.parametrize("backend", ["python", "dense", "native", "prefilter", "auto"])
+    @pytest.mark.parametrize("backend", ["python", "native", "prefilter", "auto"])
     def test_backend_equals_reference(self, dfa, backend):
         reference = StreamScanner(dfa)
         scanner = StreamScanner(dfa, backend=backend, min_parallel_chunk=256)
@@ -139,10 +139,10 @@ class TestStreamScannerBackends:
             reference.feed(data[i:i + 700])
             scanner.feed(data[i:i + 700])
         assert scanner.finish() == reference.finish()
-        assert scanner.backend in ("python", "dense", "native", "prefilter")
+        assert scanner.backend in ("python", "native", "prefilter")
 
     @pytest.mark.parametrize("backend", [
-        "python", "dense", "native", "prefilter", "auto",
+        "python", "native", "prefilter", "auto",
     ])
     @pytest.mark.parametrize("native", ["present", "absent"])
     def test_reports_straddling_chunks_match_reference(
@@ -193,7 +193,7 @@ class TestStreamScannerBackends:
         monkeypatch.setattr(
             stream, "admit",
             lambda *args: admitted.append(admit(*args)) or admitted[-1])
-        scanner = StreamScanner(dfa, backend="dense")
+        scanner = StreamScanner(dfa, backend="native")
         with obs.using() as registry:
             scanner.feed(TEXT)
         # admitted once, and byte chunks are never widened to int64
@@ -205,10 +205,10 @@ class TestStreamScannerBackends:
 
         partition = StatePartition.trivial(dfa.num_states)
         scanner = StreamScanner(dfa, backend="auto", partition=partition)
-        assert scanner.backend == resolve_backend(dfa, "auto", partition, 8)
+        assert scanner.backend == resolve_backend(dfa, "auto")
 
     def test_short_chunks_stay_sequential(self, dfa):
-        scanner = StreamScanner(dfa, backend="dense", min_parallel_chunk=10_000)
+        scanner = StreamScanner(dfa, backend="native", min_parallel_chunk=10_000)
         scanner.feed(TEXT)
         assert scanner.state == dfa.run(TEXT)
 
@@ -216,7 +216,7 @@ class TestStreamScannerBackends:
         with pytest.raises(ValueError):
             StreamScanner(dfa, backend="simd")
 
-    @pytest.mark.parametrize("backend", ["lockstep", "bitset"])
+    @pytest.mark.parametrize("backend", ["lockstep", "bitset", "dense"])
     @pytest.mark.parametrize("native", ["present", "absent"])
     def test_retired_backend_rejected(self, dfa, backend, native, monkeypatch):
         # the retired kernels have no fallback, with or without the library
@@ -279,7 +279,7 @@ class TestFleetWallclock:
         from repro.kernels import BACKENDS
 
         dfas = [compile_ruleset(["cat"]), compile_ruleset(["dog"])]
-        fleet = FleetScanner(dfas, backend="dense", n_segments=4)
-        assert fleet.backends == ["dense", "dense"]
+        fleet = FleetScanner(dfas, backend="python", n_segments=4)
+        assert fleet.backends == ["python", "python"]
         auto = FleetScanner(dfas, n_segments=4)
         assert all(b in BACKENDS for b in auto.backends)
