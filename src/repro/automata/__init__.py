@@ -9,6 +9,10 @@ It provides:
   epsilon transitions.
 - :func:`~repro.automata.subset.determinize` — NFA to DFA subset construction.
 - :func:`~repro.automata.minimize.minimize` — Hopcroft DFA minimization.
+- :func:`~repro.automata.alphabet.nfa_to_dfa` — the compiler's NFA to
+  minimal DFA step, run over byte classes
+  (:mod:`~repro.automata.alphabet`, which also holds
+  :func:`~repro.automata.alphabet.symbol_classes`, the SFA's class map).
 - :class:`~repro.automata.onehot.OneHotAutomaton` — the Automata-Processor
   style one-hot active-mask machine used to realize ``set(N) -> set(M)``.
 - :mod:`~repro.automata.analysis` — dead states, feasible symbol ranges,
@@ -23,7 +27,7 @@ from repro.automata.subset import determinize
 from repro.automata.minimize import minimize
 from repro.automata.onehot import OneHotAutomaton, PySetAutomaton
 from repro.automata.nfa_exec import CompiledNfa
-from repro.automata.alphabet import CompressedDfa, compress_alphabet
+from repro.automata.alphabet import nfa_to_dfa, symbol_classes
 from repro.automata.io import save_dfa, load_dfa
 from repro.automata.ops import (
     complement,
@@ -43,8 +47,8 @@ __all__ = [
     "OneHotAutomaton",
     "PySetAutomaton",
     "CompiledNfa",
-    "CompressedDfa",
-    "compress_alphabet",
+    "nfa_to_dfa",
+    "symbol_classes",
     "save_dfa",
     "load_dfa",
     "complement",

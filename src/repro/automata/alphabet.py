@@ -1,88 +1,103 @@
-"""Alphabet compression: symbol equivalence classes.
+"""Byte classes: the one class map of the compiler and the SFA.
 
-Real rulesets distinguish only a handful of byte behaviours — in a
-lowercase-literal DFA, all 200+ bytes that appear in no pattern share one
-transition column.  Grouping identical columns (what RE2 calls *byte
-classes*) shrinks the transition table from ``256 x N`` to ``C x N`` with
-C often under 30, which matters for the AP analogy too: the paper's
-hardware stores one row per symbol.
+Real rulesets distinguish only a handful of byte behaviours: in a
+lowercase-literal ruleset, all 200+ bytes that appear in no pattern act
+alike.  Grouping them (what RE2 calls *byte classes*) lets the work
+that loops over the alphabet loop over classes instead:
 
-:func:`compress_alphabet` returns the compressed machine plus the
-byte-to-class map; :class:`CompressedDfa` bundles them with input
-translation so engines can run on the small table transparently.
+- the compiler (:func:`nfa_to_dfa`) groups bytes by their NFA edges
+  (:func:`nfa_byte_classes`), determinizes and minimizes the class NFA,
+  and expands the class columns back to bytes;
+- the lazily grown SFA (:class:`repro.kernels.sfa.LazySfa`) builds each
+  row over the DFA's column classes (:func:`symbol_classes`) and writes
+  it back byte-wide.
+
+Both layers keep every table byte-wide, so no fingerprint, stored
+artifact or C entry point sees a class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.automata.dfa import Dfa
-from repro.ingest import admit
+from repro.automata.minimize import minimize as minimize_dfa
+from repro.automata.nfa import EPSILON, Nfa
+from repro.automata.subset import determinize
 
-__all__ = ["CompressedDfa", "compress_alphabet", "symbol_classes"]
+__all__ = ["nfa_byte_classes", "class_nfa", "nfa_to_dfa", "symbol_classes"]
+
+
+def _first_appearance(keys: List) -> np.ndarray:
+    """Class id per key, numbered by first appearance."""
+    ids: Dict = {}
+    return np.array([ids.setdefault(key, len(ids)) for key in keys],
+                    dtype=np.int64)
 
 
 def symbol_classes(dfa: Dfa) -> np.ndarray:
     """Class id per symbol: symbols with identical columns share a class.
 
-    Class ids are assigned in first-appearance order, so the mapping is
-    deterministic for a given machine.
+    Class ids are assigned in first-appearance order, so class ``c``'s
+    first symbol precedes class ``c + 1``'s.
     """
-    _, first_index, inverse = np.unique(
-        dfa.transitions, axis=0, return_index=True, return_inverse=True
-    )
-    # renumber classes by first appearance to make ids stable/readable
-    order = np.argsort(first_index)
-    renumber = np.empty_like(order)
-    renumber[order] = np.arange(order.size)
-    return renumber[inverse.ravel()].astype(np.int64)
+    table = np.ascontiguousarray(dfa.transitions)
+    return _first_appearance([column.tobytes() for column in table])
 
 
-@dataclass
-class CompressedDfa:
-    """A DFA over symbol classes plus the byte-to-class translation."""
+def nfa_byte_classes(nfa: Nfa) -> np.ndarray:
+    """Class id per symbol: symbols with the same NFA edges share a class.
 
-    dfa: Dfa
-    class_of_symbol: np.ndarray
-    original_alphabet_size: int
-
-    @property
-    def num_classes(self) -> int:
-        return self.dfa.alphabet_size
-
-    @property
-    def compression_ratio(self) -> float:
-        """Original table width over compressed width (>= 1)."""
-        return self.original_alphabet_size / self.num_classes
-
-    def translate(self, symbols) -> np.ndarray:
-        """Map a raw input string onto class symbols (input admitted first)."""
-        syms = admit(symbols, self.original_alphabet_size)
-        return self.class_of_symbol[syms]
-
-    def run(self, symbols, state=None) -> int:
-        """Run raw input through the compressed machine."""
-        return self.dfa.run(self.translate(symbols), state)
-
-    def run_reports(self, symbols, state=None):
-        return self.dfa.run_reports(self.translate(symbols), state)
-
-
-def compress_alphabet(dfa: Dfa) -> CompressedDfa:
-    """Build the class-compressed equivalent of ``dfa``.
-
-    The compressed machine is exactly language-equivalent modulo the
-    byte-to-class translation: for any input ``w``,
-    ``compressed.run(w) == dfa.run(w)``.
+    A symbol's signature is the set of non-epsilon ``(source, target)``
+    edges that carry it; symbols with equal signatures move every state
+    set alike, so subset construction and minimization cannot tell them
+    apart.  Ids are numbered by first appearance.
     """
-    classes = symbol_classes(dfa)
-    n_classes = int(classes.max()) + 1 if classes.size else 1
-    representatives = np.empty(n_classes, dtype=np.int64)
-    for symbol, cls in enumerate(classes.tolist()):
-        representatives[cls] = symbol
-    table = dfa.transitions[representatives, :]
-    compressed = Dfa(table, dfa.start, dfa.accepting)
-    return CompressedDfa(compressed, classes, dfa.alphabet_size)
+    signature: List[List[Tuple[int, Tuple[int, ...]]]] = [
+        [] for _ in range(nfa.alphabet_size)]
+    for q, edges in enumerate(nfa.transitions):
+        for sym, targets in edges.items():
+            if sym != EPSILON:
+                signature[sym].append((q, tuple(sorted(targets))))
+    return _first_appearance([tuple(sig) for sig in signature])
+
+
+def class_nfa(nfa: Nfa, class_of: np.ndarray) -> Nfa:
+    """``nfa`` over the classes of ``class_of`` (one symbol per class).
+
+    Each state keeps one edge per class, taken from the first byte of
+    that class in its own edge dict, so the classes appear in the order
+    their first bytes do.  :func:`determinize` numbers subsets in that
+    discovery order, which is what makes the class DFA's expansion equal
+    the byte-wide DFA array for array.  The target sets are shared with
+    ``nfa``, not copied.
+    """
+    classes = class_of.tolist()
+    out = Nfa(max(classes) + 1)
+    for edges in nfa.transitions:
+        row: Dict[int, set] = {}
+        for sym, targets in edges.items():
+            key = EPSILON if sym == EPSILON else classes[sym]
+            if key not in row:
+                row[key] = targets
+        out.transitions.append(row)
+    out.start = nfa.start
+    out.accepting = set(nfa.accepting)
+    return out
+
+
+def nfa_to_dfa(nfa: Nfa, minimize: bool = True,
+               max_states: Optional[int] = None) -> Dfa:
+    """The (minimal) DFA of ``nfa``, built over its byte classes.
+
+    Equal, array for array, to ``minimize(determinize(nfa))`` (or to
+    ``determinize(nfa)`` with ``minimize=False``), at a fraction of the
+    cost: both loops run over classes, not symbols.
+    """
+    class_of = nfa_byte_classes(nfa)
+    dfa = determinize(class_nfa(nfa, class_of), max_states=max_states)
+    if minimize:
+        dfa = minimize_dfa(dfa)
+    return Dfa(dfa.transitions[class_of], dfa.start, dfa.accepting)

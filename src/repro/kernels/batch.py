@@ -20,6 +20,7 @@ diverged sets the same sorted-unique int64 state array.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,19 +58,21 @@ BATCH_SECONDS_BUCKETS = tuple(
 )
 
 
-def _record_decision(requested: str, chosen: str, reason: str) -> None:
-    """One structured record per backend resolution.
+@lru_cache(maxsize=64)
+def _decision_bundle(requested: str, chosen: str,
+                     reason: str) -> obs.MetricBundle:
+    return obs.MetricBundle([
+        ("counter", "kernels_backend_resolved_total",
+         {"requested": requested, "backend": chosen, "reason": reason}),
+    ])
 
-    The counter keeps the running chosen-vs-requested tally (grouped by
-    reason — ``repro top`` renders these rows) and the zero-duration span
-    puts the individual decision on the trace timeline next to the scan
-    it gated.
-    """
-    obs.counter("kernels_backend_resolved_total",
-                requested=requested, backend=chosen, reason=reason).inc()
+
+def _record_decision(requested: str, chosen: str, reason: str) -> None:
+    """One record per backend resolution: the running chosen-vs-requested
+    tally, grouped by reason (``repro top`` renders these rows).  The
+    scan it gated names its backend on its own span."""
     if obs.is_enabled():
-        obs.record_span("kernels.backend_resolve", time.time(), 0.0,
-                        requested=requested, backend=chosen, reason=reason)
+        obs.add(_decision_bundle(requested, chosen, reason), (1,))
 
 
 def resolve_backend(dfa: Dfa, backend: Optional[str] = None) -> str:
@@ -133,6 +136,13 @@ _KERNEL_COUNTERS: Dict[str, Tuple[Tuple[str, str], ...]] = {
 }
 
 
+#: each kernel's stats keys, in :data:`_KERNEL_COUNTERS` order
+_KERNEL_STATS: Dict[str, Tuple[str, ...]] = {
+    backend: tuple(key for _metric, key in counters)
+    for backend, counters in _KERNEL_COUNTERS.items()
+}
+
+
 def _observe_batch(backend: str, n_seg: int, wall: float, begin: float,
                    stats: Dict[str, int]) -> None:
     """The one epilogue of a batched pass: span, histogram, counters.
@@ -144,16 +154,22 @@ def _observe_batch(backend: str, n_seg: int, wall: float, begin: float,
     elapsed = time.perf_counter() - begin
     obs.record_span("kernels.batch", wall, elapsed,
                     backend=backend, segments=n_seg)
-    obs.histogram("kernels_batch_seconds", buckets=BATCH_SECONDS_BUCKETS,
-                  backend=backend).observe(elapsed)
-    obs.counter("kernels_batch_runs_total", backend=backend).inc()
-    obs.counter("kernels_segments_total", backend=backend).inc(n_seg)
-    obs.counter("kernels_positions_total",
-                backend=backend).inc(stats["positions"])
-    obs.counter("kernels_collapses_total",
-                backend=backend).inc(stats["collapses"])
-    for metric, key in _KERNEL_COUNTERS[backend]:
-        obs.counter(metric).inc(stats[key])
+    obs.add(_batch_bundle(backend),
+            (elapsed, 1, n_seg, stats["positions"], stats["collapses"],
+             *map(stats.__getitem__, _KERNEL_STATS[backend])))
+
+
+@lru_cache(maxsize=None)
+def _batch_bundle(backend: str) -> obs.MetricBundle:
+    """The instruments :func:`_observe_batch` records into."""
+    labels = {"backend": backend}
+    return obs.MetricBundle([
+        ("histogram", "kernels_batch_seconds", labels, BATCH_SECONDS_BUCKETS),
+        ("counter", "kernels_batch_runs_total", labels),
+        ("counter", "kernels_segments_total", labels),
+        ("counter", "kernels_positions_total", labels),
+        ("counter", "kernels_collapses_total", labels),
+    ] + [("counter", metric, {}) for metric, _key in _KERNEL_COUNTERS[backend]])
 
 
 def run_segments_batch(

@@ -57,8 +57,10 @@ from repro.obs.recorder import (
     NOOP_METRIC,
     NOOP_SPAN,
     active,
+    add,
     counter,
     current_trace_id,
+    declare_series,
     disable,
     enable,
     gauge,
@@ -75,6 +77,7 @@ from repro.obs.registry import (
     Counter,
     Gauge,
     Histogram,
+    MetricBundle,
     MetricRegistry,
     SpanEvent,
 )
@@ -84,6 +87,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "MetricBundle",
     "MetricRegistry",
     "SpanEvent",
     "DEFAULT_BUCKETS",
@@ -96,6 +100,8 @@ __all__ = [
     "counter",
     "gauge",
     "histogram",
+    "add",
+    "declare_series",
     "span",
     "record_span",
     "new_trace_id",

@@ -25,11 +25,20 @@ from __future__ import annotations
 
 import contextvars
 import os
+import random
+import threading
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
-from repro.obs.registry import Counter, Gauge, Histogram, MetricRegistry
+from repro.obs.registry import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricBundle,
+    MetricRegistry,
+    SpanEvent,
+    _PID,
+)
 
 __all__ = [
     "enable",
@@ -40,6 +49,8 @@ __all__ = [
     "counter",
     "gauge",
     "histogram",
+    "add",
+    "declare_series",
     "span",
     "record_span",
     "new_trace_id",
@@ -58,9 +69,16 @@ _trace: contextvars.ContextVar = contextvars.ContextVar(
 )
 
 
+#: trace-id source: seeded from the OS once per process (and again in a
+#: forked child), so minting an id per scan makes no system call
+_ids = random.Random(os.urandom(16))
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: _ids.seed(os.urandom(16)))
+
+
 def new_trace_id() -> str:
     """A fresh 16-hex-char trace id (random, collision-safe per fleet)."""
-    return os.urandom(8).hex()
+    return "%016x" % _ids.getrandbits(64)
 
 
 def current_trace_id() -> Optional[str]:
@@ -68,11 +86,28 @@ def current_trace_id() -> Optional[str]:
     return _trace.get()
 
 
-@contextmanager
+class _TraceScope:
+    """The context manager :func:`trace` returns (a class, not a
+    generator: a scan enters one per call)."""
+
+    __slots__ = ("_tid", "_token")
+
+    def __init__(self, tid: str) -> None:
+        self._tid = tid
+
+    def __enter__(self) -> str:
+        self._token = _trace.set(self._tid)
+        return self._tid
+
+    def __exit__(self, *exc) -> bool:
+        _trace.reset(self._token)
+        return False
+
+
 def trace(
     trace_id: Optional[str] = None, inherit: bool = True
-) -> Iterator[str]:
-    """Establish a trace id for a scope; yields the effective id.
+) -> _TraceScope:
+    """Establish a trace id for a scope; ``with`` yields the effective id.
 
     ``trace_id=None`` reuses the ambient id when one is set (so a scan
     nested under a fleet scan joins the fleet's trace) unless
@@ -81,13 +116,7 @@ def trace(
     tid = trace_id
     if tid is None and inherit:
         tid = _trace.get()
-    if tid is None:
-        tid = new_trace_id()
-    token = _trace.set(tid)
-    try:
-        yield tid
-    finally:
-        _trace.reset(token)
+    return _TraceScope(new_trace_id() if tid is None else tid)
 
 
 def enable(registry: Optional[MetricRegistry] = None) -> MetricRegistry:
@@ -112,15 +141,27 @@ def is_enabled() -> bool:
     return _active is not None
 
 
-@contextmanager
-def using(registry: Optional[MetricRegistry] = None) -> Iterator[MetricRegistry]:
-    """Scoped :func:`enable`; restores the previous recorder on exit."""
-    previous = _active
-    installed = enable(registry)
-    try:
-        yield installed
-    finally:
+class _Using:
+    """The context manager :func:`using` returns."""
+
+    __slots__ = ("_registry", "_previous")
+
+    def __init__(self, registry: Optional[MetricRegistry]) -> None:
+        self._registry = registry
+
+    def __enter__(self) -> MetricRegistry:
+        self._previous = _active
+        return enable(self._registry)
+
+    def __exit__(self, *exc) -> bool:
+        previous = self._previous
         enable(previous) if previous is not None else disable()
+        return False
+
+
+def using(registry: Optional[MetricRegistry] = None) -> _Using:
+    """Scoped :func:`enable`; restores the previous recorder on exit."""
+    return _Using(registry)
 
 
 class _NoopMetric:
@@ -158,6 +199,20 @@ def histogram(
     return NOOP_METRIC if reg is None else reg.histogram(name, buckets, **labels)
 
 
+def add(bundle: MetricBundle, amounts: Sequence) -> None:
+    """:meth:`MetricRegistry.add` on the active registry, if any."""
+    reg = _active
+    if reg is not None:
+        reg.add(bundle, amounts)
+
+
+def declare_series(name: str, label: str, count: int) -> None:
+    """:meth:`MetricRegistry.declare_series` on the active registry."""
+    reg = _active
+    if reg is not None:
+        reg.declare_series(name, label, count)
+
+
 class _NoopSpan:
     """Reusable disabled-span singleton (no state, safe to share)."""
 
@@ -189,13 +244,9 @@ class _Span:
         return self
 
     def __exit__(self, *exc) -> bool:
-        self.registry.record_span(
-            self.name,
-            self._wall,
-            time.perf_counter() - self._begin,
-            trace_id=_trace.get(),
-            **self.args,
-        )
+        self.registry.add_span(SpanEvent(
+            self.name, self._wall, time.perf_counter() - self._begin,
+            _PID[0], threading.get_ident(), self.args, _trace.get()))
         return False
 
 
@@ -217,4 +268,5 @@ def record_span(name: str, ts: float, duration: float, **args) -> None:
     """
     reg = _active
     if reg is not None:
-        reg.record_span(name, ts, duration, trace_id=_trace.get(), **args)
+        reg.add_span(SpanEvent(name, ts, duration, _PID[0],
+                               threading.get_ident(), args, _trace.get()))

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.automata.alphabet import nfa_to_dfa
 from repro.automata.dfa import Dfa
-from repro.automata.minimize import minimize as minimize_dfa
 from repro.automata.nfa import EPSILON, Nfa
-from repro.automata.subset import determinize
 from repro.regex.ast import Alternate, CharClass, Concat, Empty, Node, Repeat
 from repro.regex.parser import ParsedPattern, parse
 
@@ -161,8 +160,7 @@ def compile_pattern(
 ) -> Dfa:
     """Compile one pattern string to a (minimal) DFA."""
     nfa = pattern_to_nfa(pattern, alphabet_size, mode)
-    dfa = determinize(nfa, max_states=max_states)
-    return minimize_dfa(dfa) if minimize else dfa
+    return nfa_to_dfa(nfa, minimize=minimize, max_states=max_states)
 
 
 def compile_ruleset(
@@ -181,5 +179,4 @@ def compile_ruleset(
     if not nfas:
         raise ValueError("empty ruleset")
     combined = Nfa.union(nfas) if len(nfas) > 1 else nfas[0]
-    dfa = determinize(combined, max_states=max_states)
-    return minimize_dfa(dfa) if minimize else dfa
+    return nfa_to_dfa(combined, minimize=minimize, max_states=max_states)

@@ -29,10 +29,9 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Union
 
+from repro.automata.alphabet import nfa_to_dfa
 from repro.automata.dfa import Dfa
-from repro.automata.minimize import minimize as minimize_dfa
 from repro.automata.nfa import EPSILON, Nfa
-from repro.automata.subset import determinize
 from repro.regex import charclass as cc
 from repro.regex.parser import _Parser
 
@@ -155,5 +154,4 @@ def load_anml_dfa(
         else Path(path_or_text).read_text()
     )
     nfa = anml_to_nfa(text, alphabet_size)
-    dfa = determinize(nfa, max_states=max_states)
-    return minimize_dfa(dfa) if minimize else dfa
+    return nfa_to_dfa(nfa, minimize=minimize, max_states=max_states)

@@ -1,12 +1,29 @@
-"""Unit tests for alphabet compression (symbol classes)."""
+"""Unit tests for byte classes (symbol classes)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.alphabet import compress_alphabet, symbol_classes
+from repro.automata.alphabet import symbol_classes
 from repro.automata.dfa import Dfa
-from repro.regex.compile import compile_ruleset
+from repro.ingest import admit
+
+
+def compress(dfa: Dfa):
+    """The class-compressed machine of ``dfa`` and its byte-to-class map.
+
+    One column per class of :func:`symbol_classes`, taken from the
+    class's first symbol; a raw input runs on it once translated through
+    the map.
+    """
+    classes = symbol_classes(dfa)
+    _, firsts = np.unique(classes, return_index=True)
+    return Dfa(dfa.transitions[firsts], dfa.start, dfa.accepting), classes
+
+
+def translate(classes: np.ndarray, symbols) -> np.ndarray:
+    """Map a raw input onto class symbols (input admitted first)."""
+    return classes[admit(symbols, classes.size)]
 
 
 class TestSymbolClasses:
@@ -35,36 +52,35 @@ class TestSymbolClasses:
 
 
 class TestCompressedDfa:
+    """The class-compressed machine built from :func:`symbol_classes`."""
+
     def test_equivalent_on_text(self, small_ruleset_dfa):
-        compressed = compress_alphabet(small_ruleset_dfa)
-        text = b"the cat sat on a hot dog in gray fog"
-        assert compressed.run(text) == small_ruleset_dfa.run(text)
-        assert compressed.run_reports(text) == small_ruleset_dfa.run_reports(text)
+        small, classes = compress(small_ruleset_dfa)
+        raw = b"the cat sat on a hot dog in gray fog"
+        text = translate(classes, raw)
+        assert small.run(text) == small_ruleset_dfa.run(raw)
+        assert small.run_reports(text) == small_ruleset_dfa.run_reports(raw)
 
     def test_compression_ratio(self, small_ruleset_dfa):
-        compressed = compress_alphabet(small_ruleset_dfa)
-        assert compressed.compression_ratio > 8
-        assert compressed.num_classes * compressed.compression_ratio == (
-            pytest.approx(256)
-        )
+        small, classes = compress(small_ruleset_dfa)
+        ratio = classes.size / small.alphabet_size
+        assert ratio > 8
+        assert small.alphabet_size * ratio == pytest.approx(256)
 
     def test_table_shrinks(self, small_ruleset_dfa):
-        compressed = compress_alphabet(small_ruleset_dfa)
-        assert compressed.dfa.transitions.size < (
-            small_ruleset_dfa.transitions.size
-        )
-        assert compressed.dfa.num_states == small_ruleset_dfa.num_states
+        small, _ = compress(small_ruleset_dfa)
+        assert small.transitions.size < small_ruleset_dfa.transitions.size
+        assert small.num_states == small_ruleset_dfa.num_states
 
     def test_translate_validates_range(self, small_ruleset_dfa):
-        compressed = compress_alphabet(small_ruleset_dfa)
+        _, classes = compress(small_ruleset_dfa)
         with pytest.raises(ValueError):
-            compressed.translate([999])
+            translate(classes, [999])
 
     def test_custom_start_state(self, small_ruleset_dfa):
-        compressed = compress_alphabet(small_ruleset_dfa)
-        assert compressed.run(b"cat", state=1) == small_ruleset_dfa.run(
-            b"cat", state=1
-        )
+        small, classes = compress(small_ruleset_dfa)
+        assert small.run(translate(classes, b"cat"), state=1) == (
+            small_ruleset_dfa.run(b"cat", state=1))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -81,22 +97,22 @@ class TestCompressedDfa:
             dtype=np.int32,
         )
         dfa = Dfa(table, 0, [n - 1])
-        compressed = compress_alphabet(dfa)
+        small, classes = compress(dfa)
         word = data.draw(
             st.lists(st.integers(0, k - 1), min_size=0, max_size=40)
         )
-        assert compressed.run(word) == dfa.run(word)
+        assert small.run(translate(classes, word)) == dfa.run(word)
 
     def test_engines_run_on_compressed_machine(self, small_ruleset_dfa, rng):
         """The compressed DFA is a first-class machine: engines accept it."""
         from repro.core.engine import CseEngine
         from repro.core.partition import StatePartition
 
-        compressed = compress_alphabet(small_ruleset_dfa)
+        small, classes = compress(small_ruleset_dfa)
         engine = CseEngine(
-            compressed.dfa, n_segments=4,
-            partition=StatePartition.trivial(compressed.dfa.num_states),
+            small, n_segments=4,
+            partition=StatePartition.trivial(small.num_states),
         )
         raw = rng.integers(97, 123, size=400)
-        translated = compressed.translate(raw)
+        translated = translate(classes, raw)
         assert engine.run(translated).final_state == small_ruleset_dfa.run(raw)

@@ -323,8 +323,12 @@ class TestCliTelemetry:
         assert "kernels_batch_runs_total" in names
 
         events = json.loads(trace.read_text())["traceEvents"]
-        seg_events = [e for e in events if e["name"] == "software.segment"]
-        assert len(seg_events) == 4  # one span per segment
+        # the unpooled prefilter scan walks all 4 segments in one batched
+        # pass: one measured span covers them, no estimated per-segment
+        # shares
+        batch = [e for e in events if e["name"] == "kernels.batch"]
+        assert [e["args"]["segments"] for e in batch] == [4]
+        assert not [e for e in events if e["name"] == "software.segment"]
 
         # recorder is torn down after export
         assert not obs.is_enabled()
