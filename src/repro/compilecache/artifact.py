@@ -6,7 +6,7 @@ with every per-scan table the software path derives from the transition
 matrix:
 
 - the scalar table rows the interpreted walk indexes
-  (``repro.software._table_rows``),
+  (:func:`repro.kernels.tables.table_rows`),
 - the dtype-narrowed dense table the compiled kernels read
   (:class:`repro.kernels.DenseTables`, built eagerly when the resolved
   backend is ``"native"``, lazily otherwise),
@@ -49,10 +49,10 @@ from repro.automata.dfa import Dfa
 from repro.kernels import (
     DenseTables,
     PrefilterTables,
-    certify_prefilter,
     resolve_backend,
 )
 from repro.kernels.sfa import LazySfa
+from repro.kernels.tables import LazyTables, table_rows
 
 __all__ = ["CompiledDfa", "PlanCosts", "cache_key", "compile_dfa"]
 
@@ -166,8 +166,13 @@ class PlanCosts:
 
 
 @dataclass
-class CompiledDfa:
-    """A compile-once, scan-many execution plan for one DFA."""
+class CompiledDfa(LazyTables):
+    """A compile-once, scan-many execution plan for one DFA.
+
+    Its dense tables and prefilter certificate are built on first use
+    (:class:`repro.kernels.tables.LazyTables`), or at compile time for
+    the backend that reads them.
+    """
 
     dfa: Dfa
     fingerprint: Tuple
@@ -189,9 +194,6 @@ class CompiledDfa:
     build_seconds: float = 0.0
     _dense: Optional[DenseTables] = field(default=None, repr=False)
     _prefilter: Optional[PrefilterTables] = field(default=None, repr=False)
-    #: whether the prefilter certificate has been derived yet (it is
-    #: legitimately ``None`` for uncertifiable machines, so presence
-    #: cannot double as the built flag)
     _prefilter_built: bool = field(default=False, repr=False)
     #: the plan costs ``auto`` scans measure; in memory only
     plans: PlanCosts = field(default_factory=PlanCosts, repr=False,
@@ -221,12 +223,6 @@ class CompiledDfa:
     def num_convergence_sets(self) -> int:
         return self.partition.num_blocks
 
-    def dense_tables(self) -> DenseTables:
-        """The dtype-narrowed dense table, built on first use."""
-        if self._dense is None:
-            self._dense = DenseTables(self.dfa)
-        return self._dense
-
     def sfa(self) -> LazySfa:
         """The lazily grown SFA of the machine, created on first use."""
         if self._sfa is None:
@@ -239,18 +235,6 @@ class CompiledDfa:
     def sfa_abandoned(self) -> bool:
         """Whether the SFA outgrew its budget (never true before it exists)."""
         return self._sfa is not None and self._sfa.abandoned
-
-    def prefilter_tables(self) -> Optional[PrefilterTables]:
-        """Literal-skip certificate, derived on first use.
-
-        ``None`` means the machine is not literal-certifiable — scans
-        requesting ``backend="prefilter"`` degrade to the native frontier
-        (the interpreted loop without the library).
-        """
-        if not self._prefilter_built:
-            self._prefilter = certify_prefilter(self.dfa)
-            self._prefilter_built = True
-        return self._prefilter
 
     @property
     def nbytes(self) -> int:
@@ -291,7 +275,7 @@ def compile_dfa(
         key=cache_key(
             dfa.fingerprint, profiling, cutoff, max_blocks, requested, n_segments
         ),
-        rows=[row.tolist() for row in dfa.transitions],
+        rows=table_rows(dfa),
         census=census,
         merge=merge,
         profiling=profiling,

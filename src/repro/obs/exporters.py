@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -55,6 +56,7 @@ def to_jsonl(source: Union[MetricRegistry, Snapshot]) -> str:
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
+@lru_cache(maxsize=1024)
 def _prom_name(name: str) -> str:
     name = _NAME_RE.sub("_", name)
     if name and name[0].isdigit():
@@ -78,13 +80,11 @@ def _escape_help(text: str) -> str:
     return str(text).replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def _prom_labels(labels: Dict[str, str], extra: str = "") -> str:
+def _prom_labels(labels: Dict[str, str]) -> str:
     parts = [
         '%s="%s"' % (_prom_name(k), _escape_label(v))
         for k, v in sorted(labels.items())
     ]
-    if extra:
-        parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
@@ -156,7 +156,8 @@ def prometheus_text(source: Union[MetricRegistry, Snapshot]) -> str:
     histograms the cumulative ``_bucket`` series ending in the ``+Inf``
     bucket plus exact ``_sum`` / ``_count`` samples.
     """
-    snap = _as_snapshot(source)
+    snap = (source.snapshot(spans=False) if isinstance(source, MetricRegistry)
+            else source)
     lines: List[str] = []
     typed = set()
     for m in snap.get("metrics", []):
@@ -169,19 +170,20 @@ def prometheus_text(source: Union[MetricRegistry, Snapshot]) -> str:
             lines.append(f"# HELP {name} {_escape_help(help_text)}")
             lines.append(f"# TYPE {name} {kind}")
             typed.add(name)
-        labels = m.get("labels", {})
+        labels = _prom_labels(m.get("labels", {}))
         if kind in ("counter", "gauge"):
-            lines.append(f"{name}{_prom_labels(labels)} {m['value']:g}")
+            lines.append(f"{name}{labels} {m['value']:g}")
         else:  # histogram: cumulative buckets + sum + count
+            # the bucket series' labels: the metric's, then ``le``
+            bucket = f"{name}_bucket{labels[:-1]}," if labels \
+                else f"{name}_bucket{{"
             cumulative = 0
             for bound, count in zip(m["buckets"], m["bucket_counts"]):
                 cumulative += count
-                le = 'le="%g"' % bound
-                lines.append(f"{name}_bucket{_prom_labels(labels, le)} {cumulative}")
-            inf = 'le="+Inf"'
-            lines.append(f"{name}_bucket{_prom_labels(labels, inf)} {m['count']}")
-            lines.append(f"{name}_sum{_prom_labels(labels)} {m['sum']:g}")
-            lines.append(f"{name}_count{_prom_labels(labels)} {m['count']}")
+                lines.append(f'{bucket}le="{bound:g}"}} {cumulative}')
+            lines.append(f'{bucket}le="+Inf"}} {m["count"]}')
+            lines.append(f"{name}_sum{labels} {m['sum']:g}")
+            lines.append(f"{name}_count{labels} {m['count']}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -62,7 +62,7 @@ class _Handler(BaseHTTPRequestHandler):
         path = urlsplit(self.path).path
         try:
             if path == "/metrics":
-                body = prometheus_text(owner.snapshot())
+                body = prometheus_text(owner.snapshot(spans=False))
                 ctype = "text/plain; version=0.0.4; charset=utf-8"
             elif path in ("/snapshot.json", "/snapshot"):
                 body = to_json(owner.snapshot())
@@ -119,10 +119,10 @@ class ObsServer:
         self._started_at: Optional[float] = None
 
     # ------------------------------------------------------------------
-    def snapshot(self):
+    def snapshot(self, spans: bool = True):
         registry = self._registry if self._registry is not None \
             else recorder.active()
-        return registry.snapshot() if registry is not None \
+        return registry.snapshot(spans) if registry is not None \
             else dict(_EMPTY_SNAPSHOT)
 
     def health(self) -> dict:
